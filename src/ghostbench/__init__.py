@@ -11,19 +11,17 @@ __version__ = "0.1.0"
 
 from .analysis import (GhostImageStats, PatternStats, PlaneSweep, SincFit,
                        compute_pattern_stats, first_zero, fit_sinc2, fwhm,
-                       ghost_image_stats, thin_lens_predict, uncertainty_product)
+                       ghost_image_stats, thin_lens_predict)
+from .config import default_bench
 from .elements import (ArmSpec, FreeSpace, Open, OpticalElement, Slit, ThinLens,
-                       apply_aperture, apply_arm, apply_element, apply_lens,
-                       apply_to_axis, propagate_free_space, reverse_arm)
+                       apply_arm, apply_arm_to_axis, reverse_arm)
 from .errors import (CheckFailureError, ConfigError, FitConvergenceError,
                      FlatPatternError, GhostBenchError, ImageAtInfinityError,
                      PatternError, SamplingError, WindowTooSmallError)
 from .experiment import (BenchSpec, DetectorSpec, ScanResult, ScanWindow,
-                         coincidence_rate, conditional_field, default_bench,
-                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
-                         propagate_bench, run_coincidence_scan)
-from .grid import (BiphotonAmplitude, Field1D, SamplingReport, TransverseGrid,
-                   from_spectrum, make_grid, sampling_check, to_spectrum)
+                         conditional_field, in_slit_positions, klyshko_advanced_wave,
+                         klyshko_deviation, propagate_bench, run_coincidence_scan)
+from .grid import BiphotonAmplitude, Field1D, SamplingReport, TransverseGrid, sampling_check
 from .source import (SourceSpec, build_biphoton, build_separable, build_source,
                      schmidt_number)
 from .temporal import (TemporalSpec, analytic_schmidt_number,

@@ -20,7 +20,7 @@ from .elements import _propagate_array
 from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError,
                      WindowTooSmallError)
 from .experiment import BenchSpec, ScanResult, signal_conditioned_rows
-from .grid import TransverseGrid, make_grid
+from .grid import TransverseGrid
 
 # Patterns whose max/min ratio is below this carry no usable peak.
 FLATNESS_RATIO = 1.05
@@ -158,21 +158,6 @@ def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
     return SincFit(width_m=float(width), center_m=float(center), peak=float(peak), residual=residual)
 
 
-def uncertainty_product(stats_measured: PatternStats, reference: PatternStats,
-                        slit_width_m: float) -> float:
-    """Dimensionless dy * dp_y / h from the calibrated width ratio.
-
-    dy is the slit width; dp_y = (h / dy) * (FWHM_measured /
-    FWHM_reference), so the product over h reduces to the width ratio and
-    the reference pattern itself scores exactly 1.
-    """
-    if not (slit_width_m > 0):
-        raise ValueError("slit width must be positive")
-    if reference.fwhm_m == 0:
-        raise ValueError("reference pattern has zero FWHM")
-    return stats_measured.fwhm_m / reference.fwhm_m
-
-
 def compute_pattern_stats(scan: ScanResult, channel: str = "coincidence",
                           wavelength_m: Optional[float] = None,
                           slit_to_detector_m: Optional[float] = None,
@@ -240,9 +225,8 @@ def _image_profile(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseGr
     return np.sum(weights[:, None] * np.abs(moved) ** 2, axis=0) * grid.spacing_m
 
 
-def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep,
-                      grid: Optional[TransverseGrid] = None,
-                      magnification_offset_m: float = 0.5e-3) -> GhostImageStats:
+def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
+                      magnification_offset_m: float) -> GhostImageStats:
     """Locate the conditional image of slit A along the idler arm.
 
     Sweeps the idler observation plane, measures the FWHM of the
@@ -252,7 +236,6 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep,
     the best plane.  Requires screen B open (any idler slit would mask the
     swept image).
     """
-    grid = grid if grid is not None else make_grid()
     if bench.idler_arm.slits():
         raise ValueError("ghost-image sweep requires slit B open")
     if not bench.signal_arm.slits():

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import compute_pattern_stats, ghost_image_stats
-from .config import (RunConfig, default_config, parse_config, render_config, to_bench,
-                     to_grid, to_plane_sweep, to_scan, to_temporal)
+from .config import (RunConfig, parse_config, render_config, to_bench, to_grid,
+                     to_plane_sweep, to_scan, to_temporal)
 from .errors import (CheckFailureError, ConfigError, GhostBenchError, PatternError,
                      SamplingError)
 from .experiment import ScanResult, in_slit_positions, klyshko_deviation, run_coincidence_scan
@@ -27,7 +27,7 @@ from .temporal import analytic_schmidt_number, eval_biphoton_wavepacket, factora
 
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
-        return default_config()
+        return RunConfig()
     try:
         text = Path(path).read_text()
     except OSError as exc:

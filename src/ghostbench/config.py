@@ -28,18 +28,22 @@ _NM = 1e-9
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run parameters (lengths stored in meters)."""
+    """Fully validated run parameters (lengths stored in meters).
+
+    The defaults are the reference bench; a value that a spec owns is read
+    from that spec's field default.
+    """
 
     # grid
     n_points: int = 1024
     extent_m: float = 15e-3
     # source
-    source_kind: str = "entangled"
-    pump_diameter_m: float = 3e-3
-    correlation_width_m: float = 13e-6
-    pump_wavelength_m: float = 351.1e-9
-    signal_wavelength_m: float = 702.2e-9
-    idler_wavelength_m: float = 702.2e-9
+    source_kind: str = SourceSpec.kind
+    pump_diameter_m: float = SourceSpec.pump_diameter_m
+    correlation_width_m: float = SourceSpec.correlation_width_m
+    pump_wavelength_m: float = SourceSpec.lambda_pump_m
+    signal_wavelength_m: float = SourceSpec.lambda_signal_m
+    idler_wavelength_m: float = SourceSpec.lambda_idler_m
     # signal arm
     crystal_to_lens_m: float = 255e-3
     lens_focal_m: float = 500e-3
@@ -56,9 +60,9 @@ class RunConfig:
     # detectors
     d1_mode: str = "bucket"
     d1_position_m: float = 0.0
-    d1_aperture_m: float = 180e-6
+    d1_aperture_m: float = DetectorSpec.aperture_diameter_m
     d2_mode: str = "point"
-    d2_aperture_m: float = 180e-6
+    d2_aperture_m: float = DetectorSpec.aperture_diameter_m
     # scan
     scan_y_min_m: float = -4e-3
     scan_y_max_m: float = 4e-3
@@ -75,11 +79,11 @@ class RunConfig:
     # temporal
     temporal_sigma_plus_hz: float = 1.0
     temporal_sigma_minus_hz: float = 10.0
-    temporal_omega_signal_hz: float = 0.0
-    temporal_omega_idler_hz: float = 0.0
-    temporal_amplitude: float = 1.0
-    temporal_n_points: int = 512
-    temporal_span: float = 4.0
+    temporal_omega_signal_hz: float = TemporalSpec.omega_s_hz
+    temporal_omega_idler_hz: float = TemporalSpec.omega_i_hz
+    temporal_amplitude: float = TemporalSpec.amplitude_a0
+    temporal_n_points: int = TemporalSpec.n_points
+    temporal_span: float = TemporalSpec.span_coherence_times
     # output
     output_directory: str = "."
 
@@ -307,6 +311,11 @@ def to_bench(config: RunConfig, slit_b: str | None = None) -> BenchSpec:
                      d2=DetectorSpec(config.d2_mode, config.d2_aperture_m, 0.0))
 
 
+def default_bench(**overrides) -> BenchSpec:
+    """Reference bench with any :class:`RunConfig` fields overridden."""
+    return to_bench(replace(RunConfig(), **overrides))
+
+
 def to_scan(config: RunConfig) -> ScanWindow:
     return ScanWindow(config.scan_y_min_m, config.scan_y_max_m, config.scan_steps)
 
@@ -323,7 +332,3 @@ def to_temporal(config: RunConfig) -> TemporalSpec:
                         amplitude_a0=config.temporal_amplitude,
                         n_points=config.temporal_n_points,
                         span_coherence_times=config.temporal_span)
-
-
-def default_config() -> RunConfig:
-    return RunConfig()

@@ -128,10 +128,10 @@ def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid,
     f = grid.frequencies
     f_limit = band_limit_cycles_per_m(grid, wavelength_m, distance_m)
     keep = np.abs(f) <= f_limit
+    shape = [1] * amps.ndim
+    shape[axis] = grid.n_points
     spectrum = np.fft.fft(amps, axis=axis)
     if not keep.all():
-        shape = [1] * amps.ndim
-        shape[axis] = grid.n_points
         power = np.abs(spectrum) ** 2
         total = float(np.sum(power))
         lost = float(np.sum(power * (~keep).reshape(shape)))
@@ -141,54 +141,40 @@ def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid,
                 f"energy (band limit {f_limit:.3g} cycles/m, Nyquist {grid.nyquist_cycles_per_m:.3g}); "
                 f"use a coarser grid, a smaller window, or a shorter distance")
     transfer = np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep
-    shape = [1] * amps.ndim
-    shape[axis] = grid.n_points
     return np.fft.ifft(spectrum * transfer.reshape(shape), axis=axis)
 
 
-def propagate_free_space(field: Field1D, distance_m: float) -> Field1D:
-    """Propagate a field over a signed distance.
-
-    Negative distances perform the exact inverse of the corresponding
-    forward step, so propagate(+d) followed by propagate(-d) reproduces
-    the input to machine precision.
-    """
-    amps = _propagate_array(field.amplitudes, 0, field.grid, field.wavelength_m, distance_m)
-    return Field1D(field.grid, amps, field.wavelength_m)
-
-
-def apply_lens(field: Field1D, focal_m: float, aperture_diameter_m: Optional[float] = None) -> Field1D:
-    """Multiply by the thin-lens quadratic phase, optionally hard-stopped."""
-    if focal_m == 0:
-        raise ValueError("thin lens focal length must be nonzero")
-    amps = field.amplitudes * _lens_phase(field.grid, field.wavelength_m, focal_m)
-    if aperture_diameter_m is not None:
-        amps = amps * aperture_transmission(field.grid, aperture_diameter_m, 0.0)
-    return Field1D(field.grid, amps, field.wavelength_m)
-
-
-def apply_aperture(field: Field1D, width_m: float, center_m: float = 0.0) -> Field1D:
-    """Hard slit: zero amplitude where |y - center| > width/2."""
-    amps = field.amplitudes * aperture_transmission(field.grid, width_m, center_m)
-    return Field1D(field.grid, amps, field.wavelength_m)
-
-
-def apply_element(field: Field1D, element: OpticalElement) -> Field1D:
-    if isinstance(element, FreeSpace):
-        return propagate_free_space(field, element.distance_m)
-    if isinstance(element, ThinLens):
-        return apply_lens(field, element.focal_m, element.aperture_diameter_m)
-    if isinstance(element, Slit):
-        return apply_aperture(field, element.width_m, element.center_m)
+def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: TransverseGrid,
+           wavelength_m: float) -> np.ndarray:
+    """Act with one element along one array axis; the other axes are untouched."""
     if isinstance(element, Open):
-        return field
-    raise TypeError(f"unknown optical element {element!r}")
+        return amps
+    if isinstance(element, FreeSpace):
+        return _propagate_array(amps, axis, grid, wavelength_m, element.distance_m)
+    if isinstance(element, ThinLens):
+        factor = _lens_phase(grid, wavelength_m, element.focal_m)
+        if element.aperture_diameter_m is not None:
+            factor = factor * aperture_transmission(grid, element.aperture_diameter_m, 0.0)
+    elif isinstance(element, Slit):
+        factor = aperture_transmission(grid, element.width_m, element.center_m)
+    else:
+        raise TypeError(f"unknown optical element {element!r}")
+    shape = [1] * amps.ndim
+    shape[axis] = grid.n_points
+    return amps * factor.reshape(shape)
 
 
 def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:
+    """Propagate a field through every element of an arm, in order.
+
+    Negative distances perform the exact inverse of the corresponding
+    forward step, so an arm followed by its :func:`reverse_arm` reproduces
+    the input to machine precision (absent stops).
+    """
+    amps = field.amplitudes
     for element in arm.elements:
-        field = apply_element(field, element)
-    return field
+        amps = _apply(amps, element, 0, field.grid, field.wavelength_m)
+    return Field1D(field.grid, amps, field.wavelength_m)
 
 
 def reverse_arm(arm: ArmSpec) -> ArmSpec:
@@ -208,37 +194,19 @@ def reverse_arm(arm: ArmSpec) -> ArmSpec:
 _AXES = {"signal": 0, "idler": 1}
 
 
-def apply_to_axis(joint: BiphotonAmplitude, element: OpticalElement, axis: str) -> BiphotonAmplitude:
-    """Apply a 1-D element along one axis of a joint amplitude.
+def apply_arm_to_axis(joint: BiphotonAmplitude, arm: ArmSpec, axis: str) -> BiphotonAmplitude:
+    """Apply an arm along one axis of a joint amplitude.
 
     Equivalent to row-wise (idler) or column-wise (signal) application of
-    the corresponding Field1D operation; the other axis is untouched.
+    :func:`apply_arm`; the other axis is untouched.
     """
     if axis not in _AXES:
         raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
     ax = _AXES[axis]
     grid = joint.grid_s if ax == 0 else joint.grid_i
     wavelength = joint.wavelength_s_m if ax == 0 else joint.wavelength_i_m
-
-    if isinstance(element, Open):
-        return joint
-    if isinstance(element, FreeSpace):
-        amps = _propagate_array(joint.amplitudes, ax, grid, wavelength, element.distance_m)
-    elif isinstance(element, ThinLens):
-        factor = _lens_phase(grid, wavelength, element.focal_m)
-        if element.aperture_diameter_m is not None:
-            factor = factor * aperture_transmission(grid, element.aperture_diameter_m, 0.0)
-        amps = joint.amplitudes * (factor[:, None] if ax == 0 else factor[None, :])
-    elif isinstance(element, Slit):
-        mask = aperture_transmission(grid, element.width_m, element.center_m)
-        amps = joint.amplitudes * (mask[:, None] if ax == 0 else mask[None, :])
-    else:
-        raise TypeError(f"unknown optical element {element!r}")
+    amps = joint.amplitudes
+    for element in arm.elements:
+        amps = _apply(amps, element, ax, grid, wavelength)
     return BiphotonAmplitude(joint.grid_s, joint.grid_i, amps,
                              joint.wavelength_s_m, joint.wavelength_i_m)
-
-
-def apply_arm_to_axis(joint: BiphotonAmplitude, arm: ArmSpec, axis: str) -> BiphotonAmplitude:
-    for element in arm.elements:
-        joint = apply_to_axis(joint, element, axis)
-    return joint

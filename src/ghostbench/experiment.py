@@ -1,10 +1,10 @@
 """Bench composition, detector scans, and the advanced-wave oracle.
 
-The default geometry follows the two-photon ghost-imaging bench: the
-signal photon travels 255 mm to an f = 500 mm lens (25 mm stop), 1000 mm
-further to a 0.16 mm slit (slit A) where detector D1 sits; the idler
-travels 745 mm to screen B (a 0.16 mm slit or left open) and 500 mm
-further to the scanning detector D2.  Unfolded, slit A, the lens, and
+The default geometry (the ``RunConfig`` defaults) follows the two-photon
+ghost-imaging bench: the signal photon travels 255 mm to an f = 500 mm
+lens (25 mm stop), 1000 mm further to a 0.16 mm slit (slit A) where
+detector D1 sits; the idler travels 745 mm to screen B (a 0.16 mm slit or
+left open) and 500 mm further to the scanning detector D2.  Unfolded, slit A, the lens, and
 screen B satisfy the thin-lens equation with a = b = 2f = 1000 mm, so a
 one-to-one ghost image of slit A forms at screen B in coincidences.
 
@@ -18,25 +18,15 @@ and the CLI normalizes each scan to peak 1 on output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .elements import (ArmSpec, FreeSpace, Open, OpticalElement, Slit, ThinLens,
-                       _propagate_array, aperture_transmission, apply_arm,
+from .elements import (ArmSpec, FreeSpace, Slit, aperture_transmission, apply_arm,
                        apply_arm_to_axis, reverse_arm)
-from .grid import BiphotonAmplitude, Field1D, TransverseGrid, make_grid
+from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, build_source
-
-CRYSTAL_TO_LENS_M = 255e-3
-LENS_FOCAL_M = 500e-3
-LENS_APERTURE_M = 25e-3
-LENS_TO_SLIT_M = 1.0
-SLIT_A_WIDTH_M = 0.16e-3
-CRYSTAL_TO_SCREEN_M = 745e-3
-SCREEN_TO_D2_M = 500e-3
-DETECTOR_DIAMETER_M = 180e-6
 
 
 @dataclass(frozen=True)
@@ -44,7 +34,7 @@ class DetectorSpec:
     """Photon-counting detector: point sample or aperture-integrating bucket."""
 
     mode: str = "point"
-    aperture_diameter_m: float = DETECTOR_DIAMETER_M
+    aperture_diameter_m: float = 180e-6
     position_m: float = 0.0
 
     def __post_init__(self):
@@ -83,27 +73,6 @@ class BenchSpec:
     d2: DetectorSpec
 
 
-def default_bench(slit_b_width_m: Optional[float] = SLIT_A_WIDTH_M,
-                  source: Optional[SourceSpec] = None,
-                  slit_a_center_m: float = 0.0,
-                  slit_b_center_m: float = 0.0) -> BenchSpec:
-    """Reference bench geometry; ``slit_b_width_m=None`` leaves screen B open."""
-    source = source if source is not None else SourceSpec()
-    signal = ArmSpec((FreeSpace(CRYSTAL_TO_LENS_M),
-                      ThinLens(LENS_FOCAL_M, LENS_APERTURE_M),
-                      FreeSpace(LENS_TO_SLIT_M),
-                      Slit(SLIT_A_WIDTH_M, slit_a_center_m)),
-                     source.lambda_signal_m)
-    screen_b: OpticalElement = Open() if slit_b_width_m is None else Slit(slit_b_width_m, slit_b_center_m)
-    idler = ArmSpec((FreeSpace(CRYSTAL_TO_SCREEN_M),
-                     screen_b,
-                     FreeSpace(SCREEN_TO_D2_M)),
-                    source.lambda_idler_m)
-    return BenchSpec(source=source, signal_arm=signal, idler_arm=idler,
-                     d1=DetectorSpec("bucket", DETECTOR_DIAMETER_M, 0.0),
-                     d2=DetectorSpec("point", DETECTOR_DIAMETER_M, 0.0))
-
-
 def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmplitude:
     """Apply the signal arm along axis 0 and the idler arm along axis 1."""
     joint = apply_arm_to_axis(joint, bench.signal_arm, "signal")
@@ -111,9 +80,8 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
     return joint
 
 
-def build_bench_state(bench: BenchSpec, grid: Optional[TransverseGrid] = None) -> BiphotonAmplitude:
+def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """Source amplitude at the crystal plane on a shared grid."""
-    grid = grid if grid is not None else make_grid()
     return build_source(bench.source, grid, grid)
 
 
@@ -178,8 +146,7 @@ class ScanResult:
         object.__setattr__(self, "singles_d2", sing)
 
 
-def run_coincidence_scan(bench: BenchSpec, scan: ScanWindow,
-                         grid: Optional[TransverseGrid] = None) -> ScanResult:
+def run_coincidence_scan(bench: BenchSpec, scan: ScanWindow, grid: TransverseGrid) -> ScanResult:
     """Sweep D2 and record coincidence and singles rates.
 
     D1 stays fixed as configured in the bench.  The singles rate is the
@@ -187,7 +154,6 @@ def run_coincidence_scan(bench: BenchSpec, scan: ScanWindow,
     counts every idler photon regardless of what happens in the signal
     arm, so signal-arm losses (slit A) cannot imprint on it.
     """
-    grid = grid if grid is not None else make_grid()
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise ValueError("scan window extends outside the grid window")
     state = build_bench_state(bench, grid)
@@ -202,28 +168,6 @@ def run_coincidence_scan(bench: BenchSpec, scan: ScanWindow,
     coincidence = _sample_profile(grid, coincidence_profile, bench.d2, positions)
     singles = _sample_profile(grid, singles_profile, bench.d2, positions)
     return ScanResult(positions, coincidence, singles, bench)
-
-
-def coincidence_rate(joint_at_detectors: BiphotonAmplitude, d1: DetectorSpec, d2: DetectorSpec) -> float:
-    """Joint detection rate for fixed detector positions.
-
-    Point detectors sample |A|^2 at their centers; buckets integrate it
-    over their aperture.  Detection is incoherent, so the two detectors
-    factor through the intensity.
-    """
-    grid_s, grid_i = joint_at_detectors.grid_s, joint_at_detectors.grid_i
-    if abs(d1.position_m) > grid_s.extent_m or abs(d2.position_m) > grid_i.extent_m:
-        raise ValueError("detector position outside the grid window")
-    intensity = np.abs(joint_at_detectors.amplitudes) ** 2
-    if d1.mode == "point":
-        row = intensity[grid_s.index_of(d1.position_m), :]
-    else:
-        w1 = aperture_transmission(grid_s, d1.aperture_diameter_m, d1.position_m)
-        row = np.sum(w1[:, None] * intensity, axis=0) * grid_s.spacing_m
-    if d2.mode == "point":
-        return float(np.interp(d2.position_m, grid_i.positions, row))
-    w2 = aperture_transmission(grid_i, d2.aperture_diameter_m, d2.position_m)
-    return float(np.sum(w2 * row) * grid_i.spacing_m)
 
 
 def conditional_field(joint_at_detectors: BiphotonAmplitude, y1_m: float) -> Field1D:
@@ -241,14 +185,16 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     idler axis still at the crystal plane, so callers can sweep idler
     observation planes cheaply (the heavy signal-arm propagation happens
     once).  ``slit_a_center_m`` optionally recenters the signal slit, used
-    by the magnification test.
+    by the magnification test; D1 moves with it, so a point or narrow
+    bucket D1 stays in the same place relative to the slit.
     """
     work = bench
     if slit_a_center_m is not None:
-        elements = tuple(Slit(el.width_m, slit_a_center_m) if isinstance(el, Slit) else el
+        shift = slit_a_center_m - bench.signal_arm.slits()[-1].center_m
+        elements = tuple(replace(el, center_m=slit_a_center_m) if isinstance(el, Slit) else el
                          for el in bench.signal_arm.elements)
-        work = BenchSpec(bench.source, ArmSpec(elements, bench.signal_arm.wavelength_m),
-                         bench.idler_arm, bench.d1, bench.d2)
+        work = replace(bench, signal_arm=replace(bench.signal_arm, elements=elements),
+                       d1=replace(bench.d1, position_m=bench.d1.position_m + shift))
     state = build_bench_state(work, grid)
     at_d1 = apply_arm_to_axis(state, work.signal_arm, "signal")
     weights = _d1_weights(work, grid)
@@ -256,8 +202,7 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     return rows, weights[rows], at_d1.amplitudes[rows, :]
 
 
-def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float,
-                          grid: Optional[TransverseGrid] = None,
+def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, grid: TransverseGrid,
                           backward_offset_m: float = 0.0) -> Field1D:
     """Conditional idler field at the D2 plane via the unfolded picture.
 
@@ -277,7 +222,6 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float,
     sensitivity knob so consistency checks can confirm the oracle reacts
     to a corrupted arm.
     """
-    grid = grid if grid is not None else make_grid()
     state = build_bench_state(bench, grid)
 
     psi = np.zeros(grid.n_points, dtype=np.complex128)
@@ -285,21 +229,17 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float,
     back = Field1D(grid, psi, bench.signal_arm.wavelength_m)
     back = apply_arm(back, reverse_arm(bench.signal_arm))
     if backward_offset_m != 0.0:
-        back = Field1D(grid,
-                       _propagate_array(back.amplitudes, 0, grid, back.wavelength_m, -backward_offset_m),
-                       back.wavelength_m)
+        back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),), back.wavelength_m))
 
     g = (np.conj(back.amplitudes) @ state.amplitudes) * grid.spacing_m
     idler = Field1D(grid, g, bench.idler_arm.wavelength_m)
     return apply_arm(idler, bench.idler_arm)
 
 
-def klyshko_deviation(bench: BenchSpec, d1_position_m: float,
-                      grid: Optional[TransverseGrid] = None,
+def klyshko_deviation(bench: BenchSpec, d1_position_m: float, grid: TransverseGrid,
                       backward_offset_m: float = 0.0) -> float:
     """Max pointwise difference between the peak-normalized conditional
     pattern of the full 2-D propagation and the advanced-wave pattern."""
-    grid = grid if grid is not None else make_grid()
     joint_det = propagate_bench(build_bench_state(bench, grid), bench)
     conditional = conditional_field(joint_det, d1_position_m).intensity
     advanced = klyshko_advanced_wave(bench, d1_position_m, grid, backward_offset_m).intensity
@@ -308,10 +248,8 @@ def klyshko_deviation(bench: BenchSpec, d1_position_m: float,
     return float(np.max(np.abs(conditional / conditional.max() - advanced / advanced.max())))
 
 
-def in_slit_positions(bench: BenchSpec, grid: Optional[TransverseGrid] = None,
-                      count: int = 5) -> np.ndarray:
+def in_slit_positions(bench: BenchSpec, grid: TransverseGrid, count: int) -> np.ndarray:
     """Grid-aligned D1 positions strictly inside the slit-A band."""
-    grid = grid if grid is not None else make_grid()
     slits = bench.signal_arm.slits()
     if not slits:
         raise ValueError("bench has no slit in the signal arm")

@@ -85,11 +85,6 @@ class TransverseGrid:
         return min(max(idx, 0), self.n_points - 1)
 
 
-def make_grid(n_points: int = 1024, extent_m: float = 15e-3) -> TransverseGrid:
-    """Build a grid; defaults resolve a 0.16 mm slit and hold a 3 mm pump."""
-    return TransverseGrid(n_points=n_points, extent_m=extent_m)
-
-
 @dataclass(frozen=True)
 class SamplingReport:
     """Diagnostic from :func:`sampling_check`.
@@ -150,21 +145,6 @@ class Field1D:
 
     def norm(self) -> float:
         return float(np.sqrt(self.power()))
-
-
-def to_spectrum(field: Field1D) -> np.ndarray:
-    """Forward transform to the grid's spatial-frequency samples.
-
-    Scaled so Parseval holds against :meth:`Field1D.power`:
-    sum |spectrum|^2 * df == sum |a|^2 * dy.
-    """
-    return np.fft.fft(field.amplitudes) * field.grid.spacing_m
-
-
-def from_spectrum(grid: TransverseGrid, spectrum: np.ndarray, wavelength_m: float) -> Field1D:
-    """Inverse of :func:`to_spectrum`."""
-    amps = np.fft.ifft(np.asarray(spectrum, dtype=np.complex128)) / grid.spacing_m
-    return Field1D(grid, amps, wavelength_m)
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,6 @@ import numpy as np
 
 from .grid import BiphotonAmplitude, TransverseGrid
 
-PUMP_WAVELENGTH_M = 351.1e-9
-DOWNCONVERTED_WAVELENGTH_M = 702.2e-9
-DEFAULT_PUMP_DIAMETER_M = 3e-3
-# Thin-crystal transverse correlation estimate sqrt(lambda_p * L / 2 pi)
-# for a 3 mm crystal; configurable, robustness is checked over 5-30 um.
-DEFAULT_CORRELATION_WIDTH_M = 13e-6
-
 _ENERGY_CONSERVATION_RTOL = 1e-6
 
 
@@ -36,11 +29,13 @@ _ENERGY_CONSERVATION_RTOL = 1e-6
 class SourceSpec:
     """Pump and phase-matching parameters of the pair source."""
 
-    pump_diameter_m: float = DEFAULT_PUMP_DIAMETER_M
-    correlation_width_m: float = DEFAULT_CORRELATION_WIDTH_M
-    lambda_pump_m: float = PUMP_WAVELENGTH_M
-    lambda_signal_m: float = DOWNCONVERTED_WAVELENGTH_M
-    lambda_idler_m: float = DOWNCONVERTED_WAVELENGTH_M
+    pump_diameter_m: float = 3e-3
+    # Thin-crystal transverse correlation estimate sqrt(lambda_p * L / 2 pi)
+    # for a 3 mm crystal; configurable, robustness is checked over 5-30 um.
+    correlation_width_m: float = 13e-6
+    lambda_pump_m: float = 351.1e-9
+    lambda_signal_m: float = 702.2e-9
+    lambda_idler_m: float = 702.2e-9
     kind: str = "entangled"
 
     def __post_init__(self):

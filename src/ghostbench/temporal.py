@@ -20,10 +20,6 @@ import numpy as np
 
 from .source import _matrix_schmidt_number
 
-DEFAULT_N_POINTS = 512
-# +-4 coherence times of the wider envelope captures > 1 - 1e-12 of the norm.
-DEFAULT_SPAN_COHERENCE_TIMES = 4.0
-
 
 @dataclass(frozen=True)
 class TemporalSpec:
@@ -34,8 +30,9 @@ class TemporalSpec:
     omega_s_hz: float = 0.0
     omega_i_hz: float = 0.0
     amplitude_a0: float = 1.0
-    n_points: int = DEFAULT_N_POINTS
-    span_coherence_times: float = DEFAULT_SPAN_COHERENCE_TIMES
+    n_points: int = 512
+    # +-4 coherence times of the wider envelope captures > 1 - 1e-12 of the norm.
+    span_coherence_times: float = 4.0
 
     def __post_init__(self):
         if not (self.sigma_plus_hz > 0 and self.sigma_minus_hz > 0):

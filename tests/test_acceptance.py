@@ -7,13 +7,14 @@ lines as they execute.  Criteria are asserted at their stated tolerances.
 import numpy as np
 import pytest
 
-from ghostbench import (ArmSpec, BenchSpec, FreeSpace, PlaneSweep, SourceSpec, TemporalSpec,
-                        conditional_field, default_bench, eval_biphoton_wavepacket,
-                        factorability_check, ghost_image_stats, in_slit_positions,
-                        klyshko_deviation, make_grid, propagate_bench, run_coincidence_scan)
+from ghostbench import (ArmSpec, BenchSpec, Field1D, FreeSpace, PlaneSweep, Slit,
+                        TemporalSpec, ThinLens, TransverseGrid, conditional_field,
+                        default_bench, eval_biphoton_wavepacket, factorability_check,
+                        ghost_image_stats, in_slit_positions, klyshko_deviation,
+                        propagate_bench, run_coincidence_scan)
 from ghostbench.analysis import compute_pattern_stats, profile_fwhm
 from ghostbench.experiment import build_bench_state
-from conftest import gaussian_field
+from conftest import gaussian_field, through
 
 WAVELENGTH = 702.2e-9
 SLIT_WIDTH = 0.16e-3
@@ -43,10 +44,9 @@ def stats_m2(scan_m2, stats_m1):
                                  slit_to_detector_m=SCREEN_TO_D2, reference=stats_m1)
 
 
-def conditional_spot_at_screen_b(source, grid):
+def conditional_spot_at_screen_b(bench, grid):
     """FWHM of the idler intensity at screen B (slit B open) given a point
     D1 at the centre of slit A: the spot that lights slit B."""
-    bench = default_bench(slit_b_width_m=None, source=source)
     to_screen = ArmSpec((FreeSpace(CRYSTAL_TO_SCREEN),), bench.idler_arm.wavelength_m)
     bench = BenchSpec(bench.source, bench.signal_arm, to_screen, bench.d1, bench.d2)
     joint = propagate_bench(build_bench_state(bench, grid), bench)
@@ -70,9 +70,9 @@ def test_criterion_1_measurement_one_reproduction(grid, scan_window, stats_m1):
     3 mm reference pump the spot matches its closed form and is narrower
     than the slit, which apodizes it; the reference measurement-1 values
     are asserted in tests/test_experiment.py."""
-    source = SourceSpec(pump_diameter_m=TEXTBOOK_PUMP_DIAMETER)
-    spot = conditional_spot_at_screen_b(source, grid)
-    scan = run_coincidence_scan(default_bench(SLIT_WIDTH, source=source), scan_window, grid)
+    bench = default_bench(pump_diameter_m=TEXTBOOK_PUMP_DIAMETER)
+    spot = conditional_spot_at_screen_b(bench, grid)
+    scan = run_coincidence_scan(bench, scan_window, grid)
     stats = compute_pattern_stats(scan, wavelength_m=WAVELENGTH, slit_to_detector_m=SCREEN_TO_D2)
     premise_ok = spot >= 2.0 * SLIT_WIDTH
     fit_ok = (stats.sinc_fit_width_m is not None
@@ -81,9 +81,9 @@ def test_criterion_1_measurement_one_reproduction(grid, scan_window, stats_m1):
                and abs(stats.first_zero_m - FRAUNHOFER_ZERO) <= 0.05 * FRAUNHOFER_ZERO)
     product_ok = stats.uncertainty_product_over_h == 1.0
 
-    reference = SourceSpec()
+    reference = default_bench()
     ref_spot = conditional_spot_at_screen_b(reference, grid)
-    ref_closed = spot_closed_form(reference)
+    ref_closed = spot_closed_form(reference.source)
     ref_spot_ok = abs(ref_spot - ref_closed) <= 0.02 * ref_closed and ref_spot < SLIT_WIDTH
 
     def mm(value):
@@ -105,9 +105,9 @@ def test_criterion_2_measurement_two_reproduction(grid, scan_window):
     product < h, robust over correlation widths 5-30 um."""
     results = []
     for sigma_c in (5e-6, 13e-6, 30e-6):
-        source = SourceSpec(correlation_width_m=sigma_c)
-        m1 = run_coincidence_scan(default_bench(SLIT_WIDTH, source=source), scan_window, grid)
-        m2 = run_coincidence_scan(default_bench(None, source=source), scan_window, grid)
+        m1 = run_coincidence_scan(default_bench(correlation_width_m=sigma_c), scan_window, grid)
+        m2 = run_coincidence_scan(default_bench(correlation_width_m=sigma_c, slit_b="open"),
+                                  scan_window, grid)
         ref = compute_pattern_stats(m1)
         stats = compute_pattern_stats(m2, reference=ref)
         ratio = stats.uncertainty_product_over_h
@@ -132,8 +132,8 @@ def test_criterion_3_singles_flatness(scan_m2):
 def test_criterion_4_ghost_image_law(grid):
     """Plane sweep finds the conditional image at 745 +- 10 mm with the
     slit's width (10%) and magnification -1 +- 0.05."""
-    stats = ghost_image_stats(default_bench(slit_b_width_m=None),
-                              PlaneSweep(0.6, 0.9, 31), grid)
+    stats = ghost_image_stats(default_bench(slit_b="open"),
+                              PlaneSweep(0.6, 0.9, 31), grid, 0.5e-3)
     plane_ok = abs(stats.best_plane_m - 0.745) <= 0.010
     width_ok = abs(stats.fwhm_m - SLIT_WIDTH) <= 0.10 * SLIT_WIDTH
     mag_ok = abs(stats.magnification + 1.0) <= 0.05
@@ -146,7 +146,7 @@ def test_criterion_4_ghost_image_law(grid):
 def test_criterion_5_klyshko_equivalence(grid):
     """Advanced-wave and 2-D conditional patterns agree to 1e-6 for at
     least five point-D1 positions inside slit A."""
-    bench = default_bench(slit_b_width_m=None)
+    bench = default_bench(slit_b="open")
     positions = in_slit_positions(bench, grid, 5)
     deviations = [klyshko_deviation(bench, pos, grid) for pos in positions]
     report("5 (advanced-wave oracle)",
@@ -159,18 +159,16 @@ def test_criterion_6_entanglement_necessity(stats_m1):
     conditional localization: FWHM grows at least 5x and the product
     exceeds h.  Uses sigma_c = 30 um on a finer grid so the separable
     beam is both resolved at the source and contained at the detector."""
-    fine = make_grid(3072, 15e-3)
-    entangled = SourceSpec(correlation_width_m=30e-6)
-    separable = SourceSpec(correlation_width_m=30e-6, kind="separable")
+    fine = TransverseGrid(3072, 15e-3)
 
-    def conditional_fwhm(source):
-        bench = default_bench(slit_b_width_m=None, source=source)
+    def conditional_fwhm(kind):
+        bench = default_bench(slit_b="open", correlation_width_m=30e-6, source_kind=kind)
         joint = propagate_bench(build_bench_state(bench, fine), bench)
         profile = conditional_field(joint, 0.0).intensity
         return profile_fwhm(fine.positions, profile)
 
-    width_entangled = conditional_fwhm(entangled)
-    width_separable = conditional_fwhm(separable)
+    width_entangled = conditional_fwhm("entangled")
+    width_separable = conditional_fwhm("separable")
     ratio = width_separable / width_entangled
     product = width_separable / stats_m1.fwhm_m
     report("6 (entanglement necessity)",
@@ -181,16 +179,14 @@ def test_criterion_6_entanglement_necessity(stats_m1):
 def test_criterion_7_numerical_hygiene(grid):
     """Norm preservation and exact inverse of free-space propagation, and
     classical a = b = 2f imaging of the slit."""
-    from ghostbench import apply_aperture, apply_lens, propagate_free_space, Field1D
     field = gaussian_field(grid, 0.8e-3)
-    norm_err = abs(propagate_free_space(field, 0.745).power() / field.power() - 1.0)
-    roundtrip = propagate_free_space(propagate_free_space(field, 0.3), -0.3)
+    norm_err = abs(through(field, FreeSpace(0.745)).power() / field.power() - 1.0)
+    roundtrip = through(field, FreeSpace(0.3), FreeSpace(-0.3))
     roundtrip_err = float(np.max(np.abs(roundtrip.amplitudes - field.amplitudes)))
 
-    u = apply_aperture(Field1D(grid, np.ones(grid.n_points), WAVELENGTH), SLIT_WIDTH)
-    u = propagate_free_space(u, 1.0)
-    u = apply_lens(u, 0.5, aperture_diameter_m=25e-3)
-    image = propagate_free_space(u, 1.0).intensity
+    u = Field1D(grid, np.ones(grid.n_points), WAVELENGTH)
+    image = through(u, Slit(SLIT_WIDTH), FreeSpace(1.0), ThinLens(0.5, aperture_diameter_m=25e-3),
+                    FreeSpace(1.0)).intensity
     image_fwhm = profile_fwhm(grid.positions, image)
     image_ok = abs(image_fwhm - SLIT_WIDTH) <= 0.10 * SLIT_WIDTH
     report("7 (numerical hygiene)",

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ghostbench import (FlatPatternError, ImageAtInfinityError, PlaneSweep,
-                        ScanResult, SourceSpec, WindowTooSmallError, default_bench,
-                        ghost_image_stats, thin_lens_predict, uncertainty_product)
+                        ScanResult, WindowTooSmallError, default_bench,
+                        ghost_image_stats, thin_lens_predict)
 from ghostbench.analysis import (POOR_FIT_RESIDUAL, compute_pattern_stats, fit_sinc2,
                                  fwhm, first_zero, profile_first_zero, profile_fwhm)
 
@@ -96,17 +96,20 @@ class TestFitSinc2:
 
 
 class TestUncertaintyProduct:
-    def _stats(self, fwhm_m):
-        from ghostbench.analysis import PatternStats
-        return PatternStats(0.0, fwhm_m, None, None, None, 1.0)
+    """The product over h is the FWHM ratio to the reference pattern."""
 
     def test_reference_calibration_exact(self):
-        ref = self._stats(1.944e-3)
-        assert uncertainty_product(ref, ref, 0.16e-3) == 1.0
+        y = np.linspace(-4e-3, 4e-3, 161)
+        ref = compute_pattern_stats(synthetic_scan(np.sinc(y / FIRST_ZERO) ** 2, y))
+        again = compute_pattern_stats(synthetic_scan(np.sinc(y / FIRST_ZERO) ** 2, y), reference=ref)
+        assert again.uncertainty_product_over_h == 1.0
 
     def test_linearity(self):
-        ref = self._stats(1.0e-3)
-        assert uncertainty_product(self._stats(2.0e-3), ref, 0.16e-3) == pytest.approx(2.0)
+        y = np.linspace(-2e-3, 2e-3, 201)
+        ref = compute_pattern_stats(synthetic_scan(np.clip(1 - np.abs(y) / 1e-3, 0, None), y))
+        wide = compute_pattern_stats(synthetic_scan(np.clip(1 - np.abs(y) / 1.5e-3, 0, None), y),
+                                     reference=ref)
+        assert wide.uncertainty_product_over_h == pytest.approx(1.5, rel=1e-9)
 
     @pytest.mark.parametrize("scale", [0.25, 0.5, 2.0, 3.7])
     def test_width_scaling_monotonicity(self, scale):
@@ -114,17 +117,8 @@ class TestUncertaintyProduct:
         y = np.linspace(-8e-3, 8e-3, 641)
         v = np.sinc(y / FIRST_ZERO) ** 2
         stats_base = compute_pattern_stats(synthetic_scan(v, y))
-        stats_scaled = compute_pattern_stats(synthetic_scan(v, scale * y))
-        product = uncertainty_product(stats_scaled, stats_base, 0.16e-3)
-        assert product == pytest.approx(scale, rel=1e-9)
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            uncertainty_product(self._stats(1e-3), self._stats(0.0), 0.16e-3)
-
-    def test_bad_slit_width_rejected(self):
-        with pytest.raises(ValueError):
-            uncertainty_product(self._stats(1e-3), self._stats(1e-3), 0.0)
+        stats_scaled = compute_pattern_stats(synthetic_scan(v, scale * y), reference=stats_base)
+        assert stats_scaled.uncertainty_product_over_h == pytest.approx(scale, rel=1e-9)
 
 
 class TestComputePatternStats:
@@ -163,8 +157,8 @@ class TestThinLens:
 
 @pytest.fixture(scope="module")
 def ghost_stats(grid):
-    return ghost_image_stats(default_bench(slit_b_width_m=None),
-                             PlaneSweep(0.6, 0.9, 31), grid)
+    return ghost_image_stats(default_bench(slit_b="open"),
+                             PlaneSweep(0.6, 0.9, 31), grid, 0.5e-3)
 
 
 class TestGhostImageStats:
@@ -180,24 +174,35 @@ class TestGhostImageStats:
 
     def test_off_center_slit_mirrors_centroid(self, grid):
         # Ghost image of a slit displaced +0.5 mm sits at -0.5 mm.
-        stats = ghost_image_stats(default_bench(slit_b_width_m=None, slit_a_center_m=0.5e-3),
-                                  PlaneSweep(0.7, 0.8, 11), grid)
+        stats = ghost_image_stats(default_bench(slit_b="open", slit_a_center_m=0.5e-3),
+                                  PlaneSweep(0.7, 0.8, 11), grid, 0.5e-3)
         assert stats.magnification == pytest.approx(-1.0, abs=0.05)
 
     def test_requires_open_screen(self, grid):
         with pytest.raises(ValueError):
-            ghost_image_stats(default_bench(slit_b_width_m=0.16e-3),
-                              PlaneSweep(0.6, 0.9, 7), grid)
+            ghost_image_stats(default_bench(), PlaneSweep(0.6, 0.9, 7), grid, 0.5e-3)
 
     def test_separable_source_never_focuses(self, grid):
         # Without entanglement the conditional profile shows no image
         # plane: its width stays far above the slit everywhere.
-        bench = default_bench(slit_b_width_m=None, source=SourceSpec(kind="separable"))
+        bench = default_bench(slit_b="open", source_kind="separable")
         with pytest.warns(UserWarning):
-            stats = ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 7), grid)
+            stats = ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 7), grid, 0.5e-3)
         assert np.all(stats.fwhm_by_plane_m > 0.8e-3)
 
     def test_monotone_sweep_warns(self, grid):
         with pytest.warns(UserWarning):
-            ghost_image_stats(default_bench(slit_b_width_m=None),
-                              PlaneSweep(0.60, 0.68, 5), grid)
+            ghost_image_stats(default_bench(slit_b="open"),
+                              PlaneSweep(0.60, 0.68, 5), grid, 0.5e-3)
+
+    @pytest.mark.parametrize("detector", [
+        dict(d1_mode="point", d1_position_m=0.03e-3),
+        dict(d1_aperture_m=100e-6),
+    ], ids=["point-d1", "narrow-bucket-d1"])
+    def test_magnification_with_d1_inside_the_slit(self, grid, detector):
+        # D1 moves with the displaced slit, so it keeps seeing light and
+        # the image centroid stays defined.
+        stats = ghost_image_stats(default_bench(slit_b="open", **detector),
+                                  PlaneSweep(0.7, 0.8, 11), grid, 0.5e-3)
+        assert np.isfinite(stats.magnification)
+        assert stats.magnification == pytest.approx(-1.0, abs=0.05)

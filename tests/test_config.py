@@ -1,8 +1,8 @@
 import pytest
 
 from ghostbench import ConfigError, Open, Slit
-from ghostbench.config import (default_config, parse_config, render_config, to_bench,
-                               to_grid, to_scan, to_source, to_temporal)
+from ghostbench.config import (RunConfig, parse_config, render_config, to_bench, to_grid,
+                               to_scan, to_source, to_temporal)
 
 
 class TestDefaults:
@@ -17,7 +17,7 @@ class TestDefaults:
         assert cfg.n_points == 1024
 
     def test_defaults_round_trip(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert parse_config(render_config(cfg)) == cfg
 
     def test_modified_config_round_trips(self):
@@ -86,14 +86,14 @@ class TestBuilders:
         assert to_scan(cfg).steps == 21
 
     def test_bench_slit_b_override(self):
-        cfg = default_config()
+        cfg = RunConfig()
         m1 = to_bench(cfg, slit_b="slit")
         m2 = to_bench(cfg, slit_b="open")
         assert isinstance(m1.idler_arm.elements[1], Slit)
         assert isinstance(m2.idler_arm.elements[1], Open)
 
     def test_source_kind_override(self):
-        cfg = default_config()
+        cfg = RunConfig()
         assert to_source(cfg).kind == "entangled"
         assert to_source(cfg, kind="separable").kind == "separable"
 

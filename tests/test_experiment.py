@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, ScanWindow, SourceSpec,
-                        build_biphoton, build_source, coincidence_rate,
-                        conditional_field, default_bench, in_slit_positions,
-                        klyshko_advanced_wave, klyshko_deviation, propagate_bench,
-                        run_coincidence_scan)
+                        build_biphoton, build_source, conditional_field, default_bench,
+                        in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
+                        propagate_bench, run_coincidence_scan)
 from ghostbench.elements import aperture_transmission
 
 WAVELENGTH = 702.2e-9
@@ -57,7 +56,7 @@ class TestPropagateBench:
 
     def test_slit_a_restricts_signal_rows(self, grid):
         joint = build_biphoton(SourceSpec(), grid, grid)
-        out = propagate_bench(joint, default_bench(slit_b_width_m=None))
+        out = propagate_bench(joint, default_bench(slit_b="open"))
         inside = aperture_transmission(grid, 0.16e-3, 0.0) > 0
         power_out = np.sum(np.abs(out.amplitudes[~inside, :]) ** 2)
         power_in = np.sum(np.abs(out.amplitudes[inside, :]) ** 2)
@@ -66,40 +65,35 @@ class TestPropagateBench:
 
 
 class TestCoincidenceRate:
+    """Fixed-position D1/D2 rates, read from a D2 scan with a point D1."""
+
     def test_zero_amplitude_gives_zero(self, grid):
-        from ghostbench import BiphotonAmplitude
-        joint = BiphotonAmplitude(grid, grid, np.zeros((grid.n_points, grid.n_points)),
-                                  WAVELENGTH, WAVELENGTH)
-        rate = coincidence_rate(joint, DetectorSpec("point"), DetectorSpec("point"))
-        assert rate == 0.0
+        # A point D1 on a row that slit A blocks sees no coincidences.
+        bench = default_bench(d1_mode="point", d1_position_m=10e-3)
+        scan = run_coincidence_scan(bench, ScanWindow(-1e-3, 1e-3, 5), grid)
+        assert np.all(scan.coincidence == 0.0)
 
     def test_point_point_samples_intensity(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
-        d1 = DetectorSpec("point", position_m=0.0)
-        d2 = DetectorSpec("point", position_m=0.0)
+        bench = default_bench(d1_mode="point")
+        scan = run_coincidence_scan(bench, ScanWindow(-grid.spacing_m, grid.spacing_m, 3), grid)
+        out = propagate_bench(build_biphoton(bench.source, grid, grid), bench)
         i0 = grid.index_of(0.0)
-        assert coincidence_rate(joint, d1, d2) == pytest.approx(
-            np.abs(joint.amplitudes[i0, i0]) ** 2, rel=1e-12)
+        assert scan.coincidence[1] == pytest.approx(
+            np.abs(out.amplitudes[i0, i0]) ** 2, rel=1e-12)
 
     def test_separable_rate_factorizes(self, grid):
-        joint = build_source(SourceSpec(kind="separable"), grid, grid)
-        out = propagate_bench(joint, default_bench())
-        d1 = DetectorSpec("bucket", 180e-6, 0.0)
-        d2 = DetectorSpec("bucket", 180e-6, 0.3e-3)
-        rate = coincidence_rate(out, d1, d2)
-        intensity = np.abs(out.amplitudes) ** 2
-        dy = grid.spacing_m
-        w1 = aperture_transmission(grid, 180e-6, 0.0)
-        w2 = aperture_transmission(grid, 180e-6, 0.3e-3)
-        p1 = np.sum(w1[:, None] * intensity) * dy * dy  # joint power seen by D1
-        p2 = np.sum(w2[None, :] * intensity) * dy * dy
-        total = np.sum(intensity) * dy * dy
-        assert rate == pytest.approx(p1 * p2 / total, rel=1e-10)
+        # With slit B open nothing in the idler arm depends on the signal
+        # photon, so separable coincidences are proportional to D2 singles.
+        bench = default_bench(source_kind="separable", slit_b="open")
+        scan = run_coincidence_scan(bench, ScanWindow(-3e-3, 3e-3, 41), grid)
+        coin = scan.coincidence / scan.coincidence.max()
+        sing = scan.singles_d2 / scan.singles_d2.max()
+        assert np.max(np.abs(coin - sing)) < 1e-10
 
     def test_position_outside_window_rejected(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
+        bench = default_bench(d1_mode="point", d1_position_m=20e-3)
         with pytest.raises(ValueError):
-            coincidence_rate(joint, DetectorSpec("point", position_m=20e-3), DetectorSpec("point"))
+            run_coincidence_scan(bench, ScanWindow(-1e-3, 1e-3, 5), grid)
 
 
 class TestRunCoincidenceScan:
@@ -127,7 +121,7 @@ class TestRunCoincidenceScan:
     def test_measurement_one_singles_follow_coincidences(self, grid, scan_window):
         # With a real slit B the singles show the same diffraction pattern
         # as the coincidences (the slit itself does the work).
-        bench = default_bench(source=SourceSpec(kind="separable"))
+        bench = default_bench(source_kind="separable")
         scan = run_coincidence_scan(bench, scan_window, grid)
         coin = scan.coincidence / scan.coincidence.max()
         sing = scan.singles_d2 / scan.singles_d2.max()
@@ -135,9 +129,7 @@ class TestRunCoincidenceScan:
 
     def test_point_d1_pattern_has_deep_zeros(self, grid, scan_window):
         from ghostbench.analysis import first_zero
-        bench = default_bench()
-        bench = BenchSpec(bench.source, bench.signal_arm, bench.idler_arm,
-                          DetectorSpec("point", 180e-6, 0.0), bench.d2)
+        bench = default_bench(d1_mode="point")
         scan = run_coincidence_scan(bench, scan_window, grid)
         zero = first_zero(scan)
         assert zero is not None
@@ -165,7 +157,7 @@ class TestRunCoincidenceScan:
 class TestConditionalField:
     def test_separable_slice_independent_of_condition(self, grid):
         joint = build_source(SourceSpec(kind="separable"), grid, grid)
-        out = propagate_bench(joint, default_bench(slit_b_width_m=None))
+        out = propagate_bench(joint, default_bench(slit_b="open"))
         a = conditional_field(out, 0.0).intensity
         b = conditional_field(out, 29.3e-6).intensity
         assert np.max(np.abs(a / a.max() - b / b.max())) < 1e-10
@@ -177,7 +169,7 @@ class TestConditionalField:
 
     def test_zero_row_gives_zero_field(self, grid):
         joint = build_biphoton(SourceSpec(), grid, grid)
-        out = propagate_bench(joint, default_bench(slit_b_width_m=None))
+        out = propagate_bench(joint, default_bench(slit_b="open"))
         # Far outside the slit-A band the rows are exactly zeroed.
         field = conditional_field(out, 10e-3)
         assert np.all(field.amplitudes == 0)
@@ -185,20 +177,20 @@ class TestConditionalField:
 
 class TestKlyshko:
     def test_advanced_wave_matches_conditional(self, grid):
-        bench = default_bench(slit_b_width_m=None)
+        bench = default_bench(slit_b="open")
         for position in in_slit_positions(bench, grid, 5):
             assert klyshko_deviation(bench, position, grid) < 1e-6
 
     def test_agreement_is_machine_exact(self, grid):
-        bench = default_bench(slit_b_width_m=None)
+        bench = default_bench(slit_b="open")
         assert klyshko_deviation(bench, 0.0, grid) < 1e-12
 
     def test_slit_b_bench_also_agrees(self, grid):
-        bench = default_bench(slit_b_width_m=0.16e-3)
+        bench = default_bench()
         assert klyshko_deviation(bench, 0.0, grid) < 1e-6
 
     def test_corrupted_backward_arm_detected(self, grid):
-        bench = default_bench(slit_b_width_m=None)
+        bench = default_bench(slit_b="open")
         dev = klyshko_deviation(bench, 0.0, grid, backward_offset_m=1e-3)
         assert dev > 1e-6
 
@@ -214,7 +206,7 @@ class TestKlyshko:
         assert 0.0 in positions
 
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
-        bench = default_bench(slit_b_width_m=None)
+        bench = default_bench(slit_b="open")
         field = klyshko_advanced_wave(bench, 0.0, grid)
         assert field.grid is grid
         assert field.wavelength_m == bench.idler_arm.wavelength_m

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ghostbench import (SourceSpec, build_biphoton, build_separable, build_source,
-                        make_grid, schmidt_number)
+from ghostbench import (SourceSpec, TransverseGrid, build_biphoton, build_separable,
+                        build_source, schmidt_number)
 
 PUMP_RADIUS = 1.5e-3
 
@@ -45,7 +45,7 @@ class TestBuildBiphoton:
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
-            build_biphoton(SourceSpec(), make_grid(256, 15e-3), make_grid(256, 10e-3))
+            build_biphoton(SourceSpec(), TransverseGrid(256, 15e-3), TransverseGrid(256, 10e-3))
 
     def test_kind_must_be_entangled(self, grid):
         with pytest.raises(ValueError):
