@@ -206,6 +206,12 @@ class PlaneSweep:
     max_m: float
     steps: int
 
+    def __post_init__(self):
+        if not (self.max_m > self.min_m):
+            raise ValueError("plane sweep must have max > min")
+        if self.steps < 2:
+            raise ValueError("plane sweep needs at least two steps")
+
     def planes(self) -> np.ndarray:
         return np.linspace(self.min_m, self.max_m, self.steps)
 
@@ -217,6 +223,7 @@ class GhostImageStats:
     magnification: float
     planes_m: np.ndarray
     fwhm_by_plane_m: np.ndarray
+    focus_at_edge: bool
 
 
 def _image_profile(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseGrid,
@@ -255,9 +262,10 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
         warnings.warn("no conditional image resolvable at any swept plane", stacklevel=2)
         return GhostImageStats(best_plane_m=float("nan"), fwhm_m=float("inf"),
                                magnification=float("nan"),
-                               planes_m=planes, fwhm_by_plane_m=widths)
+                               planes_m=planes, fwhm_by_plane_m=widths, focus_at_edge=False)
     i_best = int(np.argmin(widths))
-    if i_best in (0, planes.size - 1):
+    focus_at_edge = i_best in (0, planes.size - 1)
+    if focus_at_edge:
         warnings.warn("conditional width is monotone over the sweep; the focus lies outside it",
                       stacklevel=2)
     best_plane = float(planes[i_best])
@@ -273,4 +281,4 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
     magnification = (centroid_shifted - centroid_base) / magnification_offset_m
     return GhostImageStats(best_plane_m=best_plane, fwhm_m=float(widths[i_best]),
                            magnification=float(magnification),
-                           planes_m=planes, fwhm_by_plane_m=widths)
+                           planes_m=planes, fwhm_by_plane_m=widths, focus_at_edge=focus_at_edge)

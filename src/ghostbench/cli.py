@@ -19,8 +19,7 @@ from . import __version__
 from .analysis import compute_pattern_stats, ghost_image_stats
 from .config import (RunConfig, parse_config, render_config, to_bench, to_grid,
                      to_plane_sweep, to_scan, to_temporal)
-from .errors import (CheckFailureError, ConfigError, GhostBenchError, PatternError,
-                     SamplingError)
+from .errors import CheckFailureError, ConfigError, GhostBenchError, PatternError
 from .experiment import ScanResult, in_slit_positions, klyshko_deviation, run_coincidence_scan
 from .temporal import analytic_schmidt_number, eval_biphoton_wavepacket, factorability_check
 
@@ -35,20 +34,23 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(text)
 
 
-def _config_header(command: str, config: RunConfig) -> list[str]:
-    lines = [f"# ghostbench {__version__}", f"# command = {command}", "# config:"]
-    lines += [f"# {line}" if line else "#" for line in render_config(config).splitlines()]
-    return lines
+def _write_csv(config: RunConfig, command: str, name: str, lines: list[str]):
+    """Write the config header and ``lines`` to ``name`` in the output directory."""
+    directory = Path(config.output_directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    header = [f"# ghostbench {__version__}", f"# command = {command}", "# config:"]
+    header += [f"# {line}" if line else "#" for line in render_config(config).splitlines()]
+    path = directory / name
+    path.write_text("\n".join(header + lines) + "\n")
+    print(f"csv = {path}")
 
 
-def _write_scan_csv(path: Path, command: str, config: RunConfig, scan: ScanResult):
+def _scan_lines(scan: ScanResult) -> list[str]:
     coin_peak = scan.coincidence.max() or 1.0
     sing_peak = scan.singles_d2.max() or 1.0
-    rows = [f"{y * 1e3:.6f},{c / coin_peak:.9e},{s / sing_peak:.9e}"
-            for y, c, s in zip(scan.positions_m, scan.coincidence, scan.singles_d2)]
-    text = "\n".join(_config_header(command, config)
-                     + ["y2_mm,coincidence_norm,singles_d2_norm"] + rows) + "\n"
-    path.write_text(text)
+    return ["y2_mm,coincidence_norm,singles_d2_norm"] + [
+        f"{y * 1e3:.6f},{c / coin_peak:.9e},{s / sing_peak:.9e}"
+        for y, c, s in zip(scan.positions_m, scan.coincidence, scan.singles_d2)]
 
 
 def _print_stats(stats, reference_fwhm_m=None):
@@ -66,12 +68,6 @@ def _print_stats(stats, reference_fwhm_m=None):
     print(f"uncertainty_product_over_h = {stats.uncertainty_product_over_h:.4f}")
 
 
-def _out_dir(config: RunConfig) -> Path:
-    directory = Path(config.output_directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
 def _measure(config: RunConfig, which: str) -> int:
     grid = to_grid(config)
     scan_window = to_scan(config)
@@ -82,17 +78,13 @@ def _measure(config: RunConfig, which: str) -> int:
     stats_m1 = compute_pattern_stats(scan_m1, "coincidence", **fit_args)
 
     if which == "m1":
-        path = _out_dir(config) / "measure_m1.csv"
-        _write_scan_csv(path, "measure-m1", config, scan_m1)
-        print(f"csv = {path}")
+        _write_csv(config, "measure-m1", "measure_m1.csv", _scan_lines(scan_m1))
         _print_stats(stats_m1, reference_fwhm_m=stats_m1.fwhm_m)
         return 0
 
     bench_m2 = to_bench(config, slit_b="open")
     scan_m2 = run_coincidence_scan(bench_m2, scan_window, grid)
-    path = _out_dir(config) / "measure_m2.csv"
-    _write_scan_csv(path, "measure-m2", config, scan_m2)
-    print(f"csv = {path}")
+    _write_csv(config, "measure-m2", "measure_m2.csv", _scan_lines(scan_m2))
     try:
         stats_m2 = compute_pattern_stats(scan_m2, "coincidence", reference=stats_m1, **fit_args)
     except PatternError as exc:
@@ -113,14 +105,13 @@ def _ghost(config: RunConfig) -> int:
     bench = to_bench(config, slit_b="open")
     stats = ghost_image_stats(bench, to_plane_sweep(config), to_grid(config),
                               magnification_offset_m=config.ghost_slit_offset_m)
-    path = _out_dir(config) / "ghost_sweep.csv"
     rows = [f"{z * 1e3:.6f},{w * 1e3:.6f}" for z, w in zip(stats.planes_m, stats.fwhm_by_plane_m)]
-    path.write_text("\n".join(_config_header("ghost", config)
-                              + ["plane_mm,conditional_fwhm_mm"] + rows) + "\n")
-    print(f"csv = {path}")
+    _write_csv(config, "ghost", "ghost_sweep.csv", ["plane_mm,conditional_fwhm_mm"] + rows)
     print(f"best_plane_mm = {stats.best_plane_m * 1e3:.6f}")
     print(f"fwhm_mm = {stats.fwhm_m * 1e3:.6f}")
     print(f"magnification = {stats.magnification:.6f}")
+    if stats.focus_at_edge:
+        print("note = focus at sweep edge")
     return 0
 
 
@@ -149,12 +140,10 @@ def _temporal(config: RunConfig) -> int:
     psi = eval_biphoton_wavepacket(spec)
     k = factorability_check(psi)
     t = spec.time_grid()
-    path = _out_dir(config) / "temporal_psi.csv"
-    header = _config_header("temporal", config)
-    header.append(f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2")
-    rows = [",".join(f"{val:.6e}" for val in np.abs(row)) for row in psi]
-    path.write_text("\n".join(header + rows) + "\n")
-    print(f"csv = {path}")
+    row = ",".join(["%.6e"] * psi.shape[1])
+    body = "\n".join([row] * psi.shape[0]) % tuple(np.abs(psi).ravel().tolist())
+    _write_csv(config, "temporal", "temporal_psi.csv",
+               [f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2", body])
     print(f"schmidt_number = {k:.6f}")
     print(f"schmidt_number_analytic = {analytic_schmidt_number(spec.sigma_plus_hz, spec.sigma_minus_hz):.6f}")
     return 0
@@ -204,7 +193,7 @@ def main(argv=None) -> int:
     except CheckFailureError as exc:
         print(f"error: check: {exc}", file=sys.stderr)
         return 4
-    except (SamplingError, PatternError, GhostBenchError, ValueError) as exc:
+    except (GhostBenchError, ValueError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
 from .analysis import PlaneSweep
@@ -156,39 +157,29 @@ _SCHEMA = {
 
 _SCALES = {"mm": _MM, "um": _UM, "nm": _NM}
 
-_CHOICES = {
-    "source_kind": ("entangled", "separable"),
-    "slit_b": ("slit", "open"),
-    "d1_mode": ("point", "bucket"),
-    "d2_mode": ("point", "bucket"),
-}
-
-_POSITIVE = ("extent_m", "pump_diameter_m", "correlation_width_m", "pump_wavelength_m",
-             "signal_wavelength_m", "idler_wavelength_m", "lens_aperture_m",
-             "slit_a_width_m", "slit_b_width_m", "d1_aperture_m", "d2_aperture_m",
-             "klyshko_tolerance", "temporal_sigma_plus_hz", "temporal_sigma_minus_hz",
-             "temporal_span")
-
 
 def _convert(section: str, key: str, raw: str, tag: str):
     text = raw.strip().strip('"').strip("'")
     try:
         if tag == "int":
             return int(text)
-        if tag == "float":
-            return float(text)
-        if tag in _SCALES:
-            return float(text) * _SCALES[tag]
-        return text
+        if tag == "str":
+            return text
+        value = float(text)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: must be a finite number, got {raw!r}")
+    return value * _SCALES.get(tag, 1.0)
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
     Raises :class:`ConfigError` with the offending line or key for syntax
-    errors, unknown keys, and invariant violations.  An empty document
+    errors, unknown keys and non-finite numbers.  A document is valid when
+    every spec the commands build from it builds; otherwise the error names
+    the section and the keys the document set there.  An empty document
     yields the default (reference-geometry) configuration.
     """
     parser = configparser.ConfigParser(interpolation=None, strict=True)
@@ -216,44 +207,12 @@ def parse_config(text: str) -> RunConfig:
             values[attr] = _convert(section, key, raw, tag)
 
     config = replace(RunConfig(), **values)
-    _validate(config)
+    for section, build in _SECTION_BUILDERS.items():
+        try:
+            build(config)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {', '.join(parser.options(section))}: {exc}") from None
     return config
-
-
-def _key_of(attr: str) -> str:
-    for section, keys in _SCHEMA.items():
-        for key, (a, _) in keys.items():
-            if a == attr:
-                return f"[{section}] {key}"
-    return attr
-
-
-def _validate(config: RunConfig):
-    for attr, choices in _CHOICES.items():
-        if getattr(config, attr) not in choices:
-            raise ConfigError(f"{_key_of(attr)}: must be one of {choices}, "
-                              f"got {getattr(config, attr)!r}")
-    for attr in _POSITIVE:
-        if not (getattr(config, attr) > 0):
-            raise ConfigError(f"{_key_of(attr)}: must be positive, got {getattr(config, attr)}")
-    for attr in ("n_points", "scan_steps", "ghost_steps", "klyshko_positions", "temporal_n_points"):
-        if getattr(config, attr) < 2:
-            raise ConfigError(f"{_key_of(attr)}: must be at least 2, got {getattr(config, attr)}")
-    if config.n_points < 16:
-        raise ConfigError(f"{_key_of('n_points')}: must be at least 16, got {config.n_points}")
-    for attr in ("crystal_to_lens_m", "lens_to_slit_m", "crystal_to_screen_m", "screen_to_d2_m"):
-        if getattr(config, attr) < 0:
-            raise ConfigError(f"{_key_of(attr)}: arm distances must be nonnegative")
-    if config.lens_focal_m == 0:
-        raise ConfigError(f"{_key_of('lens_focal_m')}: focal length must be nonzero")
-    if not (config.scan_y_max_m > config.scan_y_min_m):
-        raise ConfigError("[scan] y_max_mm must exceed y_min_mm")
-    if not (config.ghost_plane_max_m > config.ghost_plane_min_m):
-        raise ConfigError("[ghost] plane_max_mm must exceed plane_min_mm")
-    try:
-        to_source(config)
-    except ValueError as exc:
-        raise ConfigError(f"[source]: {exc}") from None
 
 
 def _format_number(x) -> str:
@@ -292,23 +251,40 @@ def to_source(config: RunConfig, kind: str | None = None) -> SourceSpec:
                       kind=kind if kind is not None else config.source_kind)
 
 
+# A bench arm's distances run forward from the crystal; FreeSpace itself
+# keeps accepting negative ones, which reverse_arm needs.
+def _arm(wavelength_m: float, *elements) -> ArmSpec:
+    if any(isinstance(el, FreeSpace) and el.distance_m < 0 for el in elements):
+        raise ValueError("arm distances must be nonnegative")
+    return ArmSpec(elements, wavelength_m)
+
+
+def _signal_arm(config: RunConfig) -> ArmSpec:
+    return _arm(config.signal_wavelength_m,
+                FreeSpace(config.crystal_to_lens_m),
+                ThinLens(config.lens_focal_m, config.lens_aperture_m),
+                FreeSpace(config.lens_to_slit_m),
+                Slit(config.slit_a_width_m, config.slit_a_center_m))
+
+
+def _idler_arm(config: RunConfig, slit_b: str) -> ArmSpec:
+    if slit_b not in ("slit", "open"):
+        raise ValueError(f"slit B must be 'slit' or 'open', got {slit_b!r}")
+    screen = Slit(config.slit_b_width_m, config.slit_b_center_m) if slit_b == "slit" else Open()
+    return _arm(config.idler_wavelength_m,
+                FreeSpace(config.crystal_to_screen_m), screen, FreeSpace(config.screen_to_d2_m))
+
+
+def _detectors(config: RunConfig) -> tuple[DetectorSpec, DetectorSpec]:
+    return (DetectorSpec(config.d1_mode, config.d1_aperture_m, config.d1_position_m),
+            DetectorSpec(config.d2_mode, config.d2_aperture_m, 0.0))
+
+
 def to_bench(config: RunConfig, slit_b: str | None = None) -> BenchSpec:
     """Build the bench; ``slit_b`` may force ``'slit'`` or ``'open'``."""
-    source = to_source(config)
-    signal = ArmSpec((FreeSpace(config.crystal_to_lens_m),
-                      ThinLens(config.lens_focal_m, config.lens_aperture_m),
-                      FreeSpace(config.lens_to_slit_m),
-                      Slit(config.slit_a_width_m, config.slit_a_center_m)),
-                     source.lambda_signal_m)
-    mode = slit_b if slit_b is not None else config.slit_b
-    screen = Slit(config.slit_b_width_m, config.slit_b_center_m) if mode == "slit" else Open()
-    idler = ArmSpec((FreeSpace(config.crystal_to_screen_m),
-                     screen,
-                     FreeSpace(config.screen_to_d2_m)),
-                    source.lambda_idler_m)
-    return BenchSpec(source=source, signal_arm=signal, idler_arm=idler,
-                     d1=DetectorSpec(config.d1_mode, config.d1_aperture_m, config.d1_position_m),
-                     d2=DetectorSpec(config.d2_mode, config.d2_aperture_m, 0.0))
+    return BenchSpec(to_source(config), _signal_arm(config),
+                     _idler_arm(config, slit_b if slit_b is not None else config.slit_b),
+                     *_detectors(config))
 
 
 def default_bench(**overrides) -> BenchSpec:
@@ -332,3 +308,32 @@ def to_temporal(config: RunConfig) -> TemporalSpec:
                         amplitude_a0=config.temporal_amplitude,
                         n_points=config.temporal_n_points,
                         span_coherence_times=config.temporal_span)
+
+
+def _check_ghost(config: RunConfig):
+    to_plane_sweep(config)
+    if config.ghost_slit_offset_m == 0:
+        raise ValueError("the slit A offset that measures the magnification must be nonzero")
+
+
+def _check_klyshko(config: RunConfig):
+    if config.klyshko_positions < 2:
+        raise ValueError(f"the check needs at least 2 D1 positions, got {config.klyshko_positions}")
+    if not (config.klyshko_tolerance > 0):
+        raise ValueError(f"the deviation tolerance must be positive, got {config.klyshko_tolerance}")
+
+
+# What the commands build from each section, in _SCHEMA order; parse_config
+# accepts a document only when every one of these builds.
+_SECTION_BUILDERS = {
+    "grid": to_grid,
+    "source": to_source,
+    "signal_arm": _signal_arm,
+    # measure-m1 puts slit B in, whatever the config says.
+    "idler_arm": lambda config: (_idler_arm(config, config.slit_b), _idler_arm(config, "slit")),
+    "detectors": _detectors,
+    "scan": to_scan,
+    "ghost": _check_ghost,
+    "klyshko": _check_klyshko,
+    "temporal": to_temporal,
+}

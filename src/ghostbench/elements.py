@@ -92,10 +92,9 @@ def aperture_transmission(grid: TransverseGrid, width_m: float, center_m: float 
 
     Interior cells transmit 1, outside cells 0, and each boundary cell the
     fraction of its extent covered by the slit, so the integrated aperture
-    width equals ``width_m`` exactly.
+    width equals ``width_m`` exactly.  The width comes from a ``Slit``,
+    ``ThinLens`` or ``DetectorSpec``, which each require it positive.
     """
-    if not (width_m > 0):
-        raise ValueError("aperture width must be positive")
     y = grid.positions
     dy = grid.spacing_m
     lo, hi = center_m - width_m / 2.0, center_m + width_m / 2.0

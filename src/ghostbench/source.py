@@ -39,11 +39,10 @@ class SourceSpec:
     kind: str = "entangled"
 
     def __post_init__(self):
-        for name in ("lambda_pump_m", "lambda_signal_m", "lambda_idler_m"):
+        for name in ("pump_diameter_m", "correlation_width_m", "lambda_pump_m", "lambda_signal_m",
+                     "lambda_idler_m"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
-        if not (self.pump_diameter_m > 0 and self.correlation_width_m > 0):
-            raise ValueError("pump diameter and correlation width must be positive")
         mismatch = abs(self.lambda_pump_m * (1.0 / self.lambda_signal_m + 1.0 / self.lambda_idler_m) - 1.0)
         if mismatch > _ENERGY_CONSERVATION_RTOL:
             raise ValueError(

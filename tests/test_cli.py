@@ -1,7 +1,12 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ghostbench.cli import main
+from ghostbench.config import parse_config, to_temporal
+from ghostbench.temporal import eval_biphoton_wavepacket
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +79,25 @@ class TestGhost:
         assert "plane_mm,conditional_fwhm_mm" in lines
 
 
+    @pytest.mark.parametrize("sweep, note", [
+        ("", False),
+        # The reference focus (~740 mm) lies beyond this sweep's last plane.
+        ("[ghost]\nplane_min_mm = 600\nplane_max_mm = 680\nsteps = 5\n", True)],
+        ids=["reference-sweep", "sweep-ends-before-focus"])
+    def test_focus_at_sweep_edge_noted(self, capsys, outdir_config, sweep, note):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run_cli(capsys, "ghost", outdir_config(sweep))
+        assert code == 0
+        assert ("note = focus at sweep edge" in out.splitlines()) == note
+
+    def test_zero_slit_offset_exit_2(self, capsys, outdir_config):
+        code, _, err = run_cli(capsys, "ghost", outdir_config("[ghost]\nslit_offset_mm = 0\n"))
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "slit_offset_mm" in err
+
+
 class TestKlyshko:
     def test_pass(self, capsys, tmp_path, outdir_config):
         code, out, _ = run_cli(capsys, "klyshko-check", outdir_config())
@@ -103,6 +127,17 @@ class TestTemporal:
         assert float(summary_value(out, "schmidt_number")) == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_csv_bytes_match_per_value_format(self, capsys, tmp_path, outdir_config):
+        cfg = outdir_config("[temporal]\nn_points = 64\n")
+        assert run_cli(capsys, "temporal", cfg)[0] == 0
+        text = (tmp_path / "temporal_psi.csv").read_bytes().decode()
+        psi = eval_biphoton_wavepacket(to_temporal(parse_config(Path(cfg).read_text())))
+        rows = "".join(",".join(f"{val:.6e}" for val in np.abs(row)) + "\n" for row in psi)
+        header = text[:text.index("\n", text.index("# t_grid_s")) + 1]
+        assert psi.shape == (64, 64)
+        assert text == header + rows
+
+
 class TestValidateAndErrors:
     def test_validate_ok(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "[scan]\nsteps = 41\n")
@@ -116,6 +151,12 @@ class TestValidateAndErrors:
         assert code == 2
         assert err.startswith("error: config:")
         assert "slit_a_width_mm" in err
+
+    def test_non_finite_length_exit_2(self, capsys, outdir_config):
+        code, _, err = run_cli(capsys, "measure-m1", outdir_config("[signal_arm]\ncrystal_to_lens_mm = nan\n"))
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "crystal_to_lens_mm" in err
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "validate-config", str(tmp_path / "nope.cfg"))

@@ -1,8 +1,13 @@
+import re
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostbench import ConfigError, Open, Slit
-from ghostbench.config import (RunConfig, parse_config, render_config, to_bench, to_grid,
-                               to_scan, to_source, to_temporal)
+from ghostbench.cli import main
+from ghostbench.config import (_SCHEMA, RunConfig, parse_config, render_config, to_bench, to_grid,
+                               to_plane_sweep, to_scan, to_source, to_temporal)
 
 
 class TestDefaults:
@@ -103,3 +108,115 @@ class TestBuilders:
         assert spec.sigma_plus_hz == 2.0
         assert spec.sigma_minus_hz == 8.0
         assert spec.n_points == 64
+
+
+def document(settings_by_section):
+    return "".join(f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for section, keys in settings_by_section.items())
+
+
+_POSITIVE_KEYS = [("grid", "extent_mm"), ("source", "pump_diameter_mm"),
+                  ("source", "correlation_width_um"), ("source", "pump_wavelength_nm"),
+                  ("source", "signal_wavelength_nm"), ("source", "idler_wavelength_nm"),
+                  ("signal_arm", "lens_aperture_mm"), ("signal_arm", "slit_a_width_mm"),
+                  ("idler_arm", "slit_b_width_mm"), ("detectors", "d1_aperture_um"),
+                  ("detectors", "d2_aperture_um"), ("klyshko", "tolerance"),
+                  ("temporal", "sigma_plus_hz"), ("temporal", "sigma_minus_hz"),
+                  ("temporal", "span_coherence_times")]
+
+# (section, the keys the document sets there, the key the error must name)
+_RULES = (
+    [(s, {k: "0"}, k) for s, k in _POSITIVE_KEYS]
+    + [(s, {k: "-1"}, k) for s, k in _POSITIVE_KEYS]
+    + [(s, {k: "-1"}, k) for s, k in (("signal_arm", "crystal_to_lens_mm"),
+                                      ("signal_arm", "lens_to_slit_mm"),
+                                      ("idler_arm", "crystal_to_screen_mm"),
+                                      ("idler_arm", "screen_to_d2_mm"))]
+    + [(s, {k: "1"}, k) for s, k in (("grid", "n_points"), ("scan", "steps"), ("ghost", "steps"),
+                                     ("klyshko", "n_positions"), ("temporal", "n_points"))]
+    + [
+        ("source", {"kind": "classical"}, "kind"),
+        ("idler_arm", {"slit_b": "closed"}, "slit_b"),
+        ("detectors", {"d1_mode": "area"}, "d1_mode"),
+        ("detectors", {"d2_mode": "area"}, "d2_mode"),
+        # measure-m1 puts slit B in even when the config leaves it out.
+        ("idler_arm", {"slit_b": "open", "slit_b_width_mm": "0"}, "slit_b_width_mm"),
+        ("grid", {"n_points": "15"}, "n_points"),
+        ("signal_arm", {"lens_focal_mm": "0"}, "lens_focal_mm"),
+        ("scan", {"y_min_mm": "2", "y_max_mm": "-2"}, "y_max_mm"),
+        ("scan", {"y_min_mm": "1", "y_max_mm": "1"}, "y_max_mm"),
+        ("ghost", {"plane_min_mm": "900", "plane_max_mm": "600"}, "plane_max_mm"),
+        ("ghost", {"plane_min_mm": "700", "plane_max_mm": "700"}, "plane_max_mm"),
+        ("ghost", {"slit_offset_mm": "0"}, "slit_offset_mm"),
+        ("source", {"signal_wavelength_nm": "700.0"}, "signal_wavelength_nm"),
+        ("source", {"correlation_width_um": "4000"}, "correlation_width_um"),
+    ])
+
+
+class TestValidation:
+    @pytest.mark.parametrize("section, keys, key", _RULES,
+                             ids=[f"{s}.{k}={'/'.join(v.values())}" for s, v, k in _RULES])
+    def test_rule_names_its_key(self, section, keys, key, capsys, tmp_path):
+        text = document({section: keys})
+        named = rf"^\[{section}\] [^:]*\b{key}\b[^:]*: "
+        with pytest.raises(ConfigError, match=named):
+            parse_config(text)
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        assert main(["validate-config", str(path)]) == 2
+        assert re.search(named, capsys.readouterr().err.removeprefix("error: config: "))
+
+    @pytest.mark.parametrize("section, key", [("signal_arm", "crystal_to_lens_mm"),
+                                              ("klyshko", "tolerance")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be a finite number"):
+            parse_config(document({section: {key: value}}))
+
+    def test_each_field_has_one_key(self):
+        attrs = [attr for keys in _SCHEMA.values() for attr, _ in keys.values()]
+        assert sorted(attrs) == sorted(f.name for f in fields(RunConfig))
+
+
+_DEFAULT_TEXT = {section: dict(line.split(" = ") for line in body.strip().splitlines()[1:])
+                 for section, body in zip(_SCHEMA, render_config(RunConfig()).split("\n\n"))}
+_STRINGS = {"kind": ["entangled", "separable"], "slit_b": ["slit", "open"],
+            "d1_mode": ["point", "bucket"], "d2_mode": ["point", "bucket"], "directory": ["out"]}
+
+
+def _value(section, key):
+    tag = _SCHEMA[section][key][1]
+    if tag == "str":
+        return st.sampled_from(_STRINGS[key] + ["bogus"])
+    if tag == "int":
+        return st.integers(-3, 4096).map(str)
+    default = float(_DEFAULT_TEXT[section][key])
+    return st.one_of(st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]),
+                     st.floats(-2.0, 2.0).map(lambda f: repr(default * f)),
+                     st.floats(-1e3, 1e3).map(repr))
+
+
+@st.composite
+def documents(draw):
+    keys = draw(st.lists(st.sampled_from([(s, k) for s in _SCHEMA for k in _SCHEMA[s]]),
+                         max_size=5, unique=True))
+    chosen = {}
+    for section, key in keys:
+        chosen.setdefault(section, {})[key] = draw(_value(section, key))
+    return document(chosen)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(documents())
+def test_valid_document_builds_everything_and_round_trips(text):
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    to_grid(config)
+    for slit_b in (None, "slit", "open"):
+        to_bench(config, slit_b=slit_b)
+    to_scan(config)
+    to_plane_sweep(config)
+    to_temporal(config)
+    assert parse_config(render_config(config)) == config
