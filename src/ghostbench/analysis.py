@@ -248,7 +248,8 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
     if not bench.signal_arm.slits():
         raise ValueError("ghost-image sweep requires a slit in the signal arm")
     wavelength = bench.idler_arm.wavelength_m
-    _, weights, rows = signal_conditioned_rows(bench, grid)
+    (_, weights, rows), (_, w_off, rows_off) = signal_conditioned_rows(
+        bench, grid, slit_a_offsets_m=(0.0, magnification_offset_m))
     planes = sweep.planes()
     widths = np.empty(planes.size)
     for i, z in enumerate(planes):
@@ -270,9 +271,6 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
                       stacklevel=2)
     best_plane = float(planes[i_best])
 
-    slit_a = bench.signal_arm.slits()[-1]
-    _, w_off, rows_off = signal_conditioned_rows(
-        bench, grid, slit_a_center_m=slit_a.center_m + magnification_offset_m)
     shifted = _image_profile(w_off, rows_off, grid, wavelength, best_plane)
     base = _image_profile(weights, rows, grid, wavelength, best_plane)
     y = grid.positions

@@ -113,10 +113,10 @@ def _lens_phase(grid: TransverseGrid, wavelength_m: float, focal_m: float) -> np
 
 def band_limit_cycles_per_m(grid: TransverseGrid, wavelength_m: float, distance_m: float) -> float:
     """Largest alias-free spatial frequency for this grid and distance."""
-    if distance_m == 0.0:
+    chirp = 2.0 * wavelength_m * abs(distance_m)
+    if chirp == 0.0:  # no distance, or one so small that the product underflows
         return 1.0 / wavelength_m
-    chirp_limit = grid.window_m / (2.0 * wavelength_m * abs(distance_m))
-    return min(chirp_limit, 1.0 / wavelength_m)
+    return min(grid.window_m / chirp, 1.0 / wavelength_m)
 
 
 def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid,
@@ -163,6 +163,18 @@ def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: Transvers
     return amps * factor.reshape(shape)
 
 
+def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseGrid,
+                    wavelength_m: float) -> np.ndarray:
+    """Act with every element of an arm, in order, along one array axis.
+
+    Every 1-D slice along ``axis`` is one field on ``grid``; the other
+    axes are untouched, so an array of rows is a batch of fields.
+    """
+    for element in arm.elements:
+        amps = _apply(amps, element, axis, grid, wavelength_m)
+    return amps
+
+
 def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:
     """Propagate a field through every element of an arm, in order.
 
@@ -170,9 +182,7 @@ def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:
     forward step, so an arm followed by its :func:`reverse_arm` reproduces
     the input to machine precision (absent stops).
     """
-    amps = field.amplitudes
-    for element in arm.elements:
-        amps = _apply(amps, element, 0, field.grid, field.wavelength_m)
+    amps = apply_arm_along(field.amplitudes, arm, 0, field.grid, field.wavelength_m)
     return Field1D(field.grid, amps, field.wavelength_m)
 
 
@@ -204,8 +214,6 @@ def apply_arm_to_axis(joint: BiphotonAmplitude, arm: ArmSpec, axis: str) -> Biph
     ax = _AXES[axis]
     grid = joint.grid_s if ax == 0 else joint.grid_i
     wavelength = joint.wavelength_s_m if ax == 0 else joint.wavelength_i_m
-    amps = joint.amplitudes
-    for element in arm.elements:
-        amps = _apply(amps, element, ax, grid, wavelength)
+    amps = apply_arm_along(joint.amplitudes, arm, ax, grid, wavelength)
     return BiphotonAmplitude(joint.grid_s, joint.grid_i, amps,
                              joint.wavelength_s_m, joint.wavelength_i_m)

@@ -15,7 +15,9 @@ class ConfigError(GhostBenchError):
 
 
 class SamplingError(GhostBenchError):
-    """A propagation step would alias significant field energy."""
+    """The grid cannot sample the bench: a propagation step would alias
+    significant field energy, or a scan window, a point D1 or slit A does
+    not fit the grid."""
 
 
 class PatternError(GhostBenchError):

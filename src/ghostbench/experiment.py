@@ -18,13 +18,14 @@ and the CLI normalizes each scan to peak 1 on output.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
 from .elements import (ArmSpec, FreeSpace, Slit, aperture_transmission, apply_arm,
-                       apply_arm_to_axis, reverse_arm)
+                       apply_arm_along, apply_arm_to_axis, reverse_arm)
+from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, build_source
 
@@ -95,6 +96,9 @@ def _d1_weights(bench: BenchSpec, grid: TransverseGrid) -> np.ndarray:
     Point mode samples the nearest grid row.
     """
     if bench.d1.mode == "point":
+        if abs(bench.d1.position_m) > grid.extent_m:
+            raise SamplingError(f"point D1 at {bench.d1.position_m} m lies outside the grid "
+                                f"window +-{grid.extent_m} m")
         weights = np.zeros(grid.n_points)
         weights[grid.index_of(bench.d1.position_m)] = 1.0 / grid.spacing_m
         return weights
@@ -105,9 +109,17 @@ def _d1_weights(bench: BenchSpec, grid: TransverseGrid) -> np.ndarray:
     return aperture_transmission(grid, bench.d1.aperture_diameter_m, bench.d1.position_m)
 
 
-def _axis_profile(joint: BiphotonAmplitude, weights: np.ndarray) -> np.ndarray:
-    """Integrate |A|^2 over the signal axis with the given weights."""
-    return np.sum(weights[:, None] * np.abs(joint.amplitudes) ** 2, axis=0) * joint.grid_s.spacing_m
+def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np.ndarray:
+    """Integrate |A|^2 over the signal axis (axis 0) with the given weights."""
+    return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
+
+
+def _lit_rows(state: BiphotonAmplitude, signal_arm: ArmSpec):
+    """``(row_indices, row_amplitudes)`` of the rows the signal arm leaves
+    nonzero: behind slit A, the few rows the slit transmits."""
+    amps = apply_arm_to_axis(state, signal_arm, "signal").amplitudes
+    rows = np.flatnonzero(np.any(amps != 0, axis=1))
+    return rows, amps[rows]
 
 
 def _sample_profile(grid: TransverseGrid, profile: np.ndarray, detector: DetectorSpec,
@@ -146,28 +158,39 @@ class ScanResult:
         object.__setattr__(self, "singles_d2", sing)
 
 
-def run_coincidence_scan(bench: BenchSpec, scan: ScanWindow, grid: TransverseGrid) -> ScanResult:
+def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindow,
+                         grid: TransverseGrid) -> ScanResult | list[ScanResult]:
     """Sweep D2 and record coincidence and singles rates.
 
-    D1 stays fixed as configured in the bench.  The singles rate is the
-    signal-axis marginal of the state with only the idler arm applied: it
-    counts every idler photon regardless of what happens in the signal
-    arm, so signal-arm losses (slit A) cannot imprint on it.
+    ``bench`` is one :class:`BenchSpec` (one :class:`ScanResult`) or a
+    sequence of benches that differ only in the idler arm (one result
+    each), which share one source and one signal-arm pass.  D1 stays fixed
+    as configured.  The coincidences follow the idler arm on the rows the
+    signal arm leaves nonzero.  The singles rate is the signal-axis
+    marginal of the state with only the idler arm applied: it counts every
+    idler photon regardless of what happens in the signal arm, so
+    signal-arm losses (slit A) cannot imprint on it.
     """
+    benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
+    first = benches[0]
+    if any(replace(other, idler_arm=first.idler_arm) != first for other in benches):
+        raise ValueError("benches scanned together may differ only in the idler arm")
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
-        raise ValueError("scan window extends outside the grid window")
-    state = build_bench_state(bench, grid)
-
-    joint_det = propagate_bench(state, bench)
-    coincidence_profile = _axis_profile(joint_det, _d1_weights(bench, grid))
-
-    idler_only = apply_arm_to_axis(state, bench.idler_arm, "idler")
-    singles_profile = _axis_profile(idler_only, np.ones(grid.n_points))
-
+        raise SamplingError("scan window extends outside the grid window")
+    state = build_bench_state(first, grid)
+    rows, at_d1 = _lit_rows(state, first.signal_arm)
+    weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
-    coincidence = _sample_profile(grid, coincidence_profile, bench.d2, positions)
-    singles = _sample_profile(grid, singles_profile, bench.d2, positions)
-    return ScanResult(positions, coincidence, singles, bench)
+    results = []
+    for each in benches:
+        at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, state.wavelength_i_m)
+        coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
+        singles_profile = _axis_profile(apply_arm_to_axis(state, each.idler_arm, "idler").amplitudes,
+                                        np.ones(grid.n_points), grid.spacing_m)
+        coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
+        singles = _sample_profile(grid, singles_profile, each.d2, positions)
+        results.append(ScanResult(positions, coincidence, singles, each))
+    return results[0] if isinstance(bench, BenchSpec) else results
 
 
 def conditional_field(joint_at_detectors: BiphotonAmplitude, y1_m: float) -> Field1D:
@@ -178,38 +201,44 @@ def conditional_field(joint_at_detectors: BiphotonAmplitude, y1_m: float) -> Fie
 
 
 def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
-                            slit_a_center_m: Optional[float] = None):
+                            slit_a_offsets_m: Sequence[float]) -> list:
     """Signal-arm-propagated rows inside the D1 detection band.
 
-    Returns ``(row_indices, detection_weights, row_amplitudes)`` with the
-    idler axis still at the crystal plane, so callers can sweep idler
-    observation planes cheaply (the heavy signal-arm propagation happens
-    once).  ``slit_a_center_m`` optionally recenters the signal slit, used
-    by the magnification test; D1 moves with it, so a point or narrow
-    bucket D1 stays in the same place relative to the slit.
+    Returns one ``(row_indices, detection_weights, row_amplitudes)`` for
+    each entry of ``slit_a_offsets_m``, with the idler axis still at the
+    crystal plane, so callers can sweep idler observation planes cheaply.
+    An offset shifts slit A (every slit of the signal arm), and D1 with
+    it, so a point or narrow bucket D1 stays in the same place relative to
+    the slit; the magnification test uses this.  The source is built, and
+    the arm up to slit A applied to it, once for all offsets.
     """
-    work = bench
-    if slit_a_center_m is not None:
-        shift = slit_a_center_m - bench.signal_arm.slits()[-1].center_m
-        elements = tuple(replace(el, center_m=slit_a_center_m) if isinstance(el, Slit) else el
-                         for el in bench.signal_arm.elements)
-        work = replace(bench, signal_arm=replace(bench.signal_arm, elements=elements),
-                       d1=replace(bench.d1, position_m=bench.d1.position_m + shift))
-    state = build_bench_state(work, grid)
-    at_d1 = apply_arm_to_axis(state, work.signal_arm, "signal")
-    weights = _d1_weights(work, grid)
-    rows = np.nonzero(weights > 0)[0]
-    return rows, weights[rows], at_d1.amplitudes[rows, :]
+    elements = bench.signal_arm.elements
+    cut = next((i for i, el in enumerate(elements) if isinstance(el, Slit)), len(elements))
+    head = replace(bench.signal_arm, elements=elements[:cut])
+    at_slit = apply_arm_to_axis(build_bench_state(bench, grid), head, "signal").amplitudes
+    conditioned = []
+    for offset in slit_a_offsets_m:
+        tail = replace(head, elements=tuple(
+            replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
+            for el in elements[cut:]))
+        work = replace(bench, signal_arm=replace(head, elements=head.elements + tail.elements),
+                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset))
+        at_d1 = apply_arm_along(at_slit, tail, 0, grid, bench.source.lambda_signal_m)
+        weights = _d1_weights(work, grid)
+        rows = np.nonzero(weights > 0)[0]
+        conditioned.append((rows, weights[rows], at_d1[rows, :]))
+    return conditioned
 
 
-def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, grid: TransverseGrid,
+def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: BiphotonAmplitude,
                           backward_offset_m: float = 0.0) -> Field1D:
     """Conditional idler field at the D2 plane via the unfolded picture.
 
-    A point source at D1 is propagated backward through the signal arm
-    (reversed element order, negated distances, conjugate lens phase).
-    The crystal reflects it as a phase-conjugating mirror weighted by the
-    source kernel,
+    ``state`` is the bench's source at the crystal plane
+    (:func:`build_bench_state`).  A point source at D1 is propagated
+    backward through the signal arm (reversed element order, negated
+    distances, conjugate lens phase).  The crystal reflects it as a
+    phase-conjugating mirror weighted by the source kernel,
 
         g(y_i) = sum_s A0(y_s, y_i) conj(psi_back(y_s)) dy_s,
 
@@ -222,8 +251,7 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, grid: Transver
     sensitivity knob so consistency checks can confirm the oracle reacts
     to a corrupted arm.
     """
-    state = build_bench_state(bench, grid)
-
+    grid = state.grid_s
     psi = np.zeros(grid.n_points, dtype=np.complex128)
     psi[grid.index_of(d1_position_m)] = 1.0 / grid.spacing_m
     back = Field1D(grid, psi, bench.signal_arm.wavelength_m)
@@ -236,16 +264,29 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, grid: Transver
     return apply_arm(idler, bench.idler_arm)
 
 
-def klyshko_deviation(bench: BenchSpec, d1_position_m: float, grid: TransverseGrid,
-                      backward_offset_m: float = 0.0) -> float:
+def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
+                      backward_offset_m: float = 0.0) -> float | np.ndarray:
     """Max pointwise difference between the peak-normalized conditional
-    pattern of the full 2-D propagation and the advanced-wave pattern."""
-    joint_det = propagate_bench(build_bench_state(bench, grid), bench)
-    conditional = conditional_field(joint_det, d1_position_m).intensity
-    advanced = klyshko_advanced_wave(bench, d1_position_m, grid, backward_offset_m).intensity
-    if conditional.max() == 0 or advanced.max() == 0:
-        raise ValueError("conditional pattern vanished; D1 position outside the slit band?")
-    return float(np.max(np.abs(conditional / conditional.max() - advanced / advanced.max())))
+    pattern of the 2-D propagation and the advanced-wave pattern.
+
+    ``d1_positions_m`` is one position (a float result) or an array (one
+    deviation each).  One source and one 2-D pass serve all positions: the
+    signal arm on the whole source, the idler arm on the rows it leaves
+    nonzero.
+    """
+    state = build_bench_state(bench, grid)
+    rows, at_d1 = _lit_rows(state, bench.signal_arm)
+    at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, state.wavelength_i_m)
+    deviations = []
+    for position in np.atleast_1d(d1_positions_m):
+        # D1's row, or zeros when the signal arm leaves that row dark.
+        conditional = np.sum(np.abs(at_d2[rows == grid.index_of(position)]) ** 2, axis=0)
+        advanced = klyshko_advanced_wave(bench, position, state, backward_offset_m).intensity
+        if conditional.max() == 0 or advanced.max() == 0:
+            raise ValueError("conditional pattern vanished; D1 position outside the slit band?")
+        deviation = np.max(np.abs(conditional / conditional.max() - advanced / advanced.max()))
+        deviations.append(float(deviation))
+    return deviations[0] if np.ndim(d1_positions_m) == 0 else np.array(deviations)
 
 
 def in_slit_positions(bench: BenchSpec, grid: TransverseGrid, count: int) -> np.ndarray:
@@ -257,7 +298,7 @@ def in_slit_positions(bench: BenchSpec, grid: TransverseGrid, count: int) -> np.
     weights = aperture_transmission(grid, last.width_m, last.center_m)
     inside = np.nonzero(weights >= 0.999)[0]
     if inside.size == 0:
-        raise ValueError("slit A is narrower than one grid cell")
+        raise SamplingError("slit A is narrower than one grid cell")
     order = np.argsort(np.abs(grid.positions[inside] - last.center_m), kind="stable")
     chosen = inside[order][:count]
     return np.sort(grid.positions[chosen])

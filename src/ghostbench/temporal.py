@@ -37,6 +37,8 @@ class TemporalSpec:
     def __post_init__(self):
         if not (self.sigma_plus_hz > 0 and self.sigma_minus_hz > 0):
             raise ValueError("sigma_plus and sigma_minus must be positive")
+        if self.amplitude_a0 == 0:
+            raise ValueError("amplitude must be nonzero")
         if self.n_points < 2:
             raise ValueError("time grid needs at least two samples")
         if not (self.span_coherence_times > 0):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ghostbench import (ArmSpec, ScanWindow, apply_arm, apply_arm_to_axis, default_bench,
-                        run_coincidence_scan)
+                        propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
+from ghostbench.experiment import _d1_weights, build_bench_state
 
 WAVELENGTH = 702.2e-9
 
@@ -44,3 +45,19 @@ def through(field, *elements):
 def along(joint, axis, *elements):
     """A joint amplitude with the given elements applied along one axis."""
     return apply_arm_to_axis(joint, ArmSpec(elements, joint.wavelength_s_m), axis)
+
+
+def dense_scan(bench, window, grid):
+    """Coincidences and singles of a point-D2 scan by the dense route.
+
+    Both arms act on all N^2 samples (:func:`propagate_bench`), and D1 is
+    read off the whole array; the singles take the idler arm alone.
+    """
+    assert bench.d2.mode == "point"
+    state = build_bench_state(bench, grid)
+    joint = propagate_bench(state, bench).amplitudes
+    coincidence = np.sum(_d1_weights(bench, grid)[:, None] * np.abs(joint) ** 2, axis=0) * grid.spacing_m
+    idler_only = apply_arm_to_axis(state, bench.idler_arm, "idler").amplitudes
+    singles = np.sum(np.abs(idler_only) ** 2, axis=0) * grid.spacing_m
+    y = window.positions()
+    return np.interp(y, grid.positions, coincidence), np.interp(y, grid.positions, singles)

@@ -162,6 +162,17 @@ class TestValidateAndErrors:
         code, _, err = run_cli(capsys, "validate-config", str(tmp_path / "nope.cfg"))
         assert code == 2
 
+    @pytest.mark.parametrize("command, body, message", [
+        ("measure-m1", "[detectors]\nd1_mode = point\nd1_position_mm = 20\n", "point D1 at 0.02 m"),
+        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n", "slit A is narrower than one grid cell")],
+        ids=["point-d1-outside-grid", "slit-a-below-one-cell"])
+    def test_run_time_sampling_limit_exit_3(self, capsys, outdir_config, command, body, message):
+        # The third such limit, a scan window outside the grid, is test_numerical_error_exit_3.
+        code, out, err = run_cli(capsys, command, outdir_config(body))
+        assert code == 3
+        assert err.startswith(f"error: numerical: {message}")
+        assert out == ""
+
     def test_numerical_error_exit_3(self, capsys, tmp_path):
         # Scan window wider than the grid window.
         cfg = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n"
@@ -169,3 +180,46 @@ class TestValidateAndErrors:
         code, _, err = run_cli(capsys, "measure-m1", cfg)
         assert code == 3
         assert err.startswith("error: numerical:")
+
+
+class TestWorkCounts:
+    """Each command builds the source once and runs the dense signal arm once."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch, outdir_config):
+        import ghostbench.experiment as experiment
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name if name == "build" else args[2])
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiment, "build_source", counting("build", experiment.build_source))
+        monkeypatch.setattr(experiment, "apply_arm_to_axis",
+                            counting("arm", experiment.apply_arm_to_axis))
+        # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
+        base = "[grid]\nn_points = 128\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
+
+        def run(command, extra=""):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main([command, outdir_config(base + extra)]) == 0
+            return {name: calls.count(name) for name in ("build", "signal", "idler")}
+        return run
+
+    @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
+    def test_measure(self, counted, command, scans):
+        # The idler arm runs densely once per scan, for the singles; the
+        # coincidences follow it on slit A's rows without a dense pass.
+        assert counted(command) == {"build": 1, "signal": 1, "idler": scans}
+
+    def test_ghost(self, counted):
+        assert counted("ghost") == {"build": 1, "signal": 1, "idler": 0}
+
+    @pytest.mark.parametrize("n_positions", [2, 5])
+    def test_klyshko_check(self, counted, n_positions):
+        assert counted("klyshko-check", f"[klyshko]\nn_positions = {n_positions}\n") == \
+            {"build": 1, "signal": 1, "idler": 0}

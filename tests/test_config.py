@@ -150,6 +150,7 @@ _RULES = (
         ("ghost", {"slit_offset_mm": "0"}, "slit_offset_mm"),
         ("source", {"signal_wavelength_nm": "700.0"}, "signal_wavelength_nm"),
         ("source", {"correlation_width_um": "4000"}, "correlation_width_um"),
+        ("temporal", {"amplitude": "0"}, "amplitude"),
     ])
 
 

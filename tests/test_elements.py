@@ -49,6 +49,13 @@ class TestFreeSpace:
         out = through(field, FreeSpace(0.0))
         assert np.array_equal(out.amplitudes, field.amplitudes)
 
+    @pytest.mark.parametrize("distance", [5e-324, -1e-320])
+    def test_subnormal_distance_is_identity(self, grid, distance):
+        # 2 lambda |z| underflows to zero here; the step must not divide by it.
+        field = gaussian_field(grid, 1e-3)
+        out = through(field, FreeSpace(distance))
+        assert np.max(np.abs(out.amplitudes - field.amplitudes)) < 1e-14
+
     def test_forward_backward_inverse(self, grid):
         field = gaussian_field(grid, 1e-3)
         back = through(field, FreeSpace(0.3), FreeSpace(-0.3))

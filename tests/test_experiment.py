@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, ScanWindow, SourceSpec,
-                        build_biphoton, build_source, conditional_field, default_bench,
+from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, ScanWindow, Slit, SourceSpec,
+                        TransverseGrid, build_biphoton, build_source, conditional_field, default_bench,
                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
                         propagate_bench, run_coincidence_scan)
-from ghostbench.elements import aperture_transmission
+from ghostbench.analysis import PlaneSweep, ghost_image_stats
+from ghostbench.elements import aperture_transmission, apply_arm_to_axis
+from ghostbench.errors import SamplingError
+from ghostbench.experiment import build_bench_state, signal_conditioned_rows
+
+from conftest import dense_scan
 
 WAVELENGTH = 702.2e-9
 
@@ -92,13 +97,13 @@ class TestCoincidenceRate:
 
     def test_position_outside_window_rejected(self, grid):
         bench = default_bench(d1_mode="point", d1_position_m=20e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(SamplingError):
             run_coincidence_scan(bench, ScanWindow(-1e-3, 1e-3, 5), grid)
 
 
 class TestRunCoincidenceScan:
     def test_scan_outside_grid_rejected(self, grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(SamplingError):
             run_coincidence_scan(default_bench(), ScanWindow(-20e-3, 20e-3, 11), grid)
 
     def test_measurement_one_regression(self, scan_m1):
@@ -207,6 +212,118 @@ class TestKlyshko:
 
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
         bench = default_bench(slit_b="open")
-        field = klyshko_advanced_wave(bench, 0.0, grid)
+        field = klyshko_advanced_wave(bench, 0.0, build_bench_state(bench, grid))
         assert field.grid is grid
         assert field.wavelength_m == bench.idler_arm.wavelength_m
+
+
+# Benches on which the row-sparse scan must reproduce the dense route.
+SPARSE_BENCHES = {
+    "slit-b-in": {},
+    "slit-b-open": {"slit_b": "open"},
+    "offset-slits": {"slit_a_center_m": 0.2e-3, "slit_b_center_m": -0.2e-3},
+    "point-d1": {"d1_mode": "point", "d1_position_m": 30e-6},
+    "bucket-d1-100um": {"d1_aperture_m": 100e-6},
+    "nondegenerate": {"signal_wavelength_m": 650e-9, "idler_wavelength_m": 763.5162261625964e-9},
+    "separable": {"source_kind": "separable"},
+}
+
+
+class TestRowSparseEqualsDense:
+    """The scans follow the idler arm on slit A's rows only, and share one
+    source and one signal-arm pass; the dense 2-D route is the oracle."""
+
+    @pytest.mark.parametrize("overrides", SPARSE_BENCHES.values(), ids=SPARSE_BENCHES.keys())
+    def test_scan_matches_dense_route(self, grid, scan_window, overrides):
+        bench = default_bench(**overrides)
+        scan = run_coincidence_scan(bench, scan_window, grid)
+        coincidence, singles = dense_scan(bench, scan_window, grid)
+        assert coincidence.max() > 0
+        assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
+        assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
+
+    @pytest.mark.parametrize("overrides", [{}, {"source_kind": "separable"}], ids=["entangled", "separable"])
+    def test_shared_pass_equals_one_call_per_bench(self, grid, scan_window, overrides):
+        benches = [default_bench(slit_b=slit_b, **overrides) for slit_b in ("slit", "open")]
+        shared = run_coincidence_scan(benches, scan_window, grid)
+        for bench, scan in zip(benches, shared):
+            alone = run_coincidence_scan(bench, scan_window, grid)
+            assert scan.bench == bench
+            assert np.array_equal(scan.coincidence, alone.coincidence)
+            assert np.array_equal(scan.singles_d2, alone.singles_d2)
+
+    def test_benches_differing_beyond_the_idler_arm_rejected(self, grid, scan_window):
+        with pytest.raises(ValueError, match="only in the idler arm"):
+            run_coincidence_scan([default_bench(), default_bench(d1_mode="point")], scan_window, grid)
+
+    def test_shared_klyshko_deviations_equal_per_position_calls(self, grid):
+        bench = default_bench(slit_b="open")
+        positions = in_slit_positions(bench, grid, 5)
+        for offset in (0.0, 1e-3):
+            shared = klyshko_deviation(bench, positions, grid, backward_offset_m=offset)
+            alone = [klyshko_deviation(bench, pos, grid, backward_offset_m=offset) for pos in positions]
+            assert shared.tolist() == alone
+
+    def test_conditioned_rows_match_dense_signal_arm(self, grid):
+        bench = default_bench(slit_b="open", d1_mode="point", d1_position_m=30e-6)
+        offsets = (0.0, 0.5e-3)
+        shared = signal_conditioned_rows(bench, grid, slit_a_offsets_m=offsets)
+        state = build_bench_state(bench, grid)
+        for offset, (rows, weights, amps) in zip(offsets, shared):
+            alone = signal_conditioned_rows(bench, grid, slit_a_offsets_m=(offset,))[0]
+            assert all(np.array_equal(a, b) for a, b in zip((rows, weights, amps), alone))
+            moved = default_bench(slit_b="open", d1_mode="point", d1_position_m=30e-6 + offset,
+                                  slit_a_center_m=offset)
+            dense = apply_arm_to_axis(state, moved.signal_arm, "signal").amplitudes
+            assert rows.tolist() == [grid.index_of(30e-6 + offset)]
+            assert np.array_equal(amps, dense[rows])
+
+
+# Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
+# more than 5% of its energy to the band limit, on either axis.
+SMALL_GRID = TransverseGrid(256, 3.75e-3)
+SMALL_WINDOW = ScanWindow(-1e-3, 1e-3, 11)
+
+
+def _aliasing_bench(signal_elements, idler_elements):
+    return BenchSpec(SourceSpec(), ArmSpec(signal_elements, WAVELENGTH), ArmSpec(idler_elements, WAVELENGTH),
+                     DetectorSpec("point"), DetectorSpec("point"))
+
+
+class TestBandLimitChecksKept:
+    """Every check the dense route makes still sees the field it saw there."""
+
+    def dense_message(self, bench):
+        with pytest.raises(SamplingError) as dense:
+            propagate_bench(build_bench_state(bench, SMALL_GRID), bench)
+        return str(dense.value)
+
+    def test_signal_arm_aliasing_raises_as_dense(self):
+        bench = _aliasing_bench((FreeSpace(1.0), Slit(0.16e-3)), (FreeSpace(0.745), FreeSpace(0.5)))
+        message = self.dense_message(bench)
+        assert "propagation over 1.0 m" in message
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
+        with pytest.raises(SamplingError) as ghost:
+            ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 3), SMALL_GRID, magnification_offset_m=0.5e-3)
+        with pytest.raises(SamplingError) as klyshko:
+            klyshko_deviation(bench, 0.0, SMALL_GRID)
+        assert str(scan.value) == str(ghost.value) == str(klyshko.value) == message
+
+    def test_idler_arm_aliasing_raises_as_dense(self):
+        # The 0.2 m signal step stays inside its band limit but reshapes
+        # the rows: the idler step loses 32.0% on slit A's rows, 30.8% on
+        # the point D1's row alone and 67.7% on the bare source of the
+        # singles.  So the coincidence idler arm must run, and fail, first,
+        # and on every row slit A passes.
+        bench = _aliasing_bench((FreeSpace(0.2), Slit(0.6e-3)), (FreeSpace(1.0),))
+        message = self.dense_message(bench)
+        assert "32.0%" in message
+        with pytest.raises(SamplingError) as singles:
+            apply_arm_to_axis(build_bench_state(bench, SMALL_GRID), bench.idler_arm, "idler")
+        assert str(singles.value) != message
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
+        with pytest.raises(SamplingError) as klyshko:
+            klyshko_deviation(bench, 0.0, SMALL_GRID)
+        assert str(scan.value) == str(klyshko.value) == message

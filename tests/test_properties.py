@@ -1,4 +1,5 @@
-"""Property tests of the element operator on random arms and amplitudes.
+"""Property tests of the element operator and of the row-sparse scan on
+random arms, amplitudes and benches.
 
 Distances stay within the alias-free range of the grid (|z| <= 0.15 m,
 below window * pitch / lambda = 0.16 m at 763.5 nm), so no step band-limits
@@ -8,8 +9,11 @@ and every arm is exactly invertible up to its stops.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open, Slit, ThinLens,
-                        TransverseGrid, apply_arm, apply_arm_to_axis, reverse_arm)
+from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Field1D, FreeSpace,
+                        Open, ScanWindow, Slit, SourceSpec, ThinLens, TransverseGrid, apply_arm,
+                        apply_arm_to_axis, reverse_arm, run_coincidence_scan)
+
+from conftest import dense_scan
 
 GRID = TransverseGrid(128, 2e-3)
 SIGNAL, IDLER = 650e-9, 763.5162261625964e-9
@@ -57,3 +61,26 @@ def test_reverse_arm_undoes_unstopped_arm(arm_elements, seed):
     arm = ArmSpec(arm_elements, SIGNAL)
     back = apply_arm(apply_arm(field, arm), reverse_arm(arm))
     assert np.max(np.abs(back.amplitudes - field.amplitudes)) < 1e-10
+
+
+# Slit A and D1 are drawn around the pump so that most draws light D1.
+slits = st.builds(Slit, st.floats(0.1e-3, 2e-3), st.floats(-0.5e-3, 0.5e-3))
+d1_detectors = st.one_of(
+    st.builds(DetectorSpec, st.just("point"), st.just(180e-6), st.floats(-0.5e-3, 0.5e-3)),
+    st.builds(DetectorSpec, st.just("bucket"), st.floats(50e-6, 1e-3), st.floats(-0.5e-3, 0.5e-3)),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(elements, max_size=3), st.one_of(st.none(), slits), st.lists(elements, max_size=3),
+       d1_detectors, st.sampled_from(["entangled", "separable"]))
+def test_row_sparse_scan_equals_dense_route(signal_elements, slit_a, idler_elements, d1, kind):
+    source = SourceSpec(pump_diameter_m=1e-3, correlation_width_m=100e-6, lambda_pump_m=351.1e-9,
+                        lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
+    signal_arm = ArmSpec(signal_elements + ([slit_a] if slit_a else []), SIGNAL)
+    bench = BenchSpec(source, signal_arm, ArmSpec(idler_elements, IDLER), d1, DetectorSpec("point"))
+    window = ScanWindow(-1.5e-3, 1.5e-3, 31)
+    scan = run_coincidence_scan(bench, window, GRID)
+    coincidence, singles = dense_scan(bench, window, GRID)
+    assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
+    assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
