@@ -185,8 +185,8 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     for each in benches:
         at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, state.wavelength_i_m)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
-        singles_profile = _axis_profile(apply_arm_to_axis(state, each.idler_arm, "idler").amplitudes,
-                                        np.ones(grid.n_points), grid.spacing_m)
+        singles_profile = np.sum(np.abs(apply_arm_to_axis(state, each.idler_arm, "idler").amplitudes) ** 2,
+                                 axis=0) * grid.spacing_m
         coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
         singles = _sample_profile(grid, singles_profile, each.d2, positions)
         results.append(ScanResult(positions, coincidence, singles, each))
@@ -255,9 +255,14 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: Biphoto
     psi = np.zeros(grid.n_points, dtype=np.complex128)
     psi[grid.index_of(d1_position_m)] = 1.0 / grid.spacing_m
     back = Field1D(grid, psi, bench.signal_arm.wavelength_m)
-    back = apply_arm(back, reverse_arm(bench.signal_arm))
-    if backward_offset_m != 0.0:
-        back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),), back.wavelength_m))
+    try:
+        back = apply_arm(back, reverse_arm(bench.signal_arm))
+        if backward_offset_m != 0.0:
+            back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),), back.wavelength_m))
+    except SamplingError as exc:
+        # A one-cell delta fills the whole spectrum, so this step can alias where the 2-D route does not.
+        raise SamplingError(f"advanced-wave oracle, backward step of the point source at D1 "
+                            f"({d1_position_m * 1e3:+.6f} mm): {exc}") from exc
 
     g = (np.conj(back.amplitudes) @ state.amplitudes) * grid.spacing_m
     idler = Field1D(grid, g, bench.idler_arm.wavelength_m)

@@ -45,8 +45,12 @@ class SourceSpec:
                 raise ValueError(f"{name} must be positive")
         mismatch = abs(self.lambda_pump_m * (1.0 / self.lambda_signal_m + 1.0 / self.lambda_idler_m) - 1.0)
         if mismatch > _ENERGY_CONSERVATION_RTOL:
-            raise ValueError(
-                f"wavelengths violate energy conservation 1/ls + 1/li = 1/lp (relative error {mismatch:.2e})")
+            message = ("wavelengths violate energy conservation 1/ls + 1/li = 1/lp "
+                       f"(relative error {mismatch:.2e})")
+            if self.lambda_signal_m > self.lambda_pump_m:
+                idler_nm = 1.0 / (1e-9 / self.lambda_pump_m - 1e-9 / self.lambda_signal_m)
+                message += f"; an idler wavelength of {idler_nm!r} nm conserves it"
+            raise ValueError(message)
         if self.kind not in ("entangled", "separable"):
             raise ValueError(f"kind must be 'entangled' or 'separable', got {self.kind!r}")
         # Equality marks the balanced double Gaussian, which factorizes
@@ -63,6 +67,14 @@ def _double_gaussian(spec: SourceSpec, grid_s: TransverseGrid, grid_i: Transvers
     return np.exp(-((ys + yi) / 2.0) ** 2 / w_pump ** 2) * np.exp(-((ys - yi) ** 2) / sigma_c ** 2)
 
 
+def _normalized(amps: np.ndarray, spec: SourceSpec, grid_s: TransverseGrid,
+                grid_i: TransverseGrid) -> BiphotonAmplitude:
+    """A real amplitude scaled to unit joint norm in place, then cast once: the
+    bytes of :meth:`BiphotonAmplitude.normalized`, without a complex temporary."""
+    amps *= 1.0 / float(np.sqrt(np.sum(amps ** 2) * grid_s.spacing_m * grid_i.spacing_m))
+    return BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
+
+
 def _require_matching_grids(grid_s: TransverseGrid, grid_i: TransverseGrid):
     if grid_s.n_points != grid_i.n_points or grid_s.extent_m != grid_i.extent_m:
         raise ValueError("signal and idler grids must have identical count and extent")
@@ -73,9 +85,7 @@ def build_biphoton(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseG
     if spec.kind != "entangled":
         raise ValueError(f"build_biphoton requires kind='entangled', got {spec.kind!r}")
     _require_matching_grids(grid_s, grid_i)
-    amps = _double_gaussian(spec, grid_s, grid_i)
-    joint = BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
-    return joint.normalized()
+    return _normalized(_double_gaussian(spec, grid_s, grid_i), spec, grid_s, grid_i)
 
 
 def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
@@ -94,8 +104,8 @@ def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: Transverse
     peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
     f = amps[:, peak_i].copy()
     g = amps[peak_s, :].copy()
-    joint = BiphotonAmplitude(grid_s, grid_i, np.outer(f, g), spec.lambda_signal_m, spec.lambda_idler_m)
-    return joint.normalized()
+    del amps
+    return _normalized(np.outer(f, g), spec, grid_s, grid_i)
 
 
 def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:

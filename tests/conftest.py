@@ -4,6 +4,8 @@ import pytest
 from ghostbench import (ArmSpec, ScanWindow, apply_arm, apply_arm_to_axis, default_bench,
                         propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
+from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
+from ghostbench.errors import SamplingError
 from ghostbench.experiment import _d1_weights, build_bench_state
 
 WAVELENGTH = 702.2e-9
@@ -61,3 +63,28 @@ def dense_scan(bench, window, grid):
     singles = np.sum(np.abs(idler_only) ** 2, axis=0) * grid.spacing_m
     y = window.positions()
     return np.interp(y, grid.positions, coincidence), np.interp(y, grid.positions, singles)
+
+
+def numpy_propagate_array(amps, axis, grid, wavelength_m, distance_m):
+    """Reference free-space kernel: ``numpy.fft`` along ``axis`` in the
+    array's own layout, on one thread, every product a new array.  The
+    library's kernel must give the same bytes and the same errors."""
+    if distance_m == 0.0:
+        return amps.copy()
+    f = grid.frequencies
+    f_limit = band_limit_cycles_per_m(grid, wavelength_m, distance_m)
+    keep = np.abs(f) <= f_limit
+    shape = [1] * amps.ndim
+    shape[axis] = grid.n_points
+    spectrum = np.fft.fft(amps, axis=axis)
+    if not keep.all():
+        power = np.abs(spectrum) ** 2
+        total = float(np.sum(power))
+        lost = float(np.sum(power * (~keep).reshape(shape)))
+        if total > 0 and lost / total > BAND_LIMIT_LOSS_TOLERANCE:
+            raise SamplingError(
+                f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
+                f"energy (band limit {f_limit:.3g} cycles/m, Nyquist {grid.nyquist_cycles_per_m:.3g}); "
+                f"use a coarser grid, a smaller window, or a shorter distance")
+    transfer = np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep
+    return np.fft.ifft(spectrum * transfer.reshape(shape), axis=axis)

@@ -104,6 +104,17 @@ class TestKlyshko:
         assert code == 0
         assert "result = PASS" in out
 
+    def test_backward_aliasing_exit_3_names_the_oracle_step(self, capsys, outdir_config):
+        cfg = outdir_config("[grid]\nn_points = 128\nextent_mm = 3\n"
+                            "[source]\npump_diameter_mm = 1\ncorrelation_width_um = 100\n"
+                            "[signal_arm]\nslit_a_width_mm = 0.3\n")
+        code, out, err = run_cli(capsys, "klyshko-check", cfg)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: numerical: advanced-wave oracle, "
+                              "backward step of the point source at D1 (")
+        assert "propagation over -1.0 m would alias" in err
+
     def test_corrupted_arm_fails_with_exit_4(self, capsys, tmp_path, outdir_config):
         cfg = outdir_config("[klyshko]\nbackward_offset_mm = 1.0\n")
         code, out, err = run_cli(capsys, "klyshko-check", cfg)

@@ -77,6 +77,14 @@ class TestParsing:
         with pytest.raises(ConfigError, match="source"):
             parse_config("[source]\nsignal_wavelength_nm = 700.0\n")
 
+    def test_energy_conservation_names_the_idler_that_conserves_it(self):
+        text = "[source]\nsignal_wavelength_nm = 632.8\nidler_wavelength_nm = {}\n"
+        with pytest.raises(ConfigError, match=r"relative error 5\.50e-05\); an idler wavelength of "
+                                              r"788\.69747958821\d* nm conserves it$") as rejected:
+            parse_config(text.format("788.6"))
+        # The named wavelength conserves energy, so it parses.
+        parse_config(text.format(re.search(r"of (\S+) nm", str(rejected.value)).group(1)))
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("[scan]\nsteps = 3\nsteps = 4\n")

@@ -4,9 +4,9 @@ import pytest
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, Slit, ThinLens, TransverseGrid, apply_arm,
                         reverse_arm)
-from ghostbench.elements import aperture_transmission
+from ghostbench.elements import _propagate_array, aperture_transmission
 
-from conftest import along, gaussian_field, through
+from conftest import along, gaussian_field, numpy_propagate_array, through
 
 WAVELENGTH = 702.2e-9
 
@@ -237,3 +237,56 @@ class TestReverseArm:
         arm = ArmSpec((FreeSpace(0.255), ThinLens(0.5), FreeSpace(0.5)), WAVELENGTH)
         roundtrip = apply_arm(apply_arm(field, arm), reverse_arm(arm))
         assert np.max(np.abs(roundtrip.amplitudes - field.amplitudes)) < 1e-10
+
+
+# 512^2 samples reach the threaded transform on a multi-core host.
+KERNEL_GRID = TransverseGrid(512, 2e-3)
+
+
+def _strided(amps):
+    """The same values in a non-contiguous view (every other column of a wider array)."""
+    base = np.zeros((amps.shape[0], 2 * amps.shape[1]), dtype=amps.dtype)
+    base[:, ::2] = amps
+    return base[:, ::2]
+
+
+class TestKernelOracle:
+    """The free-space kernel runs along the contiguous axis, on every core
+    and in place; it gives the bytes and the errors of ``numpy.fft`` along
+    the array's own axis (:func:`conftest.numpy_propagate_array`)."""
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        rng = np.random.default_rng(7)
+        raw = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+        # A Gaussian spectrum 15e3 cycles/m wide on both axes, against a
+        # Nyquist of 64e3: the band limit of a 0.01 m step (2.8e5) keeps every
+        # frequency, that of a 0.1 m step (2.8e4) cuts 1e-4 of the power, and
+        # that of a 0.5 m step (5.7e3) cuts about half, which is refused.
+        envelope = np.exp(-(KERNEL_GRID.frequencies / 15e3) ** 2)
+        return np.fft.ifft2(np.fft.fft2(raw) * np.outer(envelope, envelope))
+
+    @staticmethod
+    def outcome(kernel, amps, axis, distance):
+        try:
+            return kernel(amps, axis, KERNEL_GRID, WAVELENGTH, distance)
+        except SamplingError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("distance", [0.0, 0.01, -0.1, 0.5])
+    @pytest.mark.parametrize("layout, axis", [
+        ("C", 0), ("C", 1), ("F", 0), ("F", 1), ("strided", 0), ("strided", 1),
+        ("row", 0), ("column", 0)])
+    def test_same_bytes_and_errors_as_numpy_fft(self, field, layout, axis, distance):
+        amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field),
+                "row": field[3], "column": field[:, 3]}[layout]
+        before = amps.copy()
+        expected = self.outcome(numpy_propagate_array, amps, axis, distance)
+        got = self.outcome(_propagate_array, amps, axis, distance)
+        assert isinstance(expected, str) == (distance == 0.5)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+        assert np.array_equal(amps, before)

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +213,18 @@ class TestKlyshko:
         assert np.all(np.abs(positions) < 0.08e-3)
         assert 0.0 in positions
 
+    def test_backward_aliasing_names_the_oracle_step(self):
+        # On 128 points over +-3 mm the 2-D route passes every band-limit
+        # check, but the one-cell D1 delta fills the whole spectrum and loses
+        # 60% of it on the 1 m backward step.
+        bench = default_bench(pump_diameter_m=1e-3, correlation_width_m=100e-6, slit_a_width_m=0.3e-3)
+        grid = TransverseGrid(128, 3e-3)
+        positions = in_slit_positions(bench, grid, 5)
+        with pytest.raises(SamplingError, match=r"^advanced-wave oracle, backward step of the point source "
+                                                r"at D1 \([-+]\d\.\d{6} mm\): propagation over -1\.0 m "
+                                                r"would alias 60\.2% of the field energy"):
+            klyshko_deviation(bench, positions, grid)
+
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
         bench = default_bench(slit_b="open")
         field = klyshko_advanced_wave(bench, 0.0, build_bench_state(bench, grid))
@@ -327,3 +342,37 @@ class TestBandLimitChecksKept:
         with pytest.raises(SamplingError) as klyshko:
             klyshko_deviation(bench, 0.0, SMALL_GRID)
         assert str(scan.value) == str(klyshko.value) == message
+
+
+class TestPeakMemory:
+    """Each library call that builds the dense source holds at most 3.5
+    N x N complex arrays at once.  A dense step needs 3 (the source, the
+    step's input and its spectrum); one that allocates the spectrum times
+    the transfer function and the result anew holds 5."""
+
+    GRID = TransverseGrid(512, 15e-3)
+    CALLS = {
+        "scan-m1-m2": lambda grid: run_coincidence_scan(
+            [default_bench(), default_bench(slit_b="open")], ScanWindow(-4e-3, 4e-3, 161), grid),
+        "ghost": lambda grid: ghost_image_stats(default_bench(slit_b="open"), PlaneSweep(0.6, 0.9, 31), grid,
+                                                magnification_offset_m=0.5e-3),
+        "klyshko": lambda grid: klyshko_deviation(
+            default_bench(), in_slit_positions(default_bench(), grid, 5), grid),
+    }
+
+    @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+    def test_peak_at_most_three_and_a_half_arrays(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            call(self.GRID)  # warm-up: cached grid arrays and FFT plans
+            started = not tracemalloc.is_tracing()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call(self.GRID)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                if started:
+                    tracemalloc.stop()
+        assert peak <= 3.5 * self.GRID.n_points ** 2 * 16

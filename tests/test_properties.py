@@ -1,17 +1,22 @@
-"""Property tests of the element operator and of the row-sparse scan on
-random arms, amplitudes and benches.
+"""Property tests of the element operator, of the row-sparse scan and of
+the advanced-wave oracle on random arms, amplitudes and benches.
 
-Distances stay within the alias-free range of the grid (|z| <= 0.15 m,
-below window * pitch / lambda = 0.16 m at 763.5 nm), so no step band-limits
-and every arm is exactly invertible up to its stops.
+The ``elements`` strategy keeps distances within the alias-free range of
+the grid (|z| <= 0.15 m, below window * pitch / lambda = 0.16 m at 763.5
+nm), so no step band-limits and every arm is exactly invertible up to its
+stops.  The band-limit properties draw longer steps on their own.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Field1D, FreeSpace,
-                        Open, ScanWindow, Slit, SourceSpec, ThinLens, TransverseGrid, apply_arm,
-                        apply_arm_to_axis, reverse_arm, run_coincidence_scan)
+                        Open, SamplingError, ScanWindow, Slit, SourceSpec, ThinLens, TransverseGrid,
+                        apply_arm, apply_arm_to_axis, in_slit_positions, klyshko_deviation,
+                        reverse_arm, run_coincidence_scan)
+from ghostbench.config import RunConfig
+from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
+from ghostbench.experiment import build_bench_state
 
 from conftest import dense_scan
 
@@ -84,3 +89,50 @@ def test_row_sparse_scan_equals_dense_route(signal_elements, slit_a, idler_eleme
     coincidence, singles = dense_scan(bench, window, GRID)
     assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
     assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
+
+
+# Beyond 0.2 m every step band-limits on GRID at both wavelengths; at 1 m
+# the band limit is 2.6e3 cycles/m at 763.5 nm, 16% of the Nyquist frequency.
+band_limited_free_space = st.builds(FreeSpace, st.floats(0.2, 1.0) | st.floats(-1.0, -0.2))
+
+
+@properties
+@given(seeds, st.floats(1e3, 2e4), free_space | band_limited_free_space, st.sampled_from([SIGNAL, IDLER]))
+def test_free_space_keeps_the_power_of_the_retained_band(seed, spectral_width, step, wavelength):
+    # A random field with a Gaussian spectrum of the drawn width.
+    f = GRID.frequencies
+    amps = np.fft.ifft(np.fft.fft(random_amplitudes(seed, 128)) * np.exp(-(f / spectral_width) ** 2))
+    power = np.abs(np.fft.fft(amps)) ** 2 / GRID.n_points  # sum |a|^2 = sum |A|^2 / N
+    retained = np.sum(power[np.abs(f) <= band_limit_cycles_per_m(GRID, wavelength, step.distance_m)])
+    try:
+        out = apply_arm(Field1D(GRID, amps, wavelength), ArmSpec((step,), wavelength))
+    except SamplingError:
+        assert retained < (1.0 - BAND_LIMIT_LOSS_TOLERANCE) * np.sum(power)
+        return
+    assert abs(np.sum(np.abs(out.amplitudes) ** 2) - retained) <= 1e-12 * retained
+
+
+# The backward route starts from a one-cell delta at D1, whose flat
+# spectrum a band-limited signal step refuses; so the long steps go on the
+# idler arm, where both routes carry smooth fields.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(elements, max_size=3), slits, st.lists(elements | band_limited_free_space, max_size=3),
+       st.sampled_from(["entangled", "separable"]))
+def test_advanced_wave_equals_two_d_route(signal_elements, slit_a, idler_elements, kind):
+    source = SourceSpec(pump_diameter_m=1e-3, correlation_width_m=100e-6, lambda_pump_m=351.1e-9,
+                        lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
+    bench = BenchSpec(source, ArmSpec(signal_elements + [slit_a], SIGNAL), ArmSpec(idler_elements, IDLER),
+                      DetectorSpec("point"), DetectorSpec("point"))
+    rows = apply_arm_to_axis(build_bench_state(bench, GRID), bench.signal_arm, "signal").amplitudes
+    # Each pattern is normalized to its own peak, so rounding at the level of
+    # the brightest row swamps a D1 row 1e6 times dimmer in amplitude.
+    row_power = np.sum(np.abs(rows) ** 2, axis=1)
+    positions = [p for p in in_slit_positions(bench, GRID, 3)
+                 if row_power[GRID.index_of(p)] > 1e-12 * row_power.max()]
+    if not positions:
+        reject()
+    try:
+        deviations = klyshko_deviation(bench, np.array(positions), GRID)
+    except SamplingError:
+        reject()  # an idler step, or a backward step of the advanced wave, fails its check
+    assert np.max(deviations) < RunConfig().klyshko_tolerance

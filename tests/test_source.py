@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ghostbench import (SourceSpec, TransverseGrid, build_biphoton, build_separable,
+from ghostbench import (BiphotonAmplitude, SourceSpec, TransverseGrid, build_biphoton, build_separable,
                         build_source, schmidt_number)
+from ghostbench.source import _double_gaussian
 
 PUMP_RADIUS = 1.5e-3
 
@@ -155,3 +156,24 @@ class TestBuildSeparable:
     def test_build_source_dispatch(self, grid):
         assert schmidt_number(build_source(SourceSpec(kind="separable"), grid, grid)) == pytest.approx(1.0, abs=1e-9)
         assert schmidt_number(build_source(SourceSpec(), grid, grid)) > 10
+
+
+class TestBuildBytes:
+    """The build scales the real double Gaussian in place and casts it once;
+    its bytes equal casting first and dividing the complex array by its norm."""
+
+    @pytest.mark.parametrize("kind", ["entangled", "separable"])
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", [
+        ({}, 1024, 15e-3),
+        ({"pump_diameter_m": 1e-3, "correlation_width_m": 100e-6}, 256, 2e-3),
+        ({"lambda_signal_m": 650e-9, "lambda_idler_m": 763.5162261625964e-9}, 512, 7.5e-3)])
+    def test_equals_complex_division(self, kind, spec_args, n_points, extent_m):
+        spec = SourceSpec(kind=kind, **spec_args)
+        grid = TransverseGrid(n_points, extent_m)
+        amps = _double_gaussian(spec, grid, grid)
+        if kind == "separable":
+            peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
+            amps = np.outer(amps[:, peak_i], amps[peak_s, :])
+        expected = BiphotonAmplitude(grid, grid, amps, spec.lambda_signal_m,
+                                     spec.lambda_idler_m).normalized()
+        assert build_source(spec, grid, grid).amplitudes.tobytes() == expected.amplitudes.tobytes()
