@@ -38,6 +38,13 @@ BAND_LIMIT_LOSS_TOLERANCE = 0.05
 _THREADED_FFT_SAMPLES = 2 ** 18
 _FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
+# A step followed by a slit or stop is transformed back to space only at
+# the cells it leaves open, by one matrix product, when they number at most
+# this many; beyond it the full inverse transform is cheaper (measured on a
+# 2-core host, N lines of N samples: break-even near 55 cells at N = 1024
+# and 110 at N = 2048).
+_THIN_INVERSE_CELLS = 64
+
 
 @dataclass(frozen=True)
 class FreeSpace:
@@ -128,57 +135,161 @@ def band_limit_cycles_per_m(grid: TransverseGrid, wavelength_m: float, distance_
     return min(grid.window_m / chirp, 1.0 / wavelength_m)
 
 
-def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid,
-                     wavelength_m: float, distance_m: float) -> np.ndarray:
+def _workers(size: int) -> int:
+    return _FFT_WORKERS if size >= _THREADED_FFT_SAMPLES else 1
+
+
+def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
+    """Transform along ``axis``, moved last and made contiguous.
+
+    ``amps`` is overwritten only when ``overwrite`` is set; a working copy
+    made for the layout is always overwritten.
+    """
+    lines = np.ascontiguousarray(np.moveaxis(amps, axis, -1), dtype=np.complex128)
+    return scipy.fft.fft(lines, overwrite_x=overwrite or not np.may_share_memory(lines, amps),
+                         workers=_workers(lines.size))
+
+
+def _summed_power(lines: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over every axis but the last, without an N^2 temporary."""
+    by_line = lines.reshape(-1, lines.shape[-1])
+    return (np.einsum("ij,ij->j", by_line.real, by_line.real)
+            + np.einsum("ij,ij->j", by_line.imag, by_line.imag))
+
+
+def _step(grid: TransverseGrid, wavelength_m: float, distance_m: float):
+    """``(transfer, keep)`` of one free-space step: the band-limited
+    transfer function and the band it keeps, on which |transfer| = 1."""
+    f = grid.frequencies
+    keep = np.abs(f) <= band_limit_cycles_per_m(grid, wavelength_m, distance_m)
+    return np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep, keep
+
+
+def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
+                     wavelength_m: float, distance_m: float):
+    """Raise :class:`SamplingError` if the step's band limit would remove
+    more than ``BAND_LIMIT_LOSS_TOLERANCE`` of ``power`` (per frequency)."""
+    total = float(np.sum(power))
+    lost = float(np.sum(power[~keep]))
+    if total > 0 and lost / total > BAND_LIMIT_LOSS_TOLERANCE:
+        raise SamplingError(
+            f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
+            f"energy (band limit {band_limit_cycles_per_m(grid, wavelength_m, distance_m):.3g} cycles/m, "
+            f"Nyquist {grid.nyquist_cycles_per_m:.3g}); "
+            f"use a coarser grid, a smaller window, or a shorter distance")
+
+
+def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
+             distance_m: float, overwrite: bool = False):
+    """Forward half of a free-space step: ``(spectrum, transfer)``.
+
+    The spectrum runs along the last axis and has passed the band-limit
+    check; :func:`_inverse` completes the step.
+    """
+    transfer, keep = _step(grid, wavelength_m, distance_m)
+    spectrum = _spectrum(amps, axis, overwrite)
+    if not keep.all():
+        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
+    return spectrum, transfer
+
+
+def _thin_inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``ifft(spectrum * transfer)[..., cells]`` as one product with the
+    R x N kernel exp(2 pi i n k / N) / N, the transfer function folded in.
+    The phase n k is reduced mod N in integers, so every angle is exact."""
+    n = transfer.size
+    phase = np.outer(cells, np.arange(n)) % n
+    kernel = np.exp((2j * np.pi / n) * phase) * (transfer / n)
+    return spectrum @ kernel.T
+
+
+def _inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: Optional[np.ndarray] = None,
+             overwrite: bool = True) -> np.ndarray:
+    """Inverse half of a free-space step, along the last axis.
+
+    With ``cells``, only those samples of each line: by the thin product
+    when they are few, else by slicing the full inverse.  ``spectrum`` is
+    overwritten only when ``overwrite`` is set and the full inverse runs.
+    """
+    if cells is not None and cells.size <= _THIN_INVERSE_CELLS:
+        return _thin_inverse(spectrum, transfer, cells)
+    if overwrite:
+        spectrum *= transfer
+    else:
+        spectrum = spectrum * transfer
+    lines = scipy.fft.ifft(spectrum, overwrite_x=True, workers=_workers(spectrum.size))
+    return lines if cells is None else lines[..., cells]
+
+
+def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
+                     distance_m: float, overwrite: bool = False) -> np.ndarray:
     """Band-limited angular-spectrum propagation along one array axis.
 
     The transforms run along the last, contiguous axis of a working copy,
     and the result is a view with the axis back in place, so the next
-    step along the same axis needs no second copy.  ``amps`` is not
-    modified.
+    step along the same axis needs no second copy.  ``amps`` is modified
+    only when ``overwrite`` is set.
     """
     if distance_m == 0.0:
-        return amps.copy()
-    f = grid.frequencies
-    f_limit = band_limit_cycles_per_m(grid, wavelength_m, distance_m)
-    keep = np.abs(f) <= f_limit
-    lines = np.ascontiguousarray(np.moveaxis(amps, axis, -1), dtype=np.complex128)
-    workers = _FFT_WORKERS if lines.size >= _THREADED_FFT_SAMPLES else 1
-    # The spectrum may overwrite the working copy only when it is not amps itself.
-    spectrum = scipy.fft.fft(lines, overwrite_x=not np.may_share_memory(lines, amps), workers=workers)
-    if not keep.all():
-        # Power per frequency, summed over the other axes without an N^2 temporary.
-        by_line = spectrum.reshape(-1, grid.n_points)
-        power = (np.einsum("ij,ij->j", by_line.real, by_line.real)
-                 + np.einsum("ij,ij->j", by_line.imag, by_line.imag))
-        total = float(np.sum(power))
-        lost = float(np.sum(power[~keep]))
-        if total > 0 and lost / total > BAND_LIMIT_LOSS_TOLERANCE:
-            raise SamplingError(
-                f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
-                f"energy (band limit {f_limit:.3g} cycles/m, Nyquist {grid.nyquist_cycles_per_m:.3g}); "
-                f"use a coarser grid, a smaller window, or a shorter distance")
-    spectrum *= np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep
-    return np.moveaxis(scipy.fft.ifft(spectrum, overwrite_x=True, workers=workers), -1, axis)
+        return amps if overwrite else amps.copy()
+    spectrum, transfer = _forward(amps, axis, grid, wavelength_m, distance_m, overwrite)
+    return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
-def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: TransverseGrid,
-           wavelength_m: float) -> np.ndarray:
-    """Act with one element along one array axis; the other axes are untouched."""
-    if isinstance(element, Open):
-        return amps
-    if isinstance(element, FreeSpace):
-        return _propagate_array(amps, axis, grid, wavelength_m, element.distance_m)
+def _factor(element: OpticalElement, grid: TransverseGrid, wavelength_m: float) -> Optional[np.ndarray]:
+    """Per-cell factor of an element that acts cell by cell (lens, slit);
+    None for an identity (``Open`` or a zero-distance step)."""
+    if isinstance(element, Open) or (isinstance(element, FreeSpace) and element.distance_m == 0.0):
+        return None
     if isinstance(element, ThinLens):
         factor = _lens_phase(grid, wavelength_m, element.focal_m)
         if element.aperture_diameter_m is not None:
             factor = factor * aperture_transmission(grid, element.aperture_diameter_m, 0.0)
-    elif isinstance(element, Slit):
-        factor = aperture_transmission(grid, element.width_m, element.center_m)
-    else:
-        raise TypeError(f"unknown optical element {element!r}")
+        return factor
+    if isinstance(element, Slit):
+        return aperture_transmission(grid, element.width_m, element.center_m)
+    raise TypeError(f"unknown optical element {element!r}")
+
+
+def diagonal_factor(elements, grid: TransverseGrid, wavelength_m: float) -> Optional[np.ndarray]:
+    """Product of the per-cell factors of elements that all act cell by
+    cell; None when every one is an identity."""
+    factor = None
+    for element in elements:
+        f = _factor(element, grid, wavelength_m)
+        if f is not None:
+            factor = f if factor is None else factor * f
+    return factor
+
+
+def split_last_step(arm: ArmSpec):
+    """``(head, step, tail)``: the arm's last free-space step of nonzero
+    distance, the elements before it, and those behind it, which all act
+    cell by cell.  ``step`` is None, and ``head`` empty, when the arm has
+    no such step."""
+    elements = arm.elements
+    steps = [i for i, el in enumerate(elements) if isinstance(el, FreeSpace) and el.distance_m != 0.0]
+    if not steps:
+        return (), None, elements
+    return elements[:steps[-1]], elements[steps[-1]], elements[steps[-1] + 1:]
+
+
+def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: TransverseGrid,
+           wavelength_m: float, overwrite: bool = False) -> np.ndarray:
+    """Act with one element along one array axis; the other axes are untouched.
+
+    ``amps`` is modified only when ``overwrite`` is set.
+    """
+    if isinstance(element, FreeSpace):
+        return _propagate_array(amps, axis, grid, wavelength_m, element.distance_m, overwrite)
+    factor = _factor(element, grid, wavelength_m)
+    if factor is None:
+        return amps
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
+    if overwrite:
+        amps *= factor.reshape(shape)
+        return amps
     return amps * factor.reshape(shape)
 
 
@@ -187,10 +298,14 @@ def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseG
     """Act with every element of an arm, in order, along one array axis.
 
     Every 1-D slice along ``axis`` is one field on ``grid``; the other
-    axes are untouched, so an array of rows is a batch of fields.
+    axes are untouched, so an array of rows is a batch of fields.  Each
+    step overwrites the arm's own complex intermediate, never ``amps``.
     """
+    owned = False
     for element in arm.elements:
-        amps = _apply(amps, element, axis, grid, wavelength_m)
+        out = _apply(amps, element, axis, grid, wavelength_m, overwrite=owned)
+        owned = owned or (out is not amps and out.dtype == np.complex128)
+        amps = out
     return amps
 
 

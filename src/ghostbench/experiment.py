@@ -23,8 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (ArmSpec, FreeSpace, Slit, aperture_transmission, apply_arm,
-                       apply_arm_along, apply_arm_to_axis, reverse_arm)
+from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Open, Slit, _forward, _inverse,
+                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission,
+                       apply_arm, apply_arm_along, apply_arm_to_axis, diagonal_factor, reverse_arm,
+                       split_last_step)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, build_source
@@ -114,12 +116,87 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
 
 
+def _toward_slit(state: BiphotonAmplitude, arm: ArmSpec):
+    """The signal arm on the source up to its last free-space step, and
+    that step's forward half: ``(spectrum, transfer)``, the spectrum along
+    the last axis.  Without such a step, ``(lines, None)`` in space."""
+    head, step, _ = split_last_step(arm)
+    at_step = apply_arm_to_axis(state, replace(arm, elements=head), "signal").amplitudes
+    if step is None:
+        return np.moveaxis(at_step, 0, -1), None
+    return _forward(at_step, 0, state.grid_s, state.wavelength_s_m, step.distance_m,
+                    overwrite=not np.may_share_memory(at_step, state.amplitudes))
+
+
+def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
+                 overwrite: bool = False) -> np.ndarray:
+    """Signal rows behind the arm, idler axis at the crystal: the inverse
+    half of :func:`_toward_slit`'s step at ``rows``, times ``factor``, the
+    product of the elements behind that step."""
+    lines, transfer = pending
+    at_rows = (lines[..., rows] if transfer is None else _inverse(lines, transfer, rows, overwrite)).T
+    return at_rows if factor is None else at_rows * factor[rows, None]
+
+
 def _lit_rows(state: BiphotonAmplitude, signal_arm: ArmSpec):
-    """``(row_indices, row_amplitudes)`` of the rows the signal arm leaves
-    nonzero: behind slit A, the few rows the slit transmits."""
-    amps = apply_arm_to_axis(state, signal_arm, "signal").amplitudes
-    rows = np.flatnonzero(np.any(amps != 0, axis=1))
-    return rows, amps[rows]
+    """``(row_indices, row_amplitudes)`` of the rows the signal arm can
+    leave nonzero: behind slit A, the few rows the slit transmits."""
+    grid = state.grid_s
+    factor = diagonal_factor(split_last_step(signal_arm)[2], grid, state.wavelength_s_m)
+    rows = np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
+    return rows, _rows_behind(_toward_slit(state, signal_arm), factor, rows, overwrite=True)
+
+
+def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
+    """Rows with the Gram matrix of ``block``, a stack of fields nonzero only
+    at ``cells`` (one column each): the R factor of its QR, placed at the
+    cells.  Since X^H X = R^H R, any linear map applied to the rows leaves
+    the sum of |.|^2 over them, per sample, as it is for ``block``."""
+    r = np.linalg.qr(block, mode="r")
+    rows = np.zeros((r.shape[0], n_points), dtype=np.complex128)
+    rows[:, cells] = r
+    return rows
+
+
+def _singles_profile(spectrum: np.ndarray, power: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
+                     wavelength_m: float, last_reader: bool) -> np.ndarray:
+    """D2 singles profile: sum over the signal axis of |A|^2 with the idler
+    arm applied to the source's idler spectrum.
+
+    The leading run of free-space steps (through ``Open``) is one spectral
+    pass; each step is checked on the source power inside the bands of the
+    steps before it (|transfer| = 1 on a kept band).  When the elements
+    behind the run (slit B) leave few cells open, the run's inverse is
+    taken at those cells only, and the N x R block there is replaced by
+    its :func:`_gram_rows`, which finish the arm.  ``spectrum`` is
+    overwritten only when ``last_reader`` is set.
+    """
+    elements = arm.elements
+    transfer = np.ones(grid.n_points, dtype=np.complex128)
+    band = np.ones(grid.n_points, dtype=bool)
+    run = 0
+    while run < len(elements) and isinstance(elements[run], (FreeSpace, Open)):
+        distance = elements[run].distance_m if isinstance(elements[run], FreeSpace) else 0.0
+        run += 1
+        if distance != 0.0:
+            step, keep = _step(grid, wavelength_m, distance)
+            if not keep.all():
+                _refuse_aliasing(power * band, keep, grid, wavelength_m, distance)
+            transfer *= step
+            band &= keep
+    rest = run
+    while rest < len(elements) and not isinstance(elements[rest], FreeSpace):
+        rest += 1
+    factor = diagonal_factor(elements[run:rest], grid, wavelength_m)
+    if factor is not None and np.count_nonzero(factor) <= _THIN_INVERSE_CELLS:
+        cells = np.flatnonzero(factor)
+        amps = _gram_rows(_inverse(spectrum, transfer, cells) * factor[cells], cells, grid.n_points)
+    else:
+        amps = _inverse(spectrum, transfer, overwrite=last_reader)
+        if factor is not None:
+            amps *= factor
+    amps = apply_arm_along(amps, replace(arm, elements=elements[rest:]), 1, grid, wavelength_m)
+    return _summed_power(amps) * grid.spacing_m
 
 
 def _sample_profile(grid: TransverseGrid, profile: np.ndarray, detector: DetectorSpec,
@@ -164,11 +241,12 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
 
     ``bench`` is one :class:`BenchSpec` (one :class:`ScanResult`) or a
     sequence of benches that differ only in the idler arm (one result
-    each), which share one source and one signal-arm pass.  D1 stays fixed
-    as configured.  The coincidences follow the idler arm on the rows the
-    signal arm leaves nonzero.  The singles rate is the signal-axis
-    marginal of the state with only the idler arm applied: it counts every
-    idler photon regardless of what happens in the signal arm, so
+    each), which share one source, one signal-arm pass and one idler
+    spectrum of the source.  D1 stays fixed as configured.  The
+    coincidences follow the idler arm on the rows slit A can leave
+    nonzero.  The singles rate is the signal-axis marginal of the state
+    with only the idler arm applied (:func:`_singles_profile`): it counts
+    every idler photon regardless of what happens in the signal arm, so
     signal-arm losses (slit A) cannot imprint on it.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
@@ -180,13 +258,16 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     state = build_bench_state(first, grid)
     rows, at_d1 = _lit_rows(state, first.signal_arm)
     weights = _d1_weights(first, grid)[rows]
+    # Nothing reads the source after this: its idler spectrum overwrites it.
+    spectrum = _spectrum(state.amplitudes, 1, overwrite=True)
+    power = _summed_power(spectrum)
     positions = scan.positions()
     results = []
-    for each in benches:
+    for k, each in enumerate(benches):
         at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, state.wavelength_i_m)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
-        singles_profile = np.sum(np.abs(apply_arm_to_axis(state, each.idler_arm, "idler").amplitudes) ** 2,
-                                 axis=0) * grid.spacing_m
+        singles_profile = _singles_profile(spectrum, power, each.idler_arm, grid, state.wavelength_i_m,
+                                           last_reader=k == len(benches) - 1)
         coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
         singles = _sample_profile(grid, singles_profile, each.d2, positions)
         results.append(ScanResult(positions, coincidence, singles, each))
@@ -210,23 +291,26 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     An offset shifts slit A (every slit of the signal arm), and D1 with
     it, so a point or narrow bucket D1 stays in the same place relative to
     the slit; the magnification test uses this.  The source is built, and
-    the arm up to slit A applied to it, once for all offsets.
+    the arm through the forward half of its last step applied to it, once
+    for all offsets; each offset then takes that step's inverse only at
+    the rows D1 weights.
     """
-    elements = bench.signal_arm.elements
-    cut = next((i for i, el in enumerate(elements) if isinstance(el, Slit)), len(elements))
-    head = replace(bench.signal_arm, elements=elements[:cut])
-    at_slit = apply_arm_to_axis(build_bench_state(bench, grid), head, "signal").amplitudes
+    state = build_bench_state(bench, grid)
+    shared_head = pending = None
     conditioned = []
-    for offset in slit_a_offsets_m:
-        tail = replace(head, elements=tuple(
+    for k, offset in enumerate(slit_a_offsets_m):
+        arm = replace(bench.signal_arm, elements=tuple(
             replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
-            for el in elements[cut:]))
-        work = replace(bench, signal_arm=replace(head, elements=head.elements + tail.elements),
-                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset))
-        at_d1 = apply_arm_along(at_slit, tail, 0, grid, bench.source.lambda_signal_m)
-        weights = _d1_weights(work, grid)
+            for el in bench.signal_arm.elements))
+        head, _, tail = split_last_step(arm)
+        if head != shared_head:  # first offset, or a slit before the last step moved
+            shared_head, pending = head, _toward_slit(state, arm)
+        weights = _d1_weights(replace(bench, signal_arm=arm,
+                                      d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
         rows = np.nonzero(weights > 0)[0]
-        conditioned.append((rows, weights[rows], at_d1[rows, :]))
+        at_d1 = _rows_behind(pending, diagonal_factor(tail, grid, bench.source.lambda_signal_m), rows,
+                             overwrite=k == len(slit_a_offsets_m) - 1)
+        conditioned.append((rows, weights[rows], at_d1))
     return conditioned
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -194,7 +197,8 @@ class TestValidateAndErrors:
 
 
 class TestWorkCounts:
-    """Each command builds the source once and runs the dense signal arm once."""
+    """Each command builds the source once, runs the dense signal arm once
+    and the dense idler arm never."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
@@ -223,9 +227,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
     def test_measure(self, counted, command, scans):
-        # The idler arm runs densely once per scan, for the singles; the
-        # coincidences follow it on slit A's rows without a dense pass.
-        assert counted(command) == {"build": 1, "signal": 1, "idler": scans}
+        # No dense idler pass, whatever the number of scans: the coincidences
+        # follow the idler arm on slit A's rows, and every scan's singles
+        # start from the one idler spectrum of the source.
+        assert counted(command) == {"build": 1, "signal": 1, "idler": 0}
 
     def test_ghost(self, counted):
         assert counted("ghost") == {"build": 1, "signal": 1, "idler": 0}
@@ -234,3 +239,32 @@ class TestWorkCounts:
     def test_klyshko_check(self, counted, n_positions):
         assert counted("klyshko-check", f"[klyshko]\nn_positions = {n_positions}\n") == \
             {"build": 1, "signal": 1, "idler": 0}
+
+
+# A child process that runs one command, pinned to one CPU first when asked.
+_CHILD = """
+import os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from ghostbench.cli import main
+sys.exit(main([sys.argv[2], sys.argv[3]]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two CPUs")
+def test_output_bytes_do_not_depend_on_the_core_count(tmp_path):
+    # One child on one CPU with one BLAS thread, one on every CPU: the
+    # threaded transforms and the thin inverse products give the same bytes.
+    config = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n[grid]\nn_points = 1024\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for cores in ("one", "all"):
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if cores == "one":
+            env["OPENBLAS_NUM_THREADS"] = "1"
+        done = subprocess.run([sys.executable, "-c", _CHILD, cores, "measure-m2", config],
+                              env=env, capture_output=True, check=True)
+        outputs.append((done.stdout, (tmp_path / "measure_m2.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

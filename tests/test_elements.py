@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, Slit, ThinLens, TransverseGrid, apply_arm,
                         reverse_arm)
-from ghostbench.elements import _propagate_array, aperture_transmission
+from ghostbench.elements import (_THIN_INVERSE_CELLS, _apply, _inverse, _propagate_array, _step,
+                                 _thin_inverse, aperture_transmission, apply_arm_along)
 
 from conftest import along, gaussian_field, numpy_propagate_array, through
 
@@ -290,3 +292,54 @@ class TestKernelOracle:
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
+
+    @pytest.mark.parametrize("layout, axis", [("C", 0), ("C", 1), ("F", 0), ("strided", 1), ("row", 0)])
+    def test_arm_overwrites_only_its_own_intermediates(self, field, layout, axis):
+        # Lens and slit products and each step's forward transform overwrite
+        # the arm's intermediate in place; the bytes are those of one new
+        # array per element, and the caller's array is left as it was.
+        amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field), "row": field[3]}[layout]
+        before = amps.copy()
+        arm = ArmSpec((FreeSpace(0.01), ThinLens(0.5, 1.5e-3), Slit(1e-3, 1e-4), Open(), FreeSpace(-0.1),
+                       Slit(2e-3)), WAVELENGTH)
+        expected = amps
+        for element in arm.elements:
+            expected = _apply(expected, element, axis, KERNEL_GRID, WAVELENGTH)
+        got = apply_arm_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(amps, before)
+
+
+class TestThinInverse:
+    """The inverse half of a step at a few cells, as one product with the
+    DFT kernel, equals the full inverse transform at those cells."""
+
+    N = 256
+
+    @pytest.fixture(scope="class")
+    def spectrum(self):
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((48, self.N)) + 1j * rng.standard_normal((48, self.N))
+
+    @pytest.mark.parametrize("cells", [[0], [N - 1], list(range(N))], ids=["first", "last", "all"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equals_full_inverse_at_the_cells(self, spectrum, layout, cells):
+        # A band-limited transfer function: 0.5 m keeps 36% of the band on this grid.
+        transfer = _step(TransverseGrid(self.N, 2e-3), WAVELENGTH, 0.5)[0]
+        assert 0 < np.count_nonzero(transfer) < self.N
+        lines = {"C": spectrum, "F": np.asfortranarray(spectrum), "strided": _strided(spectrum)}[layout]
+        before = lines.copy()
+        cells = np.array(cells)
+        expected = scipy.fft.ifft(lines * transfer)[..., cells]
+        got = _thin_inverse(lines, transfer, cells)
+        peak = np.max(np.abs(scipy.fft.ifft(lines * transfer)), axis=-1, keepdims=True)
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-13 * peak)
+        assert np.array_equal(lines, before)
+
+    def test_many_cells_take_the_full_inverse(self, spectrum):
+        transfer = _step(TransverseGrid(self.N, 2e-3), WAVELENGTH, 0.5)[0]
+        few, many = np.arange(_THIN_INVERSE_CELLS), np.arange(_THIN_INVERSE_CELLS + 1)
+        assert np.array_equal(_inverse(spectrum, transfer, few), _thin_inverse(spectrum, transfer, few))
+        assert np.array_equal(_inverse(spectrum.copy(), transfer, many),
+                              scipy.fft.ifft(spectrum * transfer)[..., many])

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, ScanWindow, Slit, SourceSpec,
-                        TransverseGrid, build_biphoton, build_source, conditional_field, default_bench,
+from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanWindow, Slit, SourceSpec,
+                        ThinLens, TransverseGrid, build_biphoton, build_source, conditional_field, default_bench,
                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
                         propagate_bench, run_coincidence_scan)
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
@@ -267,6 +267,14 @@ class TestRowSparseEqualsDense:
             assert np.array_equal(scan.coincidence, alone.coincidence)
             assert np.array_equal(scan.singles_d2, alone.singles_d2)
 
+    def test_open_bench_before_others_leaves_their_spectrum(self, grid, scan_window):
+        # Only the last bench may transform the shared idler spectrum in place.
+        benches = [default_bench(slit_b=slit_b) for slit_b in ("open", "slit", "open")]
+        shared = run_coincidence_scan(benches, scan_window, grid)
+        for bench, scan in zip(benches, shared):
+            alone = run_coincidence_scan(bench, scan_window, grid)
+            assert np.array_equal(scan.singles_d2, alone.singles_d2)
+
     def test_benches_differing_beyond_the_idler_arm_rejected(self, grid, scan_window):
         with pytest.raises(ValueError, match="only in the idler arm"):
             run_coincidence_scan([default_bench(), default_bench(d1_mode="point")], scan_window, grid)
@@ -291,7 +299,8 @@ class TestRowSparseEqualsDense:
                                   slit_a_center_m=offset)
             dense = apply_arm_to_axis(state, moved.signal_arm, "signal").amplitudes
             assert rows.tolist() == [grid.index_of(30e-6 + offset)]
-            assert np.array_equal(amps, dense[rows])
+            # The rows are a DFT at the slit's cells, not a slice of a full inverse transform.
+            assert np.max(np.abs(amps - dense[rows])) <= 1e-12 * np.max(np.abs(dense[rows]))
 
 
 # Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
@@ -343,12 +352,61 @@ class TestBandLimitChecksKept:
             klyshko_deviation(bench, 0.0, SMALL_GRID)
         assert str(scan.value) == str(klyshko.value) == message
 
+    def test_last_signal_step_before_slit_a_aliasing_raises_as_dense(self):
+        # The 1.0 m step behind the lens is inverted only at slit A's cells;
+        # its check still reads the whole spectrum.
+        bench = _aliasing_bench((FreeSpace(0.05), ThinLens(0.5), FreeSpace(1.0), Slit(0.16e-3)),
+                                (FreeSpace(0.745), FreeSpace(0.5)))
+        message = self.dense_message(bench)
+        assert "propagation over 1.0 m" in message
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
+        with pytest.raises(SamplingError) as ghost:
+            ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 3), SMALL_GRID, magnification_offset_m=0.5e-3)
+        with pytest.raises(SamplingError) as klyshko:
+            klyshko_deviation(bench, 0.0, SMALL_GRID)
+        assert str(scan.value) == str(ghost.value) == str(klyshko.value) == message
+
+    def test_step_behind_slit_b_aliasing_raises_as_dense_singles(self):
+        # Slit A at +1 mm passes signal rows whose idler amplitude is exactly
+        # zero at slit B (-1 mm, 13 um correlation), so the coincidences pass;
+        # the singles' 1.0 m step behind the 60 um slit B aliases, checked on
+        # the rows of slit B's R x R factor.
+        bench = _aliasing_bench((Slit(0.16e-3, 1e-3),), (Slit(60e-6, -1e-3), FreeSpace(1.0)))
+        state = build_bench_state(bench, SMALL_GRID)
+        propagate_bench(state, bench)
+        with pytest.raises(SamplingError) as dense:
+            apply_arm_to_axis(state, bench.idler_arm, "idler")
+        assert "propagation over 1.0 m" in str(dense.value)
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
+        assert str(scan.value) == str(dense.value)
+
+    def test_fused_free_space_run_checks_each_step_inside_the_bands_before_it(self):
+        # Singles through (0.8 m, Open, 1.2 m): the first step cuts 2.3% of
+        # the source power, the second 11.7% of what the first keeps (13.7%
+        # of the whole).  A 2f signal arm conditions the coincidences on
+        # signal momenta near 0, whose narrow idler spectrum passes both.
+        grid = TransverseGrid(128, 2e-3)
+        bench = BenchSpec(SourceSpec(pump_diameter_m=1e-3, correlation_width_m=100e-6),
+                          ArmSpec((FreeSpace(0.5), ThinLens(0.5), FreeSpace(0.5), Slit(0.1e-3)), WAVELENGTH),
+                          ArmSpec((FreeSpace(0.8), Open(), FreeSpace(1.2)), WAVELENGTH),
+                          DetectorSpec("point"), DetectorSpec("point"))
+        state = build_bench_state(bench, grid)
+        propagate_bench(state, bench)
+        with pytest.raises(SamplingError) as dense:
+            apply_arm_to_axis(state, bench.idler_arm, "idler")
+        assert "propagation over 1.2 m would alias 11.7%" in str(dense.value)
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(bench, ScanWindow(-1e-3, 1e-3, 11), grid)
+        assert str(scan.value) == str(dense.value)
+
 
 class TestPeakMemory:
-    """Each library call that builds the dense source holds at most 3.5
-    N x N complex arrays at once.  A dense step needs 3 (the source, the
-    step's input and its spectrum); one that allocates the spectrum times
-    the transfer function and the result anew holds 5."""
+    """Each library call that builds the dense source holds at most 2.5
+    N x N complex arrays at once: the source (or its idler spectrum) and
+    the signal arm's one intermediate, which every lens, slit and forward
+    transform overwrites.  A lens product into a new array holds 3."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -361,7 +419,7 @@ class TestPeakMemory:
     }
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
-    def test_peak_at_most_three_and_a_half_arrays(self, call):
+    def test_peak_at_most_two_and_a_half_arrays(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             call(self.GRID)  # warm-up: cached grid arrays and FFT plans
@@ -375,4 +433,4 @@ class TestPeakMemory:
             finally:
                 if started:
                     tracemalloc.stop()
-        assert peak <= 3.5 * self.GRID.n_points ** 2 * 16
+        assert peak <= 2.5 * self.GRID.n_points ** 2 * 16

@@ -16,7 +16,8 @@ from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Fie
                         reverse_arm, run_coincidence_scan)
 from ghostbench.config import RunConfig
 from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
-from ghostbench.experiment import build_bench_state
+from ghostbench.elements import apply_arm_along
+from ghostbench.experiment import _gram_rows, build_bench_state
 
 from conftest import dense_scan
 
@@ -136,3 +137,30 @@ def test_advanced_wave_equals_two_d_route(signal_elements, slit_a, idler_element
     except SamplingError:
         reject()  # an idler step, or a backward step of the advanced wave, fails its check
     assert np.max(deviations) < RunConfig().klyshko_tolerance
+
+
+def _summed_intensity_or_error(rows, arm):
+    try:
+        return np.sum(np.abs(apply_arm_along(rows, arm, 1, GRID, arm.wavelength_m)) ** 2, axis=0)
+    except SamplingError as exc:
+        return str(exc)
+
+
+@properties
+@given(seeds, st.integers(1, 12), st.lists(elements | band_limited_free_space, max_size=3))
+def test_gram_rows_keep_the_summed_intensity_through_any_tail(seed, n_cells, tail_elements):
+    # N fields nonzero on R random cells (slit B's block) and their R x R
+    # factor: every tail sees the same summed intensity and the same
+    # per-frequency power, so both pass or both fail the same check.
+    rng = np.random.default_rng(seed)
+    cells = np.sort(rng.choice(GRID.n_points, n_cells, replace=False))
+    block = random_amplitudes(seed, (GRID.n_points, n_cells))
+    fields = np.zeros((GRID.n_points, GRID.n_points), dtype=np.complex128)
+    fields[:, cells] = block
+    arm = ArmSpec(tail_elements, IDLER)
+    dense = _summed_intensity_or_error(fields, arm)
+    factor = _summed_intensity_or_error(_gram_rows(block, cells, GRID.n_points), arm)
+    if isinstance(dense, str):
+        assert factor == dense
+    else:
+        assert np.max(np.abs(factor - dense)) <= 1e-12 * np.max(dense)
