@@ -151,8 +151,18 @@ def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarra
 
 
 def _summed_power(lines: np.ndarray) -> np.ndarray:
-    """Sum of |x|^2 over every axis but the last, without an N^2 temporary."""
+    """Sum of |x|^2 over every axis but the last, without an N^2 temporary.
+
+    A C-contiguous array is read in one pass, as interleaved (real,
+    imaginary) float64 pairs; each column is summed in the same order
+    either way, so the bytes are those of the real and imaginary parts
+    summed apart.
+    """
     by_line = lines.reshape(-1, lines.shape[-1])
+    if by_line.flags.c_contiguous:
+        pairs = by_line.view(np.float64)
+        summed = np.einsum("ij,ij->j", pairs, pairs)
+        return summed[0::2] + summed[1::2]
     return (np.einsum("ij,ij->j", by_line.real, by_line.real)
             + np.einsum("ij,ij->j", by_line.imag, by_line.imag))
 
@@ -179,6 +189,18 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
             f"use a coarser grid, a smaller window, or a shorter distance")
 
 
+def _checked_transfer(spectrum: np.ndarray, grid: TransverseGrid, wavelength_m: float,
+                      distance_m: float, power: Optional[np.ndarray] = None) -> np.ndarray:
+    """The band-limited transfer function of a free-space step, once the
+    step's band-limit check has passed on ``spectrum`` (lines along the
+    last axis), or on ``power``, its summed power, when that is given."""
+    transfer, keep = _step(grid, wavelength_m, distance_m)
+    if not keep.all():
+        _refuse_aliasing(_summed_power(spectrum) if power is None else power, keep, grid, wavelength_m,
+                         distance_m)
+    return transfer
+
+
 def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
              distance_m: float, overwrite: bool = False):
     """Forward half of a free-space step: ``(spectrum, transfer)``.
@@ -186,11 +208,8 @@ def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: fl
     The spectrum runs along the last axis and has passed the band-limit
     check; :func:`_inverse` completes the step.
     """
-    transfer, keep = _step(grid, wavelength_m, distance_m)
     spectrum = _spectrum(amps, axis, overwrite)
-    if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
-    return spectrum, transfer
+    return spectrum, _checked_transfer(spectrum, grid, wavelength_m, distance_m)
 
 
 def _thin_inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -236,10 +255,16 @@ def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, waveleng
     return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
+def _identity(element: OpticalElement) -> bool:
+    """Whether the element leaves every field as it is: ``Open`` or a
+    zero-distance step."""
+    return isinstance(element, Open) or (isinstance(element, FreeSpace) and element.distance_m == 0.0)
+
+
 def _factor(element: OpticalElement, grid: TransverseGrid, wavelength_m: float) -> Optional[np.ndarray]:
     """Per-cell factor of an element that acts cell by cell (lens, slit);
-    None for an identity (``Open`` or a zero-distance step)."""
-    if isinstance(element, Open) or (isinstance(element, FreeSpace) and element.distance_m == 0.0):
+    None for an identity (:func:`_identity`)."""
+    if _identity(element):
         return None
     if isinstance(element, ThinLens):
         factor = _lens_phase(grid, wavelength_m, element.focal_m)
@@ -294,14 +319,16 @@ def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: Transvers
 
 
 def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseGrid,
-                    wavelength_m: float) -> np.ndarray:
+                    wavelength_m: float, overwrite: bool = False) -> np.ndarray:
     """Act with every element of an arm, in order, along one array axis.
 
     Every 1-D slice along ``axis`` is one field on ``grid``; the other
     axes are untouched, so an array of rows is a batch of fields.  Each
-    step overwrites the arm's own complex intermediate, never ``amps``.
+    step overwrites the arm's own complex intermediate; ``amps`` is
+    overwritten too only when ``overwrite`` is set (it must then be
+    complex128).
     """
-    owned = False
+    owned = overwrite
     for element in arm.elements:
         out = _apply(amps, element, axis, grid, wavelength_m, overwrite=owned)
         owned = owned or (out is not amps and out.dtype == np.complex128)

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Open, Slit, _forward, _inverse,
-                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission,
-                       apply_arm, apply_arm_along, apply_arm_to_axis, diagonal_factor, reverse_arm,
-                       split_last_step)
+from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Open, Slit, _checked_transfer, _forward,
+                       _identity, _inverse, _refuse_aliasing, _spectrum, _step, _summed_power,
+                       aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis, diagonal_factor,
+                       reverse_arm, split_last_step)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, build_source
@@ -116,16 +116,40 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
 
 
-def _toward_slit(state: BiphotonAmplitude, arm: ArmSpec):
-    """The signal arm on the source up to its last free-space step, and
-    that step's forward half: ``(spectrum, transfer)``, the spectrum along
-    the last axis.  Without such a step, ``(lines, None)`` in space."""
+def _lead_step(arm: ArmSpec) -> int | None:
+    """Index of the arm's first element that is not an identity, when that
+    element is a free-space step; None otherwise."""
+    lead = next((i for i, el in enumerate(arm.elements) if not _identity(el)), None)
+    return lead if lead is not None and isinstance(arm.elements[lead], FreeSpace) else None
+
+
+def _toward_slit(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+                 power: np.ndarray | None = None, overwrite: bool = False):
+    """The signal arm up to its last free-space step, and that step's
+    forward half, on the rows of ``lines``: ``(spectrum, transfer)``, the
+    spectrum along the last axis.  Without such a step, ``(lines, None)``
+    in space.
+
+    The source is symmetric, so its rows are its signal-axis lines, and
+    ``lines`` is the source itself.  When the arm leads with a free-space
+    step (:func:`_lead_step`), ``lines`` is instead the source's row
+    spectrum, which is that step's forward half; the step is then checked
+    on ``power``, the spectrum's summed power, taken here when not given.
+    ``lines`` is overwritten only when ``overwrite`` is set.
+    """
     head, step, _ = split_last_step(arm)
-    at_step = apply_arm_to_axis(state, replace(arm, elements=head), "signal").amplitudes
+    lead = _lead_step(arm)
+    if lead is not None:
+        transfer = _checked_transfer(lines, grid, wavelength_m, arm.elements[lead].distance_m, power)
+        if lead == len(head):  # the leading step is the last one
+            return lines, transfer
+        lines = _inverse(lines, transfer, overwrite=overwrite)
+        head, overwrite = head[lead + 1:], True
+    at_step = apply_arm_along(lines, replace(arm, elements=head), 1, grid, wavelength_m, overwrite)
     if step is None:
-        return np.moveaxis(at_step, 0, -1), None
-    return _forward(at_step, 0, state.grid_s, state.wavelength_s_m, step.distance_m,
-                    overwrite=not np.may_share_memory(at_step, state.amplitudes))
+        return at_step, None
+    return _forward(at_step, 1, grid, wavelength_m, step.distance_m,
+                    overwrite=overwrite or not np.may_share_memory(at_step, lines))
 
 
 def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
@@ -138,13 +162,16 @@ def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
     return at_rows if factor is None else at_rows * factor[rows, None]
 
 
-def _lit_rows(state: BiphotonAmplitude, signal_arm: ArmSpec):
+def _lit_rows(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+              power: np.ndarray | None = None, overwrite: bool = False):
     """``(row_indices, row_amplitudes)`` of the rows the signal arm can
-    leave nonzero: behind slit A, the few rows the slit transmits."""
-    grid = state.grid_s
-    factor = diagonal_factor(split_last_step(signal_arm)[2], grid, state.wavelength_s_m)
+    leave nonzero: behind slit A, the few rows the slit transmits.  The
+    arguments are those of :func:`_toward_slit`."""
+    factor = diagonal_factor(split_last_step(arm)[2], grid, wavelength_m)
     rows = np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
-    return rows, _rows_behind(_toward_slit(state, signal_arm), factor, rows, overwrite=True)
+    pending = _toward_slit(lines, arm, grid, wavelength_m, power, overwrite)
+    return rows, _rows_behind(pending, factor, rows,
+                              overwrite=overwrite or not np.may_share_memory(pending[0], lines))
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -256,11 +283,16 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise SamplingError("scan window extends outside the grid window")
     state = build_bench_state(first, grid)
-    rows, at_d1 = _lit_rows(state, first.signal_arm)
-    weights = _d1_weights(first, grid)[rows]
+    amps, arm, wavelength = state.amplitudes, first.signal_arm, state.wavelength_s_m
+    leads = _lead_step(arm) is not None
+    if not leads:  # the signal head starts in space, from the source
+        rows, at_d1 = _lit_rows(amps, arm, grid, wavelength)
     # Nothing reads the source after this: its idler spectrum overwrites it.
-    spectrum = _spectrum(state.amplitudes, 1, overwrite=True)
+    spectrum = _spectrum(amps, 1, overwrite=True)
     power = _summed_power(spectrum)
+    if leads:  # the source is symmetric, so this is the signal head's first forward half too
+        rows, at_d1 = _lit_rows(spectrum, arm, grid, wavelength, power)
+    weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
     for k, each in enumerate(benches):
@@ -291,20 +323,26 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     An offset shifts slit A (every slit of the signal arm), and D1 with
     it, so a point or narrow bucket D1 stays in the same place relative to
     the slit; the magnification test uses this.  The source is built, and
-    the arm through the forward half of its last step applied to it, once
-    for all offsets; each offset then takes that step's inverse only at
-    the rows D1 weights.
+    the arm through the forward half of its last step applied to its rows
+    (:func:`_toward_slit`), once for all offsets and in place over the
+    source, unless an offset moves a slit before that step; each offset
+    then takes that step's inverse only at the rows D1 weights.
     """
-    state = build_bench_state(bench, grid)
+    arms = [replace(bench.signal_arm, elements=tuple(
+        replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
+        for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
+    lines = build_bench_state(bench, grid).amplitudes
+    if _lead_step(bench.signal_arm) is not None:
+        lines = _spectrum(lines, 1, overwrite=True)  # nothing else reads the source
+    # The head overwrites its input unless some offset moves a slit before the last step.
+    in_place = len({split_last_step(arm)[0] for arm in arms}) == 1
     shared_head = pending = None
     conditioned = []
-    for k, offset in enumerate(slit_a_offsets_m):
-        arm = replace(bench.signal_arm, elements=tuple(
-            replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
-            for el in bench.signal_arm.elements))
+    for k, (offset, arm) in enumerate(zip(slit_a_offsets_m, arms)):
         head, _, tail = split_last_step(arm)
         if head != shared_head:  # first offset, or a slit before the last step moved
-            shared_head, pending = head, _toward_slit(state, arm)
+            shared_head, pending = head, _toward_slit(lines, arm, grid, bench.source.lambda_signal_m,
+                                                      overwrite=in_place)
         weights = _d1_weights(replace(bench, signal_arm=arm,
                                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
         rows = np.nonzero(weights > 0)[0]
@@ -364,7 +402,10 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     nonzero.
     """
     state = build_bench_state(bench, grid)
-    rows, at_d1 = _lit_rows(state, bench.signal_arm)
+    # The advanced wave reads the source, so the signal head works on a copy.
+    leads = _lead_step(bench.signal_arm) is not None
+    lines = _spectrum(state.amplitudes, 1) if leads else state.amplitudes
+    rows, at_d1 = _lit_rows(lines, bench.signal_arm, grid, state.wavelength_s_m, overwrite=leads)
     at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, state.wavelength_i_m)
     deviations = []
     for position in np.atleast_1d(d1_positions_m):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import BiphotonAmplitude, TransverseGrid
 
@@ -59,19 +60,45 @@ class SourceSpec:
             raise ValueError("entangled source requires correlation_width_m <= pump_diameter_m")
 
 
-def _double_gaussian(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> np.ndarray:
+def _tables(spec: SourceSpec, grid: TransverseGrid):
+    """``(pump, corr)``: the pump envelope and the correlation kernel as 1-D
+    tables over the 2N - 1 sums and differences of two grid positions.
+
+    ``pump[k]`` is E_p at (y_s + y_i) / 2 for y_s + y_i = (k - 2c) dy, and
+    ``corr[k]`` is C at y_s - y_i = (k - N + 1) dy, with c = N // 2 the zero
+    cell.  Each argument is an exact multiple of the pitch, so ``corr`` is
+    symmetric about its middle entry, bit for bit, and so is the source.
+    """
+    n, c, dy = grid.n_points, grid.n_points // 2, grid.spacing_m
+    k = np.arange(2 * n - 1)
     w_pump = spec.pump_diameter_m / 2.0          # 1/e^2 intensity radius of the pump field
     sigma_c = spec.correlation_width_m           # 1/e^2 intensity radius of the correlation
-    ys = grid_s.positions[:, None]
-    yi = grid_i.positions[None, :]
-    return np.exp(-((ys + yi) / 2.0) ** 2 / w_pump ** 2) * np.exp(-((ys - yi) ** 2) / sigma_c ** 2)
+    pump = np.exp(-(((k - 2 * c) * dy) / 2.0) ** 2 / w_pump ** 2)
+    corr = np.exp(-(((k - (n - 1)) * dy) ** 2) / sigma_c ** 2)
+    return pump, corr
 
 
-def _normalized(amps: np.ndarray, spec: SourceSpec, grid_s: TransverseGrid,
-                grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """A real amplitude scaled to unit joint norm in place, then cast once: the
-    bytes of :meth:`BiphotonAmplitude.normalized`, without a complex temporary."""
-    amps *= 1.0 / float(np.sqrt(np.sum(amps ** 2) * grid_s.spacing_m * grid_i.spacing_m))
+def _views(pump: np.ndarray, corr: np.ndarray, n: int):
+    """The N x N read-only Hankel view pump[i + j] and Toeplitz view
+    corr[i - j + N - 1] of two tables; nothing is copied."""
+    return sliding_window_view(pump, n), sliding_window_view(corr, n)[:, ::-1]
+
+
+def _peak_slices(spec: SourceSpec, grid: TransverseGrid):
+    """``(f, g)``: the double Gaussian's slices through its peak, the zero
+    cell (c, c), along the signal and the idler axis, read off the tables."""
+    pump, corr = _tables(spec, grid)
+    pump_ij, corr_ij = _views(pump, corr, grid.n_points)
+    c = grid.n_points // 2
+    return pump_ij[:, c] * corr_ij[:, c], pump_ij[c] * corr_ij[c]
+
+
+def _joint(left: np.ndarray, right: np.ndarray, spec: SourceSpec, grid_s: TransverseGrid,
+           grid_i: TransverseGrid) -> BiphotonAmplitude:
+    """The product of two real arrays that broadcast to N x N, written in one
+    pass into the real part of a zeroed complex array."""
+    amps = np.zeros((grid_s.n_points, grid_i.n_points), dtype=np.complex128)
+    np.multiply(left, right, out=amps.real)
     return BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
 
 
@@ -81,31 +108,39 @@ def _require_matching_grids(grid_s: TransverseGrid, grid_i: TransverseGrid):
 
 
 def build_biphoton(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """Entangled double-Gaussian joint amplitude, normalized to unit norm."""
+    """Entangled double-Gaussian joint amplitude, normalized to unit norm.
+
+    A[i, j] = pump[i + j] * corr[i - j + N - 1] (:func:`_tables`), with
+    the normalization folded into the pump table.  The sum of |A|^2 is
+    taken over the views of the squared tables, so no N x N temporary is
+    made; A is exactly symmetric.
+    """
     if spec.kind != "entangled":
         raise ValueError(f"build_biphoton requires kind='entangled', got {spec.kind!r}")
     _require_matching_grids(grid_s, grid_i)
-    return _normalized(_double_gaussian(spec, grid_s, grid_i), spec, grid_s, grid_i)
+    n, dy = grid_s.n_points, grid_s.spacing_m
+    pump, corr = _tables(spec, grid_s)
+    pump *= 1.0 / float(np.sqrt(np.einsum("ij,ij->", *_views(pump ** 2, corr ** 2, n)) * dy * dy))
+    return _joint(*_views(pump, corr, n), spec, grid_s, grid_i)
 
 
 def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
     """Separable control state A = f(y_s) g(y_i) with unit joint norm.
 
     f and g are the normalized conditional profiles of the entangled
-    source (the slices through its peak).  Each factor therefore carries
-    the transverse coherence width of one down-converted beam, so the
-    control reproduces the entangled beams' divergence at the detectors
-    while carrying no correlations at all.
+    source (the slices through its peak, :func:`_peak_slices`), each
+    normalized on its own, so f = g and A is exactly symmetric.  Each
+    factor carries the transverse coherence width of one
+    down-converted beam, so the control reproduces the entangled beams'
+    divergence at the detectors while carrying no correlations at all.
     """
     if spec.kind != "separable":
         raise ValueError(f"build_separable requires kind='separable', got {spec.kind!r}")
     _require_matching_grids(grid_s, grid_i)
-    amps = _double_gaussian(spec, grid_s, grid_i)
-    peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
-    f = amps[:, peak_i].copy()
-    g = amps[peak_s, :].copy()
-    del amps
-    return _normalized(np.outer(f, g), spec, grid_s, grid_i)
+    f, g = _peak_slices(spec, grid_s)
+    f *= 1.0 / float(np.sqrt(np.sum(f ** 2) * grid_s.spacing_m))
+    g *= 1.0 / float(np.sqrt(np.sum(g ** 2) * grid_i.spacing_m))
+    return _joint(f[:, None], g[None, :], spec, grid_s, grid_i)
 
 
 def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:

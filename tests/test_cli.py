@@ -198,22 +198,24 @@ class TestValidateAndErrors:
 
 class TestWorkCounts:
     """Each command builds the source once, runs the dense signal arm once
-    and the dense idler arm never."""
+    and the dense idler arm never.  The signal arm's dense head runs on the
+    source's rows in ``_toward_slit``; any dense pass of an arm along an
+    axis of the joint amplitude goes through ``apply_arm_to_axis``."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
         import ghostbench.experiment as experiment
         calls = []
 
-        def counting(name, original):
+        def counting(original, name=None):
             def wrapper(*args, **kwargs):
-                calls.append(name if name == "build" else args[2])
+                calls.append(name or args[2])
                 return original(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(experiment, "build_source", counting("build", experiment.build_source))
-        monkeypatch.setattr(experiment, "apply_arm_to_axis",
-                            counting("arm", experiment.apply_arm_to_axis))
+        monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
+        monkeypatch.setattr(experiment, "_toward_slit", counting(experiment._toward_slit, "signal"))
+        monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
         # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
         base = "[grid]\nn_points = 128\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
 

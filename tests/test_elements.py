@@ -6,7 +6,7 @@ from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, Slit, ThinLens, TransverseGrid, apply_arm,
                         reverse_arm)
 from ghostbench.elements import (_THIN_INVERSE_CELLS, _apply, _inverse, _propagate_array, _step,
-                                 _thin_inverse, aperture_transmission, apply_arm_along)
+                                 _summed_power, _thin_inverse, aperture_transmission, apply_arm_along)
 
 from conftest import along, gaussian_field, numpy_propagate_array, through
 
@@ -308,6 +308,9 @@ class TestKernelOracle:
         got = apply_arm_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
         assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
+        # Handed over to be overwritten, the array itself becomes the first intermediate.
+        assert np.array_equal(apply_arm_along(amps.copy(), arm, axis, KERNEL_GRID, WAVELENGTH, overwrite=True),
+                              expected)
 
 
 class TestThinInverse:
@@ -343,3 +346,22 @@ class TestThinInverse:
         assert np.array_equal(_inverse(spectrum, transfer, few), _thin_inverse(spectrum, transfer, few))
         assert np.array_equal(_inverse(spectrum.copy(), transfer, many),
                               scipy.fft.ifft(spectrum * transfer)[..., many])
+
+
+class TestSummedPower:
+    """The per-frequency power reads a C-contiguous array once, as float64
+    pairs; its bytes are those of the real and imaginary parts summed apart."""
+
+    @staticmethod
+    def two_sums(lines):
+        by_line = lines.reshape(-1, lines.shape[-1])
+        return (np.einsum("ij,ij->j", by_line.real, by_line.real)
+                + np.einsum("ij,ij->j", by_line.imag, by_line.imag))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced", "batch"])
+    def test_equals_two_einsums(self, layout):
+        rng = np.random.default_rng(5)
+        raw = rng.standard_normal((3, 96, 128)) + 1j * rng.standard_normal((3, 96, 128))
+        lines = {"C": raw[0], "F": np.asfortranarray(raw[0]), "sliced": raw[0, 5:90:3, 1:120],
+                 "batch": raw}[layout]
+        assert np.array_equal(_summed_power(lines), self.two_sums(lines))

@@ -9,9 +9,13 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
                         propagate_bench, run_coincidence_scan)
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
-from ghostbench.elements import aperture_transmission, apply_arm_to_axis
+from dataclasses import replace
+
+from ghostbench.elements import (_forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis,
+                                 diagonal_factor, split_last_step)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import build_bench_state, signal_conditioned_rows
+from ghostbench.experiment import (_lead_step, _lit_rows, _rows_behind, build_bench_state,
+                                   signal_conditioned_rows)
 
 from conftest import dense_scan
 
@@ -303,6 +307,73 @@ class TestRowSparseEqualsDense:
             assert np.max(np.abs(amps - dense[rows])) <= 1e-12 * np.max(np.abs(dense[rows]))
 
 
+def transposed_copy_rows(state, arm, rows):
+    """Signal rows at ``rows`` by the route that ran the arm's head along the
+    source's signal axis (a transposed working copy for its first free-space
+    step), then the last step's forward half along that axis and its
+    inverse at the rows."""
+    head, step, tail = split_last_step(arm)
+    grid, wavelength = state.grid_s, state.wavelength_s_m
+    at_step = apply_arm_to_axis(state, replace(arm, elements=head), "signal").amplitudes
+    pending = (np.moveaxis(at_step, 0, -1), None) if step is None else \
+        _forward(at_step, 0, grid, wavelength, step.distance_m)
+    return _rows_behind(pending, diagonal_factor(tail, grid, wavelength), rows)
+
+
+def shifted(arm, offset):
+    """The arm with every slit moved by ``offset``."""
+    return replace(arm, elements=tuple(replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
+                                       for el in arm.elements))
+
+
+# Signal heads that start with a free-space step, with the lens, and none at all.
+HEAD_BENCHES = {
+    "reference": {},
+    "lens-first": {"crystal_to_lens_m": 0.0},
+    "lens-at-slit-a": {"lens_to_slit_m": 0.0},
+    "lens-only": {"crystal_to_lens_m": 0.0, "lens_to_slit_m": 0.0},
+}
+
+
+class TestHeadOnRows:
+    """The source is symmetric, so the signal head runs on its rows, from the
+    source's idler spectrum when the arm leads with a free-space step; the
+    rows at slit A have the bytes of the head run on a transposed copy."""
+
+    @pytest.mark.parametrize("overrides", HEAD_BENCHES.values(), ids=HEAD_BENCHES.keys())
+    def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
+        bench = default_bench(**overrides)
+        arm = bench.signal_arm
+        state = build_bench_state(bench, grid)
+        rows = np.flatnonzero(aperture_transmission(grid, 0.16e-3))
+        expected = transposed_copy_rows(state, arm, rows)
+        lines = state.amplitudes if _lead_step(arm) is None else _spectrum(state.amplitudes, 1)
+        # As scans call it (power given, or taken when needed), and as klyshko-check does (on its own copy).
+        for power, overwrite in ((None, False), (_summed_power(lines), False), (None, True)):
+            before = lines.copy()
+            got_rows, got = _lit_rows(before.copy() if overwrite else lines, arm, grid, state.wavelength_s_m,
+                                      power, overwrite)
+            assert got_rows.tolist() == rows.tolist()
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+            assert np.array_equal(lines, before)
+
+    @pytest.mark.parametrize("name", [*HEAD_BENCHES, "slit-before-lens"])
+    def test_conditioned_rows_equal_transposed_copy_route(self, grid, name):
+        # Ghost runs the head in place over the source's spectrum, unless an
+        # offset moves a slit before the last step (here a 2 mm slit before
+        # the lens); each offset then starts afresh from the spectrum.
+        bench = default_bench(slit_b="open", **HEAD_BENCHES.get(name, {}))
+        if name == "slit-before-lens":
+            elements = bench.signal_arm.elements
+            bench = replace(bench, signal_arm=replace(bench.signal_arm,
+                                                      elements=(elements[0], Slit(2e-3)) + elements[1:]))
+        offsets = (0.0, 0.5e-3, -0.3e-3)
+        state = build_bench_state(bench, grid)
+        for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
+            expected = transposed_copy_rows(state, shifted(bench.signal_arm, offset), rows)
+            assert amps.shape == expected.shape and amps.tobytes() == expected.tobytes()
+
+
 # Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
 # more than 5% of its energy to the band limit, on either axis.
 SMALL_GRID = TransverseGrid(256, 3.75e-3)
@@ -406,7 +477,8 @@ class TestPeakMemory:
     """Each library call that builds the dense source holds at most 2.5
     N x N complex arrays at once: the source (or its idler spectrum) and
     the signal arm's one intermediate, which every lens, slit and forward
-    transform overwrites.  A lens product into a new array holds 3."""
+    transform overwrites.  A lens product into a new array holds 3.  Ghost
+    holds about one: its head overwrites the source's spectrum."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -420,6 +492,12 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     def test_peak_at_most_two_and_a_half_arrays(self, call):
+        assert self.peak(call) <= 2.5 * self.GRID.n_points ** 2 * 16
+
+    def test_ghost_peak_at_most_one_and_a_half_arrays(self):
+        assert self.peak(self.CALLS["ghost"]) <= 1.5 * self.GRID.n_points ** 2 * 16
+
+    def peak(self, call):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             call(self.GRID)  # warm-up: cached grid arrays and FFT plans
@@ -433,4 +511,4 @@ class TestPeakMemory:
             finally:
                 if started:
                     tracemalloc.stop()
-        assert peak <= 2.5 * self.GRID.n_points ** 2 * 16
+        return peak

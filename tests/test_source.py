@@ -1,11 +1,28 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ghostbench import (BiphotonAmplitude, SourceSpec, TransverseGrid, build_biphoton, build_separable,
-                        build_source, schmidt_number)
-from ghostbench.source import _double_gaussian
+from ghostbench import SourceSpec, TransverseGrid, build_biphoton, build_separable, build_source, schmidt_number
+from ghostbench.source import _peak_slices, _tables
 
 PUMP_RADIUS = 1.5e-3
+
+
+def double_gaussian(spec, grid):
+    """The unnormalized double Gaussian at the grid points, from its closed
+    form E_p((y_s + y_i) / 2) * C(y_s - y_i)."""
+    ys = grid.positions[:, None]
+    yi = grid.positions[None, :]
+    return (np.exp(-((ys + yi) / 2.0) ** 2 / (spec.pump_diameter_m / 2.0) ** 2)
+            * np.exp(-((ys - yi) ** 2) / spec.correlation_width_m ** 2))
+
+
+def table_source(pump, corr):
+    """The source by its table definition (:func:`ghostbench.source._tables`),
+    read with one N x N index array per table: pump[i + j] * corr[i - j + N - 1]."""
+    n = (pump.size + 1) // 2
+    i = np.arange(n)
+    return pump[np.add.outer(i, i)] * corr[np.subtract.outer(i, i) + n - 1]
 
 
 class TestSourceSpec:
@@ -158,22 +175,82 @@ class TestBuildSeparable:
         assert schmidt_number(build_source(SourceSpec(), grid, grid)) > 10
 
 
+# The grids of the byte checks; the first, with the separable kind, is
+# also the benchmark's regime-map separable bench.
+BYTE_BENCHES = [
+    ({}, 1024, 15e-3),
+    ({"pump_diameter_m": 1e-3, "correlation_width_m": 100e-6}, 256, 2e-3),
+    ({"lambda_signal_m": 650e-9, "lambda_idler_m": 763.5162261625964e-9}, 512, 7.5e-3)]
+
+
 class TestBuildBytes:
-    """The build scales the real double Gaussian in place and casts it once;
-    its bytes equal casting first and dividing the complex array by its norm."""
+    """The build reads two 1-D tables through Hankel and Toeplitz views and
+    writes their product once into a complex array; its bytes equal the
+    slow reference (:func:`table_source`), normalized the same way."""
 
     @pytest.mark.parametrize("kind", ["entangled", "separable"])
-    @pytest.mark.parametrize("spec_args, n_points, extent_m", [
-        ({}, 1024, 15e-3),
-        ({"pump_diameter_m": 1e-3, "correlation_width_m": 100e-6}, 256, 2e-3),
-        ({"lambda_signal_m": 650e-9, "lambda_idler_m": 763.5162261625964e-9}, 512, 7.5e-3)])
-    def test_equals_complex_division(self, kind, spec_args, n_points, extent_m):
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
+    def test_equals_slow_reference(self, kind, spec_args, n_points, extent_m):
         spec = SourceSpec(kind=kind, **spec_args)
         grid = TransverseGrid(n_points, extent_m)
-        amps = _double_gaussian(spec, grid, grid)
-        if kind == "separable":
+        dy = grid.spacing_m
+        if kind == "entangled":
+            # The norm is summed over the views of the squared tables and
+            # folded into the pump table.
+            pump, corr = _tables(spec, grid)
+            norm2 = np.einsum("ij,ij->", sliding_window_view(pump ** 2, n_points),
+                              sliding_window_view(corr ** 2, n_points)[:, ::-1])
+            expected = table_source(pump * (1.0 / float(np.sqrt(norm2 * dy * dy))), corr)
+        else:
+            amps = table_source(*_tables(spec, grid))
             peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
-            amps = np.outer(amps[:, peak_i], amps[peak_s, :])
-        expected = BiphotonAmplitude(grid, grid, amps, spec.lambda_signal_m,
-                                     spec.lambda_idler_m).normalized()
-        assert build_source(spec, grid, grid).amplitudes.tobytes() == expected.amplitudes.tobytes()
+            f, g = amps[:, peak_i], amps[peak_s, :]
+            # Each factor is normalized on its own, which keeps f = g bit for bit.
+            f = f * (1.0 / float(np.sqrt(np.sum(f ** 2) * dy)))
+            g = g * (1.0 / float(np.sqrt(np.sum(g ** 2) * dy)))
+            expected = np.outer(f, g)
+        built = build_source(spec, grid, grid).amplitudes
+        assert built.dtype == np.complex128 and built.flags.c_contiguous
+        assert built.tobytes() == expected.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
+    def test_separable_factors_are_the_slices_through_the_peak(self, spec_args, n_points, extent_m):
+        # The separable build takes its factors at the zero cell, in O(N); that
+        # cell is the argmax of the whole N x N double Gaussian, which the
+        # build once formed to find it.
+        spec = SourceSpec(kind="separable", **spec_args)
+        grid = TransverseGrid(n_points, extent_m)
+        c = n_points // 2
+        for amps in (table_source(*_tables(spec, grid)), double_gaussian(spec, grid)):
+            assert np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape) == (c, c)
+        amps = table_source(*_tables(spec, grid))
+        f, g = _peak_slices(spec, grid)
+        assert f.tobytes() == amps[:, c].tobytes()
+        assert g.tobytes() == amps[c, :].tobytes()
+        # At the zero cell one coordinate is exactly 0, so the slices are
+        # also those of the closed form.
+        direct = double_gaussian(spec, grid)
+        assert f.tobytes() == direct[:, c].tobytes() and g.tobytes() == direct[c, :].tobytes()
+
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
+    def test_equals_closed_form_at_the_grid_points(self, spec_args, n_points, extent_m):
+        grid = TransverseGrid(n_points, extent_m)
+        for kind in ("entangled", "separable"):
+            spec = SourceSpec(kind=kind, **spec_args)
+            built = build_source(spec, grid, grid).amplitudes
+            c = n_points // 2
+            assert not np.any(built.imag)
+            direct = double_gaussian(spec, grid)
+            if kind == "separable":
+                direct = np.outer(direct[:, c], direct[c, :])
+            # Both peak at the zero cell, where the closed form is exactly 1.
+            assert np.max(np.abs(built.real / built[c, c].real - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
+    @pytest.mark.parametrize("kind", ["entangled", "separable"])
+    def test_exactly_symmetric(self, kind, spec_args, n_points, extent_m):
+        # The signal head runs on the source's rows, which this makes its
+        # signal-axis lines.
+        grid = TransverseGrid(n_points, extent_m)
+        amps = build_source(SourceSpec(kind=kind, **spec_args), grid, grid).amplitudes
+        assert amps.tobytes() == np.ascontiguousarray(amps.T).tobytes()
