@@ -215,22 +215,18 @@ class TestBuildBytes:
 
     @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
     def test_separable_factors_are_the_slices_through_the_peak(self, spec_args, n_points, extent_m):
-        # The separable build takes its factors at the zero cell, in O(N); that
-        # cell is the argmax of the whole N x N double Gaussian, which the
-        # build once formed to find it.
+        # The separable build takes its factors at the zero cell, in O(N),
+        # without forming the N x N double Gaussian; that cell is its argmax,
+        # in the table definition and in the closed form alike.
         spec = SourceSpec(kind="separable", **spec_args)
         grid = TransverseGrid(n_points, extent_m)
         c = n_points // 2
+        f, g = _peak_slices(spec, grid)
         for amps in (table_source(*_tables(spec, grid)), double_gaussian(spec, grid)):
             assert np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape) == (c, c)
-        amps = table_source(*_tables(spec, grid))
-        f, g = _peak_slices(spec, grid)
-        assert f.tobytes() == amps[:, c].tobytes()
-        assert g.tobytes() == amps[c, :].tobytes()
-        # At the zero cell one coordinate is exactly 0, so the slices are
-        # also those of the closed form.
-        direct = double_gaussian(spec, grid)
-        assert f.tobytes() == direct[:, c].tobytes() and g.tobytes() == direct[c, :].tobytes()
+            # At the zero cell one coordinate is exactly 0, so both give the same slices.
+            assert f.tobytes() == amps[:, c].tobytes()
+            assert g.tobytes() == amps[c, :].tobytes()
 
     @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
     def test_equals_closed_form_at_the_grid_points(self, spec_args, n_points, extent_m):
