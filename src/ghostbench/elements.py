@@ -153,18 +153,14 @@ def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarra
 def _summed_power(lines: np.ndarray) -> np.ndarray:
     """Sum of |x|^2 over every axis but the last, without an N^2 temporary.
 
-    A C-contiguous array is read in one pass, as interleaved (real,
-    imaginary) float64 pairs; each column is summed in the same order
-    either way, so the bytes are those of the real and imaginary parts
-    summed apart.
+    The lines are read in one pass, as interleaved (real, imaginary)
+    float64 pairs; each column is summed in the same order as the real and
+    imaginary parts summed apart, so the bytes are theirs.  Every caller
+    passes a C-contiguous complex128 array, which is read without a copy.
     """
-    by_line = lines.reshape(-1, lines.shape[-1])
-    if by_line.flags.c_contiguous:
-        pairs = by_line.view(np.float64)
-        summed = np.einsum("ij,ij->j", pairs, pairs)
-        return summed[0::2] + summed[1::2]
-    return (np.einsum("ij,ij->j", by_line.real, by_line.real)
-            + np.einsum("ij,ij->j", by_line.imag, by_line.imag))
+    pairs = np.ascontiguousarray(lines.reshape(-1, lines.shape[-1]), dtype=np.complex128).view(np.float64)
+    summed = np.einsum("ij,ij->j", pairs, pairs)
+    return summed[0::2] + summed[1::2]
 
 
 def _step(grid: TransverseGrid, wavelength_m: float, distance_m: float):

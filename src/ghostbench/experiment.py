@@ -84,7 +84,16 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
 
 
 def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
-    """Source amplitude at the crystal plane on a shared grid."""
+    """Source amplitude at the crystal plane on a shared grid.
+
+    The amplitude must be exactly symmetric, A == A.T bit for bit:
+    :func:`_toward_slit` runs the signal arm on its rows, as signal-axis
+    lines, and starts from its idler spectrum as the forward half of the
+    arm's leading step.  ``build_source`` makes it so on one grid for both
+    axes; ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A
+    source term that breaks the symmetry (a pump offset or tilt, unequal
+    grids) must first give the signal head its own lines.
+    """
     return build_source(bench.source, grid, grid)
 
 
@@ -123,33 +132,38 @@ def _lead_step(arm: ArmSpec) -> int | None:
     return lead if lead is not None and isinstance(arm.elements[lead], FreeSpace) else None
 
 
-def _toward_slit(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
-                 power: np.ndarray | None = None, overwrite: bool = False):
+def _toward_slit(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+                 spectrum: tuple | None = None, overwrite: bool = False):
     """The signal arm up to its last free-space step, and that step's
-    forward half, on the rows of ``lines``: ``(spectrum, transfer)``, the
+    forward half, on the rows of ``source``: ``(spectrum, transfer)``, the
     spectrum along the last axis.  Without such a step, ``(lines, None)``
     in space.
 
-    The source is symmetric, so its rows are its signal-axis lines, and
-    ``lines`` is the source itself.  When the arm leads with a free-space
-    step (:func:`_lead_step`), ``lines`` is instead the source's row
-    spectrum, which is that step's forward half; the step is then checked
-    on ``power``, the spectrum's summed power, taken here when not given.
-    ``lines`` is overwritten only when ``overwrite`` is set.
+    The source is symmetric (:func:`build_bench_state`), so its rows are
+    its signal-axis lines, and when the arm leads with a free-space step
+    (:func:`_lead_step`) the source's idler spectrum is that step's
+    forward half.  ``spectrum`` is ``(spectrum, power)``, that spectrum and
+    its summed power, when the caller holds them; otherwise the spectrum
+    is taken here when needed.  ``source`` and ``spectrum`` are
+    overwritten only when ``overwrite`` is set.
     """
     head, step, _ = split_last_step(arm)
     lead = _lead_step(arm)
+    lines, owned = source, overwrite
     if lead is not None:
+        if spectrum is None:
+            spectrum, owned = (_spectrum(source, 1, overwrite), None), True
+        lines, power = spectrum
         transfer = _checked_transfer(lines, grid, wavelength_m, arm.elements[lead].distance_m, power)
         if lead == len(head):  # the leading step is the last one
             return lines, transfer
-        lines = _inverse(lines, transfer, overwrite=overwrite)
-        head, overwrite = head[lead + 1:], True
-    at_step = apply_arm_along(lines, replace(arm, elements=head), 1, grid, wavelength_m, overwrite)
+        lines = _inverse(lines, transfer, overwrite=owned)
+        head, owned = head[lead + 1:], True
+    at_step = apply_arm_along(lines, replace(arm, elements=head), 1, grid, wavelength_m, owned)
     if step is None:
         return at_step, None
     return _forward(at_step, 1, grid, wavelength_m, step.distance_m,
-                    overwrite=overwrite or not np.may_share_memory(at_step, lines))
+                    overwrite=owned or not np.may_share_memory(at_step, lines))
 
 
 def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
@@ -162,16 +176,17 @@ def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
     return at_rows if factor is None else at_rows * factor[rows, None]
 
 
-def _lit_rows(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
-              power: np.ndarray | None = None, overwrite: bool = False):
+def _lit_rows(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+              spectrum: tuple | None = None, overwrite: bool = False):
     """``(row_indices, row_amplitudes)`` of the rows the signal arm can
     leave nonzero: behind slit A, the few rows the slit transmits.  The
     arguments are those of :func:`_toward_slit`."""
     factor = diagonal_factor(split_last_step(arm)[2], grid, wavelength_m)
     rows = np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
-    pending = _toward_slit(lines, arm, grid, wavelength_m, power, overwrite)
-    return rows, _rows_behind(pending, factor, rows,
-                              overwrite=overwrite or not np.may_share_memory(pending[0], lines))
+    pending = _toward_slit(source, arm, grid, wavelength_m, spectrum, overwrite)
+    inputs = (source,) if spectrum is None else (source, spectrum[0])
+    owned = overwrite or not any(np.may_share_memory(pending[0], each) for each in inputs)
+    return rows, _rows_behind(pending, factor, rows, overwrite=owned)
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -290,8 +305,8 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     # Nothing reads the source after this: its idler spectrum overwrites it.
     spectrum = _spectrum(amps, 1, overwrite=True)
     power = _summed_power(spectrum)
-    if leads:  # the source is symmetric, so this is the signal head's first forward half too
-        rows, at_d1 = _lit_rows(spectrum, arm, grid, wavelength, power)
+    if leads:  # the signal head starts from the same spectrum
+        rows, at_d1 = _lit_rows(amps, arm, grid, wavelength, (spectrum, power))
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
@@ -331,17 +346,16 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     arms = [replace(bench.signal_arm, elements=tuple(
         replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
         for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
-    lines = build_bench_state(bench, grid).amplitudes
-    if _lead_step(bench.signal_arm) is not None:
-        lines = _spectrum(lines, 1, overwrite=True)  # nothing else reads the source
-    # The head overwrites its input unless some offset moves a slit before the last step.
+    source = build_bench_state(bench, grid).amplitudes
+    # Nothing else reads the source: the head overwrites it unless some
+    # offset moves a slit before the last step.
     in_place = len({split_last_step(arm)[0] for arm in arms}) == 1
     shared_head = pending = None
     conditioned = []
     for k, (offset, arm) in enumerate(zip(slit_a_offsets_m, arms)):
         head, _, tail = split_last_step(arm)
         if head != shared_head:  # first offset, or a slit before the last step moved
-            shared_head, pending = head, _toward_slit(lines, arm, grid, bench.source.lambda_signal_m,
+            shared_head, pending = head, _toward_slit(source, arm, grid, bench.source.lambda_signal_m,
                                                       overwrite=in_place)
         weights = _d1_weights(replace(bench, signal_arm=arm,
                                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
@@ -402,10 +416,8 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     nonzero.
     """
     state = build_bench_state(bench, grid)
-    # The advanced wave reads the source, so the signal head works on a copy.
-    leads = _lead_step(bench.signal_arm) is not None
-    lines = _spectrum(state.amplitudes, 1) if leads else state.amplitudes
-    rows, at_d1 = _lit_rows(lines, bench.signal_arm, grid, state.wavelength_s_m, overwrite=leads)
+    # The advanced wave reads the source, so the signal head leaves it as it is.
+    rows, at_d1 = _lit_rows(state.amplitudes, bench.signal_arm, grid, state.wavelength_s_m)
     at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, state.wavelength_i_m)
     deviations = []
     for position in np.atleast_1d(d1_positions_m):

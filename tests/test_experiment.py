@@ -14,8 +14,7 @@ from dataclasses import replace
 from ghostbench.elements import (_forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis,
                                  diagonal_factor, split_last_step)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import (_lead_step, _lit_rows, _rows_behind, build_bench_state,
-                                   signal_conditioned_rows)
+from ghostbench.experiment import _lit_rows, _rows_behind, build_bench_state, signal_conditioned_rows
 
 from conftest import dense_scan
 
@@ -340,22 +339,27 @@ class TestHeadOnRows:
     source's idler spectrum when the arm leads with a free-space step; the
     rows at slit A have the bytes of the head run on a transposed copy."""
 
-    @pytest.mark.parametrize("overrides", HEAD_BENCHES.values(), ids=HEAD_BENCHES.keys())
+    # A 3 mm slit A right behind the lens leaves more rows lit than the thin
+    # inverse takes, so the lead step's full inverse runs on the spectrum.
+    @pytest.mark.parametrize("overrides", [*HEAD_BENCHES.values(), {"lens_to_slit_m": 0.0, "slit_a_width_m": 3e-3}],
+                             ids=[*HEAD_BENCHES, "wide-slit-at-lens"])
     def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
         bench = default_bench(**overrides)
         arm = bench.signal_arm
         state = build_bench_state(bench, grid)
-        rows = np.flatnonzero(aperture_transmission(grid, 0.16e-3))
+        rows = np.flatnonzero(aperture_transmission(grid, arm.slits()[-1].width_m))
         expected = transposed_copy_rows(state, arm, rows)
-        lines = state.amplitudes if _lead_step(arm) is None else _spectrum(state.amplitudes, 1)
-        # As scans call it (power given, or taken when needed), and as klyshko-check does (on its own copy).
-        for power, overwrite in ((None, False), (_summed_power(lines), False), (None, True)):
-            before = lines.copy()
-            got_rows, got = _lit_rows(before.copy() if overwrite else lines, arm, grid, state.wavelength_s_m,
-                                      power, overwrite)
+        source = state.amplitudes
+        spectrum = _spectrum(source, 1)
+        # As klyshko-check calls it (the source left as it is), as a scan
+        # does (with its idler spectrum and power), and over a spare copy.
+        for shared, overwrite in ((None, False), ((spectrum, _summed_power(spectrum)), False), (None, True)):
+            before, spectrum_before = source.copy(), spectrum.copy()
+            got_rows, got = _lit_rows(before.copy() if overwrite else source, arm, grid, state.wavelength_s_m,
+                                      shared, overwrite)
             assert got_rows.tolist() == rows.tolist()
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-            assert np.array_equal(lines, before)
+            assert np.array_equal(source, before) and np.array_equal(spectrum, spectrum_before)
 
     @pytest.mark.parametrize("name", [*HEAD_BENCHES, "slit-before-lens"])
     def test_conditioned_rows_equal_transposed_copy_route(self, grid, name):
