@@ -28,6 +28,8 @@ FLATNESS_RATIO = 1.05
 FIRST_ZERO_FRACTION = 1e-3
 # Normalized fit residual above which a sinc^2 fit is flagged as poor.
 POOR_FIT_RESIDUAL = 0.05
+# Widths on the log grid that seeds the sinc^2 fit.
+_SEED_WIDTHS = 128
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,12 @@ def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
               channel: str = "coincidence") -> SincFit:
     """Least-squares fit of peak * sinc^2(pi w (y - y0) / (lambda L)).
 
-    Sinc^2 fits have lobe-aliased local minima in w, so the fit multi-
-    starts over a width grid and keeps the best converged solution.
+    Sinc^2 fits have lobe-aliased local minima in w.  The peak enters
+    linearly, so its best value for a given (y0, w) is closed form; the
+    fit evaluates that projected cost on a log grid of widths spanning
+    the bounds, at y0 = the brightest sample, and refines the best grid
+    point once in (peak, y0, w) with the analytic Jacobian.  Raises
+    :class:`FitConvergenceError` when the refine does not converge.
     """
     y = scan.positions_m
     v = _channel(scan, channel)
@@ -135,27 +141,45 @@ def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
     if vmax <= 0 or (vmin > 0 and vmax / vmin < FLATNESS_RATIO):
         raise FlatPatternError("pattern is flat; nothing to fit")
     scale = wavelength_m * slit_to_detector_m
-    p0_center = float(y[np.argmax(v)])
+    # Fit the pattern over its peak, so every tolerance means the same at any brightness.
+    u = v / vmax
+    lower, upper = np.array([0.0, y.min(), 1e-5]), np.array([10.0, y.max(), 2e-3])
+
+    y0 = float(y[np.argmax(v)])
+    widths = np.geomspace(lower[2], upper[2], _SEED_WIDTHS)
+    shapes = np.sinc(np.multiply.outer(widths, (y - y0) / scale)) ** 2
+    overlap = shapes @ u
+    norms = np.einsum("ij,ij->i", shapes, shapes)
+    peaks = np.clip(overlap / norms, lower[0], upper[0])
+    # |peak s - u|^2 less the constant |u|^2.
+    k = int(np.argmin(peaks * (peaks * norms - 2.0 * overlap)))
 
     def residuals(p):
-        peak, y0, w = p
-        return peak * np.sinc(w * (y - y0) / scale) ** 2 - v
+        peak, center, w = p
+        return peak * np.sinc(w * (y - center) / scale) ** 2 - u
 
-    best = None
-    for w_start in np.geomspace(0.02e-3, 0.8e-3, 10):
-        try:
-            result = least_squares(residuals, x0=[vmax, p0_center, w_start],
-                                   bounds=([0.0, y.min(), 1e-5], [10.0 * vmax, y.max(), 2e-3]),
-                                   xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
-        except Exception:
-            continue
-        if result.success and (best is None or result.cost < best.cost):
-            best = result
-    if best is None:
-        raise FitConvergenceError("sinc^2 fit did not converge from any starting width")
-    peak, center, width = best.x
-    residual = float(np.linalg.norm(best.fun) / np.linalg.norm(v))
-    return SincFit(width_m=float(width), center_m=float(center), peak=float(peak), residual=residual)
+    def jacobian(p):
+        peak, center, w = p
+        d = (y - center) / scale
+        x = w * d
+        s = np.sinc(x)
+        # d sinc(x)/dx = (cos(pi x) - sinc(x)) / x, which is 0 at x = 0.
+        nonzero = x != 0.0
+        ds = np.zeros_like(x)
+        ds[nonzero] = (np.cos(np.pi * x[nonzero]) - s[nonzero]) / x[nonzero]
+        dr_dx = 2.0 * peak * s * ds
+        return np.column_stack([s * s, -dr_dx * (w / scale), dr_dx * d])
+
+    # Each parameter's own scale: the peak, the central lobe's half-width, the width.
+    result = least_squares(residuals, x0=[peaks[k], y0, widths[k]], jac=jacobian,
+                           bounds=(lower, upper), x_scale=[1.0, scale / widths[k], widths[k]],
+                           xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+    if not result.success:
+        raise FitConvergenceError(f"sinc^2 fit did not converge: {result.message}")
+    peak, center, width = result.x
+    residual = float(np.linalg.norm(result.fun) / np.linalg.norm(u))
+    return SincFit(width_m=float(width), center_m=float(center), peak=float(peak * vmax),
+                   residual=residual)
 
 
 def compute_pattern_stats(scan: ScanResult, channel: str = "coincidence",

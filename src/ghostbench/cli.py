@@ -77,13 +77,15 @@ def _measure(config: RunConfig, which: str) -> int:
     scan_m1 = scans[0]
     fit_args = dict(wavelength_m=config.idler_wavelength_m,
                     slit_to_detector_m=config.screen_to_d2_m)
-    stats_m1 = compute_pattern_stats(scan_m1, "coincidence", **fit_args)
 
     if which == "m1":
+        stats_m1 = compute_pattern_stats(scan_m1, "coincidence", **fit_args)
         _write_csv(config, "measure-m1", "measure_m1.csv", _scan_lines(scan_m1))
         _print_stats(stats_m1, reference_fwhm_m=stats_m1.fwhm_m)
         return 0
 
+    # measure-m2 prints only M1's FWHM, so M1 is not fitted.
+    stats_m1 = compute_pattern_stats(scan_m1, "coincidence")
     scan_m2 = scans[1]
     _write_csv(config, "measure-m2", "measure_m2.csv", _scan_lines(scan_m2))
     try:

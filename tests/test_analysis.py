@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
+from scipy.optimize import least_squares
 
-from ghostbench import (FlatPatternError, ImageAtInfinityError, PlaneSweep,
+from ghostbench import (FitConvergenceError, FlatPatternError, ImageAtInfinityError, PlaneSweep,
                         ScanResult, WindowTooSmallError, default_bench,
-                        ghost_image_stats, thin_lens_predict)
+                        ghost_image_stats, run_coincidence_scan, thin_lens_predict)
+from ghostbench import analysis
 from ghostbench.analysis import (POOR_FIT_RESIDUAL, compute_pattern_stats, fit_sinc2,
                                  fwhm, first_zero, profile_first_zero, profile_fwhm)
+from ghostbench.config import parse_config, to_bench, to_grid, to_scan
 
 WAVELENGTH = 702.2e-9
 FIRST_ZERO = WAVELENGTH * 0.5 / 0.16e-3  # 2.1944 mm
@@ -93,6 +97,156 @@ class TestFitSinc2:
         y = np.linspace(-4e-3, 4e-3, 161)
         with pytest.raises(FlatPatternError):
             fit_sinc2(synthetic_scan(np.full(161, 2.0), y), WAVELENGTH, 0.5)
+
+    def test_failed_refine_raises_and_leaves_the_fit_fields_empty(self, monkeypatch):
+        def failing(*args, **kwargs):
+            result = least_squares(*args, **kwargs)
+            result.success = False
+            return result
+
+        monkeypatch.setattr(analysis, "least_squares", failing)
+        y = np.linspace(-4e-3, 4e-3, 161)
+        scan = synthetic_scan(np.sinc(y / FIRST_ZERO) ** 2, y)
+        with pytest.raises(FitConvergenceError):
+            fit_sinc2(scan, WAVELENGTH, 0.5)
+        stats = compute_pattern_stats(scan, wavelength_m=WAVELENGTH, slit_to_detector_m=0.5)
+        assert stats.sinc_fit_width_m is None and stats.sinc_fit_residual is None
+        assert stats.fwhm_m == profile_fwhm(y, np.sinc(y / FIRST_ZERO) ** 2)
+
+
+def multistart_fit_sinc2(y, v, scale):
+    """Oracle: the fit as ten finite-difference starts over a width grid,
+    keeping the converged start of least cost.  Returns (peak, y0, w)."""
+    vmax = float(v.max())
+
+    def residuals(p):
+        peak, y0, w = p
+        return peak * np.sinc(w * (y - y0) / scale) ** 2 - v
+
+    best = None
+    for w_start in np.geomspace(0.02e-3, 0.8e-3, 10):
+        try:
+            result = least_squares(residuals, x0=[vmax, float(y[np.argmax(v)]), w_start],
+                                   bounds=([0.0, y.min(), 1e-5], [10.0 * vmax, y.max(), 2e-3]),
+                                   xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=2000)
+        except Exception:
+            continue
+        if result.success and (best is None or result.cost < best.cost):
+            best = result
+    return best.x
+
+
+def fit_cost(y, v, scale, params):
+    peak, y0, w = params
+    return 0.5 * float(np.sum((peak * np.sinc(w * (y - y0) / scale) ** 2 - v) ** 2))
+
+
+# Both fits evaluate their cost in floating point; where they reach the same
+# minimum the two sums may differ in the last bits (seen up to 1.3e-15).
+COST_ROUNDING = 1e-13
+
+
+def scaled_gradient(y, v, scale, params, step=1e-6):
+    """Relative change of the cost per relative change of the peak and the
+    width, and per central-lobe half-width of the center (central differences)."""
+    peak, y0, w = params
+    units = np.array([peak, scale / w, w])
+    cost = fit_cost(y, v, scale, params)
+    gradient = []
+    for i in range(3):
+        dp = np.zeros(3)
+        dp[i] = step * units[i]
+        gradient.append((fit_cost(y, v, scale, params + dp) - fit_cost(y, v, scale, params - dp))
+                        / (2.0 * step * cost))
+    return np.array(gradient)
+
+
+# The benches of the output audits whose M1 and M2 scans both have a peak.
+FIT_BENCHES = {
+    "reference": "",
+    "n2048": "[grid]\nn_points = 2048\n",
+    "pump-1.37mm": "[source]\npump_diameter_mm = 1.37\n",
+    "nondegenerate": "[source]\nsignal_wavelength_nm = 632.8\nidler_wavelength_nm = 788.6974795882144\n",
+    "point-d1": "[detectors]\nd1_mode = point\nd1_position_mm = 0.03\n",
+    "offset-slits": "[signal_arm]\nslit_a_center_mm = 0.2\n[idler_arm]\nslit_b_center_mm = -0.2\n",
+}
+
+
+@pytest.fixture(scope="module", params=list(FIT_BENCHES))
+def bench_scans(request):
+    config = parse_config(FIT_BENCHES[request.param])
+    benches = [to_bench(config, slit_b=s) for s in ("slit", "open")]
+    scans = run_coincidence_scan(benches, to_scan(config), to_grid(config))
+    return (config.idler_wavelength_m, config.screen_to_d2_m), scans
+
+
+class TestFitAgainstMultistartOracle:
+    """The seeded single refine reaches at least the oracle's minimum, and
+    stops where the cost is flat.  The oracle's ten starts stop scattered
+    around it, with scaled gradients of 1e-4 to 1e-3 on these scans."""
+
+    @pytest.mark.parametrize("measurement", [0, 1], ids=["m1", "m2"])
+    def test_cost_and_gradient(self, bench_scans, measurement):
+        (wavelength, distance), scans = bench_scans
+        scan = scans[measurement]
+        y, v, scale = scan.positions_m, scan.coincidence, wavelength * distance
+        fit = fit_sinc2(scan, wavelength, distance)
+        params = np.array([fit.peak, fit.center_m, fit.width_m])
+        oracle_cost = fit_cost(y, v, scale, multistart_fit_sinc2(y, v, scale))
+        assert fit_cost(y, v, scale, params) <= oracle_cost * (1.0 + COST_ROUNDING)
+        # The refine stops once a step changes the cost by less than 1e-14 of
+        # itself, which leaves the width's scaled gradient near 1e-7.
+        assert np.max(np.abs(scaled_gradient(y, v, scale, params))) < 1e-5
+
+
+FIT_Y = np.linspace(-4e-3, 4e-3, 161)
+FIT_SCALE = WAVELENGTH * 0.5
+
+
+def log_uniform(low, high):
+    return st.floats(np.log(low), np.log(high)).map(np.exp)
+
+
+# Widths inside the fit's bounds [1e-5, 2e-3] m, with extra draws where the
+# central lobe (half-width lambda L / w) spans under four scan samples.  The
+# refine keeps its iterates strictly inside the bounds, so a width within
+# ~1e-8 of a bound comes back only to ~3e-8; the draws stop 1e-6 short.
+WIDEST = 2e-3 * (1.0 - 1e-6)
+fit_widths = log_uniform(1e-5, WIDEST) | st.floats(1e-3, WIDEST)
+fit_centers = st.floats(-3.9e-3, 3.9e-3)
+fit_peaks = log_uniform(1e-6, 1e6)
+
+
+def drawn_scan(peak, center, width, noise=0.0, seed=0):
+    values = peak * np.sinc(width * (FIT_Y - center) / FIT_SCALE) ** 2
+    if noise:
+        values = values * (1.0 + noise * np.random.default_rng(seed).standard_normal(FIT_Y.size))
+    return synthetic_scan(values, FIT_Y)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(fit_peaks, fit_centers, fit_widths)
+def test_fit_recovers_a_noiseless_width(peak, center, width):
+    scan = drawn_scan(peak, center, width)
+    try:
+        fit = fit_sinc2(scan, WAVELENGTH, 0.5)
+    except FlatPatternError:
+        reject()  # a width under ~1.1e-5 m leaves the scan flatter than FLATNESS_RATIO
+    assert fit.width_m == pytest.approx(width, rel=1e-8)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(fit_peaks, fit_centers, fit_widths, st.floats(1e-3, 0.2), st.integers(0, 2 ** 32 - 1))
+def test_fit_of_a_noisy_pattern_is_no_worse_than_the_oracle(peak, center, width, noise, seed):
+    scan = drawn_scan(peak, center, width, noise, seed)
+    try:
+        fit = fit_sinc2(scan, WAVELENGTH, 0.5)
+    except FlatPatternError:
+        reject()
+    y, v = scan.positions_m, scan.coincidence
+    oracle_cost = fit_cost(y, v, FIT_SCALE, multistart_fit_sinc2(y, v, FIT_SCALE))
+    assert fit_cost(y, v, FIT_SCALE, (fit.peak, fit.center_m, fit.width_m)) <= \
+        oracle_cost * (1.0 + COST_ROUNDING)
 
 
 class TestUncertaintyProduct:

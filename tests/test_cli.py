@@ -243,6 +243,47 @@ class TestWorkCounts:
             {"build": 1, "signal": 1, "idler": 0}
 
 
+class TestFitCounts:
+    """A sinc^2 fit runs only where a width is printed, as one refine:
+    measure-m1 fits M1, measure-m2 fits M2 (it prints only M1's FWHM), and
+    no other command fits at all."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch, outdir_config):
+        import ghostbench.analysis as analysis
+        calls = []
+
+        def counting(original, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "fit_sinc2", counting(analysis.fit_sinc2, "fit"))
+        monkeypatch.setattr(analysis, "least_squares", counting(analysis.least_squares, "refine"))
+
+        def run(command, extra=""):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert main([command, outdir_config(extra)]) == 0
+            return {name: calls.count(name) for name in ("fit", "refine")}
+        return run
+
+    @pytest.mark.parametrize("command", ["measure-m1", "measure-m2"])
+    def test_measure_fits_the_printed_scan_once(self, counted, command):
+        assert counted(command) == {"fit": 1, "refine": 1}
+
+    def test_separable_lower_bound_fits_nothing(self, counted, capsys):
+        assert counted("measure-m2", "[source]\nkind = separable\n") == {"fit": 0, "refine": 0}
+        assert "uncertainty_product_over_h_lower_bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ghost", ""), ("klyshko-check", ""), ("temporal", "[temporal]\nn_points = 64\n")])
+    def test_other_commands_fit_nothing(self, counted, command, extra):
+        assert counted(command, extra) == {"fit": 0, "refine": 0}
+
+
 # A child process that runs one command, pinned to one CPU first when asked.
 _CHILD = """
 import os, sys
