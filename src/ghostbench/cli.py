@@ -10,6 +10,7 @@ sampling error, 4 failed consistency check.
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from pathlib import Path
 
@@ -41,7 +42,9 @@ def _write_csv(config: RunConfig, command: str, name: str, lines: list[str]):
     header = [f"# ghostbench {__version__}", f"# command = {command}", "# config:"]
     header += [f"# {line}" if line else "#" for line in render_config(config).splitlines()]
     path = directory / name
-    path.write_text("\n".join(header + lines) + "\n")
+    # Line by line, so a large CSV is never also held as one string.
+    with path.open("w") as file:
+        file.writelines(line + "\n" for line in header + lines)
     print(f"csv = {path}")
 
 
@@ -140,13 +143,18 @@ def _klyshko_check(config: RunConfig) -> int:
 
 def _temporal(config: RunConfig) -> int:
     spec = to_temporal(config)
-    psi = eval_biphoton_wavepacket(spec)
-    k = factorability_check(psi)
+    # Psi = A0 * diag(carrier_s) @ E @ diag(carrier_i) with E real and the
+    # carriers unimodular, so |Psi| = |A0| |E| has Psi's singular values.
+    magnitude = np.abs(eval_biphoton_wavepacket(spec))
+    k = factorability_check(magnitude)
     t = spec.time_grid()
-    row = ",".join(["%.6e"] * psi.shape[1])
-    body = "\n".join([row] * psi.shape[0]) % tuple(np.abs(psi).ravel().tolist())
+    # Format each distinct value once: equal bits give equal strings.
+    keys, inverse = np.unique(magnitude.view(np.uint64).ravel(), return_inverse=True)
+    text = (",".join(["%.6e"] * keys.size) % tuple(keys.view(np.float64).tolist())).split(",")
+    rows = [",".join(operator.itemgetter(*row)(text))
+            for row in inverse.reshape(magnitude.shape).tolist()]
     _write_csv(config, "temporal", "temporal_psi.csv",
-               [f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2", body])
+               [f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2", *rows])
     print(f"schmidt_number = {k:.6f}")
     print(f"schmidt_number_analytic = {analytic_schmidt_number(spec.sigma_plus_hz, spec.sigma_minus_hz):.6f}")
     return 0

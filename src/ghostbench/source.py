@@ -151,17 +151,23 @@ def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGri
 
 
 def _matrix_schmidt_number(matrix: np.ndarray) -> float:
-    """K = (sum l_k)^2 / sum l_k^2 over squared singular values."""
+    """K = (sum l_k)^2 / sum l_k^2 over the squared singular values l_k.
+
+    Taken from two moments, with no decomposition: sum l_k = ||m||_F^2 and
+    sum l_k^2 = ||m^H m||_F^2, so K is the inverse purity of the reduced
+    state (Law, Walmsley & Eberly, PRL 84, 5304 (2000)).  The matrix is
+    first divided by its peak |entry|, so K does not depend on its scale
+    and neither moment overflows or vanishes.
+    """
     m = np.asarray(matrix)
     if not np.all(np.isfinite(m)):
         raise ValueError("amplitude matrix contains non-finite entries")
-    s = np.linalg.svd(m, compute_uv=False)
-    lam = s ** 2
-    total = lam.sum()
-    if total == 0.0:
+    peak = np.abs(m).max(initial=0.0)
+    if peak == 0.0:
         raise ValueError("cannot compute the Schmidt number of a zero amplitude")
-    lam = lam / total
-    return float(1.0 / np.sum(lam ** 2))
+    m = m / peak
+    gram = m.conj().T @ m
+    return float(np.vdot(m, m).real ** 2 / np.vdot(gram, gram).real)
 
 
 def schmidt_number(joint: BiphotonAmplitude) -> float:

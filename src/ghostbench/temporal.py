@@ -14,6 +14,7 @@ a genuinely two-dimensional object, quantified by its Schmidt number.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,15 @@ class TemporalSpec:
             raise ValueError("time grid needs at least two samples")
         if not (self.span_coherence_times > 0):
             raise ValueError("span must be positive")
+        # The largest exponent, at the grid's corners; an overflow here would
+        # make the evaluation overflow or return non-finite entries.
+        sigma, reach = max(self.sigma_plus_hz, self.sigma_minus_hz), 2.0 * self._t_max()
+        if not math.isfinite(sigma * sigma * (reach * reach)):
+            raise ValueError("the time grid's half-width t_max and the exponent "
+                             "max(sigma)^2 (2 t_max)^2 must be finite")
+
+    def _t_max(self) -> float:
+        return self.span_coherence_times / min(self.sigma_plus_hz, self.sigma_minus_hz)
 
     def time_grid(self) -> np.ndarray:
         """Symmetric samples of t = T - L/c over +-span coherence times.
@@ -50,7 +60,7 @@ class TemporalSpec:
         Built so t[k] == -t[n-1-k] exactly, which keeps exchange-symmetry
         checks bitwise.
         """
-        t_max = self.span_coherence_times / min(self.sigma_plus_hz, self.sigma_minus_hz)
+        t_max = self._t_max()
         step = 2.0 * t_max / (self.n_points - 1)
         return (np.arange(self.n_points) - (self.n_points - 1) / 2.0) * step
 

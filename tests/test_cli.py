@@ -140,15 +140,31 @@ class TestTemporal:
         assert code == 0
         assert float(summary_value(out, "schmidt_number")) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("amplitude", ["1e200", "1e-300"])
+    def test_k_does_not_depend_on_the_amplitude(self, capsys, outdir_config, amplitude):
+        code, out, _ = run_cli(capsys, "temporal", outdir_config(f"[temporal]\namplitude = {amplitude}\n"))
+        assert code == 0
+        assert summary_value(out, "schmidt_number") == "5.050000"
 
-    def test_csv_bytes_match_per_value_format(self, capsys, tmp_path, outdir_config):
-        cfg = outdir_config("[temporal]\nn_points = 64\n")
+    @pytest.mark.parametrize("body", ["sigma_plus_hz = 1e200", "sigma_minus_hz = 1e-200"])
+    @pytest.mark.parametrize("command", ["validate-config", "temporal"])
+    def test_overflowing_grid_exit_2(self, capsys, outdir_config, command, body):
+        code, out, err = run_cli(capsys, command, outdir_config(f"[temporal]\n{body}\n"))
+        assert code == 2
+        assert err.startswith(f"error: config: [temporal] {body.split()[0]}: ")
+        assert out == ""
+
+    @pytest.mark.parametrize("body", ["", "omega_signal_hz = 5\nomega_idler_hz = -5\namplitude = -2.5\n",
+                                      "sigma_minus_hz = 30\n"],
+                             ids=["default", "carriers", "sigma-minus-30"])
+    def test_csv_bytes_match_per_value_format(self, capsys, tmp_path, outdir_config, body):
+        cfg = outdir_config(f"[temporal]\n{body}")
         assert run_cli(capsys, "temporal", cfg)[0] == 0
         text = (tmp_path / "temporal_psi.csv").read_bytes().decode()
         psi = eval_biphoton_wavepacket(to_temporal(parse_config(Path(cfg).read_text())))
         rows = "".join(",".join(f"{val:.6e}" for val in np.abs(row)) + "\n" for row in psi)
         header = text[:text.index("\n", text.index("# t_grid_s")) + 1]
-        assert psi.shape == (64, 64)
+        assert psi.shape == (512, 512)
         assert text == header + rows
 
 

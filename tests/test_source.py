@@ -125,8 +125,10 @@ class TestSchmidtNumber:
     def test_default_entangled_mode_count(self, grid):
         # Analytic double-Gaussian value: K = (1 + mu) / (1 - mu) with
         # mu = ((2 w_p - sigma_c) / (2 w_p + sigma_c))^2, about 115.  The
-        # sampled matrix truncates the high-order modes, so the numerical
-        # value sits below that; frozen as a regression baseline.
+        # +-15 mm grid's 29.3 um pitch under-resolves sigma_c = 13 um, so
+        # the numerical value sits 21% below that (converged on a finer
+        # pitch in test_converged_mode_count_matches_closed_form); frozen
+        # as a regression baseline.
         spec = SourceSpec()
         k = schmidt_number(build_biphoton(spec, grid, grid))
         assert k > 10
@@ -135,6 +137,16 @@ class TestSchmidtNumber:
         analytic = (1 + mu) / (1 - mu)
         assert k == pytest.approx(analytic, rel=0.25)
         assert k == pytest.approx(90.7, abs=0.2)
+
+    def test_converged_mode_count_matches_closed_form(self):
+        # A 5.9 um pitch over +-6 mm resolves sigma_c and holds the pump.
+        from ghostbench import analytic_schmidt_number
+        spec = SourceSpec()
+        fine = TransverseGrid(2048, 6e-3)
+        k = schmidt_number(build_biphoton(spec, fine, fine))
+        closed = analytic_schmidt_number(1.0 / (2 * PUMP_RADIUS), 1.0 / spec.correlation_width_m)
+        assert closed == pytest.approx(115.38678205, abs=1e-8)
+        assert k == pytest.approx(closed, rel=1e-9)
 
     def test_balanced_double_gaussian_factorizes(self, grid):
         # sigma_c equal to the pump diameter balances the sum and

@@ -16,7 +16,10 @@ class TestTemporalSpec:
 
     @pytest.mark.parametrize("kwargs", [dict(sigma_plus_hz=0.0, sigma_minus_hz=1.0),
                                         dict(sigma_plus_hz=1.0, sigma_minus_hz=-2.0),
-                                        dict(sigma_plus_hz=1.0, sigma_minus_hz=1.0, n_points=1)])
+                                        dict(sigma_plus_hz=1.0, sigma_minus_hz=1.0, n_points=1),
+                                        # max(sigma)^2 (2 t_max)^2 overflows, from either end.
+                                        dict(sigma_plus_hz=1e200, sigma_minus_hz=10.0),
+                                        dict(sigma_plus_hz=1.0, sigma_minus_hz=1e-200)])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TemporalSpec(**kwargs)
@@ -51,7 +54,31 @@ class TestWavepacket:
         assert np.sqrt(2.0) * crossing == pytest.approx(np.sqrt(2.0) / (2 * sm), rel=5e-3)
 
 
+def svd_schmidt_number(matrix):
+    """The oracle: K = (sum l)^2 / sum l^2 over the squared singular values."""
+    lam = np.linalg.svd(matrix, compute_uv=False) ** 2
+    return lam.sum() ** 2 / np.sum(lam ** 2)
+
+
+# Envelope ratios 1/10, 10/1, 1/30 and 2/3 and a balanced pair, two of them with carriers.
+_PROBE_SPECS = [dict(sigma_plus_hz=1.0, sigma_minus_hz=10.0),
+                dict(sigma_plus_hz=10.0, sigma_minus_hz=1.0),
+                dict(sigma_plus_hz=1.0, sigma_minus_hz=30.0, omega_s_hz=5.0, omega_i_hz=-5.0,
+                     amplitude_a0=-2.5),
+                dict(sigma_plus_hz=2.0, sigma_minus_hz=3.0),
+                dict(sigma_plus_hz=3.0, sigma_minus_hz=3.0, omega_s_hz=5.0, omega_i_hz=-5.0)]
+
+
 class TestFactorability:
+    @pytest.mark.parametrize("kwargs", _PROBE_SPECS,
+                             ids=["1-10", "10-1", "1-30-carriers", "2-3", "3-3-carriers"])
+    def test_moments_match_the_svd(self, kwargs):
+        psi = eval_biphoton_wavepacket(TemporalSpec(**kwargs))
+        oracle = svd_schmidt_number(psi)
+        assert factorability_check(psi) == pytest.approx(oracle, rel=1e-12)
+        # The carriers are diagonal unitaries, so |Psi| has Psi's singular values.
+        assert factorability_check(np.abs(psi)) == pytest.approx(oracle, rel=1e-12)
+
     def test_balanced_envelope_factorizes(self):
         psi = eval_biphoton_wavepacket(TemporalSpec(3.0, 3.0, omega_s_hz=2.0, omega_i_hz=9.0))
         assert factorability_check(psi) == pytest.approx(1.0, abs=1e-9)
