@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .elements import _propagate_array
 from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError,
@@ -121,6 +120,70 @@ def profile_first_zero(positions_m: np.ndarray, values: np.ndarray) -> Optional[
 
 def first_zero(scan: ScanResult, channel: str = "coincidence") -> Optional[float]:
     return profile_first_zero(scan.positions_m, _channel(scan, channel))
+
+
+@dataclass
+class LeastSquaresResult:
+    """What :func:`least_squares` returns, under the names of scipy's result."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    success: bool
+    nfev: int
+    message: str
+
+
+def least_squares(fun, x0, jac, bounds, x_scale, xtol, ftol, gtol, max_nfev) -> LeastSquaresResult:
+    """Minimize 0.5 |fun(x)|^2 over the box ``bounds`` by Levenberg-Marquardt
+    (More, LNM 630, 1978) with the Jacobian ``jac``.
+
+    Each step solves for the parameters that are not pinned at a bound (at
+    it, with the gradient pushing outward), with the damping mu times the
+    running maximum of each column's squared norm, and is clipped to the
+    box; mu follows Nielsen's update.  It stops, successfully, once an
+    accepted step changes the cost by less than ``ftol`` of itself (gain
+    ratio above 0.25), a step in the variables x / ``x_scale`` is below
+    ``xtol`` of their norm, or the free gradient there falls below
+    ``gtol``; and unsuccessfully after ``max_nfev`` evaluations.
+    """
+    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
+    scale = np.asarray(x_scale, dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    f = fun(x)
+    nfev, cost = 1, 0.5 * float(f @ f)
+    jac_s = jac(x) * scale
+    damping, mu, nu = np.zeros(x.size), 1e-3, 2.0
+    while True:
+        g = jac_s.T @ f
+        free = ~(((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0)))
+        if np.max(np.abs(g[free]), initial=0.0) < gtol:
+            return LeastSquaresResult(x, f, True, nfev, "gtol: the free gradient is below gtol")
+        if nfev >= max_nfev:
+            return LeastSquaresResult(x, f, False, nfev, f"no convergence in {max_nfev} evaluations")
+        damping = np.maximum(damping, np.einsum("ij,ij->j", jac_s, jac_s))
+        system = np.vstack([jac_s[:, free], np.diag(np.sqrt(mu * damping[free]))])
+        step = np.zeros(x.size)
+        step[free] = np.linalg.lstsq(system, -np.concatenate([f, np.zeros(free.sum())]), rcond=None)[0]
+        x_new = np.clip(x + step * scale, lower, upper)
+        step = (x_new - x) / scale
+        f_new = fun(x_new)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        predicted = -float(g @ step + 0.5 * np.sum((jac_s @ step) ** 2))
+        actual = cost - cost_new
+        rho = actual / predicted if predicted > 0 else -np.inf
+        ftol_met = actual < ftol * cost and rho > 0.25
+        xtol_met = np.linalg.norm(step) < xtol * (xtol + np.linalg.norm(x / scale))
+        if actual > 0:
+            x, f, cost = x_new, f_new, cost_new
+            jac_s = jac(x) * scale
+        if ftol_met or xtol_met:
+            return LeastSquaresResult(x, f, True, nfev, "ftol: the cost changed by less than ftol"
+                                      if ftol_met else "xtol: the scaled step is below xtol")
+        if rho > 0:
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        else:
+            mu, nu = mu * nu, 2.0 * nu
 
 
 def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,

@@ -17,12 +17,13 @@ edge falls between samples.
 
 from __future__ import annotations
 
+import functools
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-import scipy.fft
 
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
@@ -31,10 +32,11 @@ from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 # propagation step is considered aliased and refused.
 BAND_LIMIT_LOSS_TOLERANCE = 0.05
 
-# Transforms run on every CPU the process may use once a batch holds this
-# many samples; below it the threads' start-up costs more than they save
-# (measured crossover on a 2-core host: 2^17 samples break even).  The
-# bytes do not depend on the worker count.
+# Transforms are split by lines over every CPU the process may use once a
+# batch holds this many samples; below it the threads' start-up costs more
+# than they save (measured crossover on a 2-core host: 2^17 samples break
+# even).  Each line is transformed alone, so the bytes do not depend on the
+# worker count.
 _THREADED_FFT_SAMPLES = 2 ** 18
 _FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -135,8 +137,37 @@ def band_limit_cycles_per_m(grid: TransverseGrid, wavelength_m: float, distance_
     return min(grid.window_m / chirp, 1.0 / wavelength_m)
 
 
-def _workers(size: int) -> int:
-    return _FFT_WORKERS if size >= _THREADED_FFT_SAMPLES else 1
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The threads that take all but the first share of a split transform."""
+    return ThreadPoolExecutor(_FFT_WORKERS - 1, thread_name_prefix="ghostbench-fft")
+
+
+# A forked child has none of its parent's threads: it starts a pool of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _transform(transform, lines: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+    """``transform`` (``np.fft.fft`` or ``ifft``) of each line along the
+    last axis of ``lines`` into ``out``, which may be ``lines``, or into a
+    new array.  A batch of ``_THREADED_FFT_SAMPLES`` or more is split by
+    lines over ``_FFT_WORKERS`` threads (numpy's pocketfft releases the
+    GIL); both arrays are then C-contiguous complex128, as every caller
+    passes them."""
+    if out is None:
+        out = np.empty_like(lines)
+    n = lines.shape[-1]
+    workers = min(_FFT_WORKERS, lines.size // n) if lines.size >= _THREADED_FFT_SAMPLES else 1
+    if workers == 1:
+        return transform(lines, out=out)
+    rows, dest = lines.reshape(-1, n), out.reshape(-1, n)
+    cuts = [rows.shape[0] * k // workers for k in range(workers + 1)]
+    shares = [_pool().submit(transform, rows[a:b], out=dest[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
+    transform(rows[:cuts[1]], out=dest[:cuts[1]])
+    for share in shares:
+        share.result()
+    return out
 
 
 def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
@@ -146,8 +177,8 @@ def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarra
     made for the layout is always overwritten.
     """
     lines = np.ascontiguousarray(np.moveaxis(amps, axis, -1), dtype=np.complex128)
-    return scipy.fft.fft(lines, overwrite_x=overwrite or not np.may_share_memory(lines, amps),
-                         workers=_workers(lines.size))
+    owned = overwrite or not np.may_share_memory(lines, amps)
+    return _transform(np.fft.fft, lines, lines if owned else None)
 
 
 def _summed_power(lines: np.ndarray) -> np.ndarray:
@@ -232,7 +263,7 @@ def _inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: Optional[np.ndar
         spectrum *= transfer
     else:
         spectrum = spectrum * transfer
-    lines = scipy.fft.ifft(spectrum, overwrite_x=True, workers=_workers(spectrum.size))
+    lines = _transform(np.fft.ifft, spectrum, spectrum)
     return lines if cells is None else lines[..., cells]
 
 

@@ -50,6 +50,13 @@ class TemporalSpec:
         if not math.isfinite(sigma * sigma * (reach * reach)):
             raise ValueError("the time grid's half-width t_max and the exponent "
                              "max(sigma)^2 (2 t_max)^2 must be finite")
+        # An odd grid samples t1 = t2 = 0, where |Psi| = |A0|; an even one
+        # is brightest a step off it, at |A0| exp(-min(sigma)^2 step^2).
+        step = reach / (self.n_points - 1)
+        if self.n_points % 2 == 0 and abs(self.amplitude_a0) * math.exp(
+                -min(self.sigma_plus_hz, self.sigma_minus_hz) ** 2 * step ** 2) == 0.0:
+            raise ValueError("every sample of |Psi| underflows to 0: the grid step "
+                             f"2 t_max / (n - 1) = {step:.3g} s is too coarse for the coherence times")
 
     def _t_max(self) -> float:
         return self.span_coherence_times / min(self.sigma_plus_hz, self.sigma_minus_hz)

@@ -99,8 +99,10 @@ class TestFitSinc2:
             fit_sinc2(synthetic_scan(np.full(161, 2.0), y), WAVELENGTH, 0.5)
 
     def test_failed_refine_raises_and_leaves_the_fit_fields_empty(self, monkeypatch):
+        refine = analysis.least_squares
+
         def failing(*args, **kwargs):
-            result = least_squares(*args, **kwargs)
+            result = refine(*args, **kwargs)
             result.success = False
             return result
 
@@ -112,6 +114,21 @@ class TestFitSinc2:
         stats = compute_pattern_stats(scan, wavelength_m=WAVELENGTH, slit_to_detector_m=0.5)
         assert stats.sinc_fit_width_m is None and stats.sinc_fit_residual is None
         assert stats.fwhm_m == profile_fwhm(y, np.sinc(y / FIRST_ZERO) ** 2)
+
+    def test_refine_out_of_evaluations_raises(self, monkeypatch):
+        # The refine stops at its evaluation budget and reports failure.
+        refine, calls = analysis.least_squares, []
+
+        def budget_of_three(fun, *args, **kwargs):
+            def counted(p):
+                calls.append(p)
+                return fun(p)
+            return refine(counted, *args, **{**kwargs, "max_nfev": 3})
+
+        monkeypatch.setattr(analysis, "least_squares", budget_of_three)
+        with pytest.raises(FitConvergenceError, match="no convergence in 3 evaluations"):
+            fit_sinc2(drawn_scan(1.0, 0.3e-3, 0.2e-3, 0.1, 1), WAVELENGTH, 0.5)
+        assert len(calls) == 3
 
 
 def multistart_fit_sinc2(y, v, scale):
@@ -245,6 +262,20 @@ def test_fit_of_a_noisy_pattern_is_no_worse_than_the_oracle(peak, center, width,
         reject()
     y, v = scan.positions_m, scan.coincidence
     oracle_cost = fit_cost(y, v, FIT_SCALE, multistart_fit_sinc2(y, v, FIT_SCALE))
+    assert fit_cost(y, v, FIT_SCALE, (fit.peak, fit.center_m, fit.width_m)) <= \
+        oracle_cost * (1.0 + COST_ROUNDING)
+
+
+@pytest.mark.parametrize("noise", [0.125, 0.16864400970581564])
+def test_fit_with_the_width_pinned_at_its_lower_bound(noise):
+    # The central lobe (half-width lambda L / w = 35 mm) is far wider than
+    # the +-4 mm scan, and with this noise the least cost lies on the width's
+    # lower bound: the refine holds the width there and moves the rest.
+    scan = drawn_scan(1.0, 0.0, np.exp(-11.5), noise, 5)
+    fit = fit_sinc2(scan, WAVELENGTH, 0.5)
+    y, v = scan.positions_m, scan.coincidence
+    oracle_cost = fit_cost(y, v, FIT_SCALE, multistart_fit_sinc2(y, v, FIT_SCALE))
+    assert fit.width_m == 1e-5
     assert fit_cost(y, v, FIT_SCALE, (fit.peak, fit.center_m, fit.width_m)) <= \
         oracle_cost * (1.0 + COST_ROUNDING)
 

@@ -154,6 +154,15 @@ class TestTemporal:
         assert err.startswith(f"error: config: [temporal] {body.split()[0]}: ")
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["validate-config", "temporal"])
+    def test_underflowing_grid_exit_2(self, capsys, outdir_config, command):
+        # A pitch of 3.9e7 coherence times: even the samples next to t1 = t2 = 0
+        # underflow, so every |Psi| is 0 and there is nothing to compute.
+        code, out, err = run_cli(capsys, command, outdir_config("[temporal]\nspan_coherence_times = 1e10\n"))
+        assert code == 2
+        assert err.startswith("error: config: [temporal] span_coherence_times: every sample of |Psi| underflows")
+        assert out == ""
+
     @pytest.mark.parametrize("body", ["", "omega_signal_hz = 5\nomega_idler_hz = -5\namplitude = -2.5\n",
                                       "sigma_minus_hz = 30\n"],
                              ids=["default", "carriers", "sigma-minus-30"])
@@ -327,3 +336,17 @@ def test_output_bytes_do_not_depend_on_the_core_count(tmp_path):
                               env=env, capture_output=True, check=True)
         outputs.append((done.stdout, (tmp_path / "measure_m2.csv").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def test_a_fresh_process_loads_no_scipy(tmp_path):
+    # What a user's `ghostbench <command>` imports before any work: numpy only.
+    config = write_config(tmp_path, "[grid]\nn_points = 512\n")
+    child = ("import sys\nimport ghostbench.cli\nfrom ghostbench.config import parse_config\n"
+             "parse_config(open(sys.argv[1]).read())\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", child, config], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n"

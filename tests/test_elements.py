@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,8 +8,10 @@ import scipy.fft
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, Slit, ThinLens, TransverseGrid, apply_arm,
                         reverse_arm)
-from ghostbench.elements import (_THIN_INVERSE_CELLS, _apply, _inverse, _propagate_array, _step,
-                                 _summed_power, _thin_inverse, aperture_transmission, apply_arm_along)
+from ghostbench import elements
+from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _apply, _inverse,
+                                 _propagate_array, _spectrum, _step, _summed_power, _thin_inverse,
+                                 _transform, aperture_transmission, apply_arm_along)
 
 from conftest import along, gaussian_field, numpy_propagate_array, through
 
@@ -366,3 +371,56 @@ class TestSummedPower:
         raw = rng.standard_normal((3, 96, 128)) + 1j * rng.standard_normal((3, 96, 128))
         lines = {"field": raw[0, 0], "lines": raw[0], "batch": raw}[layout]
         assert np.array_equal(_summed_power(lines), self.two_sums(lines))
+
+
+class TestSplitTransform:
+    """A batch of ``_THREADED_FFT_SAMPLES`` or more is transformed in row
+    shares on several threads; every line gives the bytes of one unsplit
+    ``numpy.fft`` call and of ``scipy.fft``, whatever the share boundaries."""
+
+    SHAPES = {"small": (7, 256), "odd-rows": (513, 512), "batch": (3, 171, 512)}
+
+    @pytest.fixture(scope="class", params=list(SHAPES))
+    def lines(self, request):
+        rng = np.random.default_rng(23)
+        shape = self.SHAPES[request.param]
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("workers", ["host", 3])
+    @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "new"])
+    @pytest.mark.parametrize("transform, oracle", [(np.fft.fft, scipy.fft.fft), (np.fft.ifft, scipy.fft.ifft)],
+                             ids=["fft", "ifft"])
+    def test_same_bytes_as_one_call(self, monkeypatch, lines, workers, in_place, transform, oracle):
+        if workers != "host":
+            monkeypatch.setattr(elements, "_FFT_WORKERS", workers)
+        assert (lines.size >= _THREADED_FFT_SAMPLES) == (lines.shape[0] != 7)
+        expected = transform(lines)
+        assert np.array_equal(expected, oracle(lines))
+        source = lines.copy()
+        got = _transform(transform, source, source if in_place else None)
+        assert np.array_equal(got, expected)
+        assert (got is source) == in_place
+        if not in_place:
+            assert np.array_equal(source, lines)
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_spectrum_overwrites_only_when_asked(self, lines, overwrite):
+        # Lines already contiguous along the axis are transformed without a
+        # layout copy, so only ``overwrite`` decides whether they are reused.
+        amps = lines.copy()
+        got = _spectrum(amps, lines.ndim - 1, overwrite)
+        assert np.array_equal(got, np.fft.fft(lines))
+        assert np.shares_memory(got, amps) == overwrite
+        if not overwrite:
+            assert np.array_equal(amps, lines)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_split_transform_in_a_forked_child(self, monkeypatch):
+        # The parent's pool threads do not survive a fork; the child must not
+        # wait on them.
+        monkeypatch.setattr(elements, "_FFT_WORKERS", 2)
+        lines = np.random.default_rng(3).standard_normal((513, 512)) + 0j
+        expected = _transform(np.fft.fft, lines, None)
+        with multiprocessing.get_context("fork").Pool(1) as children:
+            got = children.apply_async(_transform, (np.fft.fft, lines, None)).get(timeout=60)
+        assert np.array_equal(got, expected)
