@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import _propagate_array
+from .elements import _inverse, _refuse_aliasing, _spectrum, _step, _summed_power
 from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError,
                      WindowTooSmallError)
 from .experiment import BenchSpec, ScanResult, signal_conditioned_rows
@@ -313,10 +313,26 @@ class GhostImageStats:
     focus_at_edge: bool
 
 
-def _image_profile(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseGrid,
-                   wavelength_m: float, plane_m: float) -> np.ndarray:
-    moved = _propagate_array(row_amps, 1, grid, wavelength_m, plane_m)
-    return np.sum(weights[:, None] * np.abs(moved) ** 2, axis=0) * grid.spacing_m
+def _image_profiles(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseGrid, wavelength_m: float,
+                    planes_m):
+    """D1-weighted intensity of the rows at each idler plane, in order.
+
+    One spectrum of the rows, and its summed power for the band-limit
+    checks, serve every plane; each plane's step is that spectrum times
+    its transfer function, transformed back, as a lone step would be.
+    """
+    spectrum = _spectrum(row_amps, 1)
+    power = None
+    for z in planes_m:
+        if z == 0.0:
+            moved = row_amps
+        else:
+            transfer, keep = _step(grid, wavelength_m, z)
+            if not keep.all():
+                power = _summed_power(spectrum) if power is None else power
+                _refuse_aliasing(power, keep, grid, wavelength_m, z)
+            moved = _inverse(spectrum, transfer, overwrite=False)
+        yield np.sum(weights[:, None] * np.abs(moved) ** 2, axis=0) * grid.spacing_m
 
 
 def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
@@ -339,13 +355,15 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
         bench, grid, slit_a_offsets_m=(0.0, magnification_offset_m))
     planes = sweep.planes()
     widths = np.empty(planes.size)
-    for i, z in enumerate(planes):
-        profile = _image_profile(weights, rows, grid, wavelength, z)
+    base = None  # the profile at the first narrowest plane, which argmin picks
+    for i, profile in enumerate(_image_profiles(weights, rows, grid, wavelength, planes)):
         try:
             widths[i] = profile_fwhm(grid.positions, profile)
         except (FlatPatternError, WindowTooSmallError):
             # Wider than the window: no measurable image at this plane.
             widths[i] = np.inf
+        if base is None or widths[i] < widths[:i].min():
+            base = profile
     if not np.isfinite(widths).any():
         warnings.warn("no conditional image resolvable at any swept plane", stacklevel=2)
         return GhostImageStats(best_plane_m=float("nan"), fwhm_m=float("inf"),
@@ -358,8 +376,7 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
                       stacklevel=2)
     best_plane = float(planes[i_best])
 
-    shifted = _image_profile(w_off, rows_off, grid, wavelength, best_plane)
-    base = _image_profile(weights, rows, grid, wavelength, best_plane)
+    shifted = next(_image_profiles(w_off, rows_off, grid, wavelength, [best_plane]))
     y = grid.positions
     centroid_shifted = float(np.sum(shifted * y) / np.sum(shifted))
     centroid_base = float(np.sum(base * y) / np.sum(base))

@@ -363,6 +363,31 @@ def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseG
     return amps
 
 
+def apply_arm_transpose(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
+                        wavelength_m: float) -> np.ndarray:
+    """Act with the transpose of an arm's matrix on each line along the
+    last axis; ``lines`` (C-contiguous complex128) is overwritten.
+
+    Every free-space step is F^-1 diag(t) F with t even in f, a symmetric
+    matrix, and every lens or slit is diagonal; so the transpose is the
+    arm's elements in reverse order, each acting forward with its own
+    distance and focal length.  It is not :func:`reverse_arm`, which
+    negates distances and conjugates the lens: that is the inverse.  The
+    band limits are applied but not checked: a line here starts as one
+    cell, whose spectrum is flat.
+    """
+    for element in reversed(arm.elements):
+        if isinstance(element, FreeSpace):
+            if element.distance_m != 0.0:
+                spectrum = _transform(np.fft.fft, lines, lines)
+                lines = _inverse(spectrum, _step(grid, wavelength_m, element.distance_m)[0])
+        else:
+            factor = _factor(element, grid, wavelength_m)
+            if factor is not None:
+                lines *= factor
+    return lines
+
+
 def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:
     """Propagate a field through every element of an arm, in order.
 

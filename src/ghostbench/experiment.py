@@ -25,11 +25,11 @@ import numpy as np
 
 from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Open, Slit, _checked_transfer, _forward,
                        _identity, _inverse, _refuse_aliasing, _spectrum, _step, _summed_power,
-                       aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis, diagonal_factor,
-                       reverse_arm, split_last_step)
+                       aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
+                       apply_arm_transpose, diagonal_factor, reverse_arm, split_last_step)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
-from .source import SourceSpec, build_source
+from .source import SourceSpec, build_source, source_band
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,18 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
 def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """Source amplitude at the crystal plane on a shared grid.
 
-    The amplitude must be exactly symmetric, A == A.T bit for bit:
-    :func:`_toward_slit` runs the signal arm on its rows, as signal-axis
-    lines, and starts from its idler spectrum as the forward half of the
-    arm's leading step.  ``build_source`` makes it so on one grid for both
-    axes; ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A
-    source term that breaks the symmetry (a pump offset or tilt, unequal
-    grids) must first give the signal head its own lines.
+    The amplitude must be exactly symmetric, A == A.T bit for bit, for
+    the dense signal head (:func:`_toward_slit`): it runs the signal arm on
+    the rows, as signal-axis lines, and starts from the idler spectrum as
+    the forward half of the arm's leading step.  That head now serves
+    klyshko-check's 2-D route and the band-limit checks of measure and
+    ghost; their slit-A rows come from the source's band
+    (:func:`source_band`, :func:`_rows_from_band`), which reads A by its
+    columns and needs no symmetry.  The singles take the idler spectrum
+    too.  ``build_source`` makes A symmetric on one grid for both axes;
+    ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A source
+    term that breaks the symmetry (a pump offset or tilt, unequal grids)
+    must first give the signal head its own lines.
     """
     return build_source(bench.source, grid, grid)
 
@@ -176,17 +181,55 @@ def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
     return at_rows if factor is None else at_rows * factor[rows, None]
 
 
+def _slit_rows(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
+    """``(row_indices, factor)``: the rows the signal arm can leave nonzero
+    (behind slit A, the few rows the slit transmits; all rows without a
+    slit or stop behind the last step) and the product of the elements
+    behind that step (:func:`split_last_step`), or None."""
+    factor = diagonal_factor(split_last_step(arm)[2], grid, wavelength_m)
+    return (np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)), factor
+
+
 def _lit_rows(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
               spectrum: tuple | None = None, overwrite: bool = False):
     """``(row_indices, row_amplitudes)`` of the rows the signal arm can
-    leave nonzero: behind slit A, the few rows the slit transmits.  The
-    arguments are those of :func:`_toward_slit`."""
-    factor = diagonal_factor(split_last_step(arm)[2], grid, wavelength_m)
-    rows = np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
+    leave nonzero (:func:`_slit_rows`), by the dense head.  The arguments
+    are those of :func:`_toward_slit`."""
+    rows, factor = _slit_rows(arm, grid, wavelength_m)
     pending = _toward_slit(source, arm, grid, wavelength_m, spectrum, overwrite)
     inputs = (source,) if spectrum is None else (source, spectrum[0])
     owned = overwrite or not any(np.may_share_memory(pending[0], each) for each in inputs)
     return rows, _rows_behind(pending, factor, rows, overwrite=owned)
+
+
+def _band_limited(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> bool:
+    """Whether a free-space step of the arm cuts a band on the grid, so
+    its band-limit check can fail."""
+    return any(isinstance(el, FreeSpace) and el.distance_m != 0.0
+               and not _step(grid, wavelength_m, el.distance_m)[1].all() for el in arm.elements)
+
+
+def _rows_from_band(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: TransverseGrid,
+                    wavelength_m: float) -> np.ndarray:
+    """Signal rows ``rows`` behind the whole arm, idler axis at the crystal,
+    as K A: K holds the unit rows at ``rows`` sent through the arm's
+    transpose (:func:`apply_arm_transpose`), one 1-D backward kernel per
+    row, and the source A is read through its nonzero diagonals ``band``
+    (:func:`source_band`).  The product is summed diagonal by diagonal,
+    O(R N (2h + 1)), with no BLAS call.  Nothing is checked here: callers
+    run the dense head (:func:`_toward_slit`) first when the arm's band
+    limits can fail (:func:`_band_limited`)."""
+    width, n = band.shape
+    h = width // 2
+    kernel = np.zeros((rows.size, n), dtype=np.complex128)
+    kernel[np.arange(rows.size), rows] = 1.0
+    # Padded by h zero cells each side, so diagonal t reads kernel[:, j + t - h].
+    padded = np.zeros((rows.size, n + 2 * h), dtype=np.complex128)
+    padded[:, h:h + n] = apply_arm_transpose(kernel, arm, grid, wavelength_m)
+    at_rows = np.zeros((rows.size, n), dtype=np.complex128)
+    for t in range(width):
+        at_rows += padded[:, t:t + n] * band[t]
+    return at_rows
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -283,10 +326,12 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
 
     ``bench`` is one :class:`BenchSpec` (one :class:`ScanResult`) or a
     sequence of benches that differ only in the idler arm (one result
-    each), which share one source, one signal-arm pass and one idler
+    each), which share one source, one set of slit-A rows and one idler
     spectrum of the source.  D1 stays fixed as configured.  The
     coincidences follow the idler arm on the rows slit A can leave
-    nonzero.  The singles rate is the signal-axis marginal of the state
+    nonzero (:func:`_slit_rows`), taken as K A from the source's band
+    (:func:`_rows_from_band`); the dense signal head runs only where a
+    signal step's band limit cuts on the grid, to make its checks.  The singles rate is the signal-axis marginal of the state
     with only the idler arm applied (:func:`_singles_profile`): it counts
     every idler photon regardless of what happens in the signal arm, so
     signal-arm losses (slit A) cannot imprint on it.
@@ -299,14 +344,18 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise SamplingError("scan window extends outside the grid window")
     state = build_bench_state(first, grid)
     amps, arm, wavelength = state.amplitudes, first.signal_arm, state.wavelength_s_m
-    leads = _lead_step(arm) is not None
-    if not leads:  # the signal head starts in space, from the source
-        rows, at_d1 = _lit_rows(amps, arm, grid, wavelength)
+    band = source_band(first.source, grid, amps)
+    # The dense head runs only to make the band-limit checks it would make.
+    checked, leads = _band_limited(arm, grid, wavelength), _lead_step(arm) is not None
+    if checked and not leads:  # the signal head starts in space, from the source
+        _toward_slit(amps, arm, grid, wavelength)
     # Nothing reads the source after this: its idler spectrum overwrites it.
     spectrum = _spectrum(amps, 1, overwrite=True)
     power = _summed_power(spectrum)
-    if leads:  # the signal head starts from the same spectrum
-        rows, at_d1 = _lit_rows(amps, arm, grid, wavelength, (spectrum, power))
+    if checked and leads:  # the signal head starts from the same spectrum
+        _toward_slit(amps, arm, grid, wavelength, (spectrum, power))
+    rows = _slit_rows(arm, grid, wavelength)[0]
+    at_d1 = _rows_from_band(band, arm, rows, grid, wavelength)
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
@@ -337,32 +386,33 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     crystal plane, so callers can sweep idler observation planes cheaply.
     An offset shifts slit A (every slit of the signal arm), and D1 with
     it, so a point or narrow bucket D1 stays in the same place relative to
-    the slit; the magnification test uses this.  The source is built, and
-    the arm through the forward half of its last step applied to its rows
-    (:func:`_toward_slit`), once for all offsets and in place over the
-    source, unless an offset moves a slit before that step; each offset
-    then takes that step's inverse only at the rows D1 weights.
+    the slit; the magnification test uses this.  Each offset's rows are
+    the source's nonzero diagonals (:func:`source_band`) times one
+    backward kernel per row D1 weights (:func:`_rows_from_band`), so no
+    N x N array is made.  Only when a signal step's band limit cuts on
+    the grid is the source built and the dense head (:func:`_toward_slit`)
+    run, once per distinct head and in place over the source when there
+    is one, to make its band-limit checks.
     """
     arms = [replace(bench.signal_arm, elements=tuple(
         replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
         for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
-    source = build_bench_state(bench, grid).amplitudes
-    # Nothing else reads the source: the head overwrites it unless some
-    # offset moves a slit before the last step.
-    in_place = len({split_last_step(arm)[0] for arm in arms}) == 1
-    shared_head = pending = None
+    wavelength = bench.source.lambda_signal_m
+    source = None
+    if _band_limited(bench.signal_arm, grid, wavelength):
+        source = build_bench_state(bench, grid).amplitudes
+    band = source_band(bench.source, grid, source)
+    if source is not None:
+        # An offset that moves a slit before the last step changes the head.
+        heads = {split_last_step(arm)[0]: arm for arm in arms}
+        for arm in heads.values():
+            _toward_slit(source, arm, grid, wavelength, overwrite=len(heads) == 1)
     conditioned = []
-    for k, (offset, arm) in enumerate(zip(slit_a_offsets_m, arms)):
-        head, _, tail = split_last_step(arm)
-        if head != shared_head:  # first offset, or a slit before the last step moved
-            shared_head, pending = head, _toward_slit(source, arm, grid, bench.source.lambda_signal_m,
-                                                      overwrite=in_place)
+    for offset, arm in zip(slit_a_offsets_m, arms):
         weights = _d1_weights(replace(bench, signal_arm=arm,
                                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
         rows = np.nonzero(weights > 0)[0]
-        at_d1 = _rows_behind(pending, diagonal_factor(tail, grid, bench.source.lambda_signal_m), rows,
-                             overwrite=k == len(slit_a_offsets_m) - 1)
-        conditioned.append((rows, weights[rows], at_d1))
+        conditioned.append((rows, weights[rows], _rows_from_band(band, arm, rows, grid, wavelength)))
     return conditioned
 
 

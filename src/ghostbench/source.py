@@ -24,6 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import BiphotonAmplitude, TransverseGrid
 
 _ENERGY_CONSERVATION_RTOL = 1e-6
+# Entries of a peak-scaled matrix below this are zeros to the Schmidt number.
+_FLUSH_BELOW = 1e-150
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,25 @@ def _peak_slices(spec: SourceSpec, grid: TransverseGrid):
     return pump_ij[:, c] * corr_ij[:, c], pump_ij[c] * corr_ij[c]
 
 
+def _unit_tables(spec: SourceSpec, grid: TransverseGrid):
+    """:func:`_tables` of the entangled source with its unit-norm factor
+    folded into the pump table.  The sum of |A|^2 is taken over the views
+    of the squared tables, so no N x N temporary is made."""
+    n, dy = grid.n_points, grid.spacing_m
+    pump, corr = _tables(spec, grid)
+    pump *= 1.0 / float(np.sqrt(np.einsum("ij,ij->", *_views(pump ** 2, corr ** 2, n)) * dy * dy))
+    return pump, corr
+
+
+def _unit_slices(spec: SourceSpec, grid: TransverseGrid):
+    """:func:`_peak_slices`, each normalized on its own: the separable
+    source's two factors."""
+    f, g = _peak_slices(spec, grid)
+    f *= 1.0 / float(np.sqrt(np.sum(f ** 2) * grid.spacing_m))
+    g *= 1.0 / float(np.sqrt(np.sum(g ** 2) * grid.spacing_m))
+    return f, g
+
+
 def _joint(left: np.ndarray, right: np.ndarray, spec: SourceSpec, grid_s: TransverseGrid,
            grid_i: TransverseGrid) -> BiphotonAmplitude:
     """The product of two real arrays that broadcast to N x N, written in one
@@ -111,17 +132,13 @@ def build_biphoton(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseG
     """Entangled double-Gaussian joint amplitude, normalized to unit norm.
 
     A[i, j] = pump[i + j] * corr[i - j + N - 1] (:func:`_tables`), with
-    the normalization folded into the pump table.  The sum of |A|^2 is
-    taken over the views of the squared tables, so no N x N temporary is
-    made; A is exactly symmetric.
+    the normalization folded into the pump table (:func:`_unit_tables`);
+    A is exactly symmetric.
     """
     if spec.kind != "entangled":
         raise ValueError(f"build_biphoton requires kind='entangled', got {spec.kind!r}")
     _require_matching_grids(grid_s, grid_i)
-    n, dy = grid_s.n_points, grid_s.spacing_m
-    pump, corr = _tables(spec, grid_s)
-    pump *= 1.0 / float(np.sqrt(np.einsum("ij,ij->", *_views(pump ** 2, corr ** 2, n)) * dy * dy))
-    return _joint(*_views(pump, corr, n), spec, grid_s, grid_i)
+    return _joint(*_views(*_unit_tables(spec, grid_s), grid_s.n_points), spec, grid_s, grid_i)
 
 
 def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
@@ -137,9 +154,7 @@ def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: Transverse
     if spec.kind != "separable":
         raise ValueError(f"build_separable requires kind='separable', got {spec.kind!r}")
     _require_matching_grids(grid_s, grid_i)
-    f, g = _peak_slices(spec, grid_s)
-    f *= 1.0 / float(np.sqrt(np.sum(f ** 2) * grid_s.spacing_m))
-    g *= 1.0 / float(np.sqrt(np.sum(g ** 2) * grid_i.spacing_m))
+    f, g = _unit_slices(spec, grid_s)
     return _joint(f[:, None], g[None, :], spec, grid_s, grid_i)
 
 
@@ -148,6 +163,52 @@ def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGri
     if spec.kind == "separable":
         return build_separable(spec, grid_s, grid_i)
     return build_biphoton(spec, grid_s, grid_i)
+
+
+def _band_half(spec: SourceSpec, grid: TransverseGrid) -> int:
+    """The largest |i - j| at which the source can be nonzero.
+
+    Entangled, it is where the correlation table underflows to 0.0 (12
+    cells for 13 um at the reference pitch); separable, the span of the
+    cells where the factor through the peak is nonzero.
+    """
+    n = grid.n_points
+    if spec.kind == "separable":
+        lit = np.flatnonzero(_peak_slices(spec, grid)[0])  # never empty: the peak cell is 1
+        return int(lit[-1] - lit[0])
+    return int(np.max(np.abs(np.flatnonzero(_tables(spec, grid)[1]) - (n - 1)), initial=0))
+
+
+def source_band(spec: SourceSpec, grid: TransverseGrid, built: np.ndarray | None = None) -> np.ndarray:
+    """The source's nonzero diagonals: the real (2h + 1) x N array
+    ``band[t, j] = A[j + t - h, j]``, 0 where j + t - h leaves the grid.
+
+    Off its 2h + 1 central diagonals (:func:`_band_half`) the source is
+    exactly 0.0, so ``band`` holds every nonzero entry of
+    :func:`build_source` on one grid, bit for bit: the same tables and
+    norm give the same products.  ``built``, that source's amplitudes when
+    the caller holds them, is read instead of evaluating the norm again.
+    """
+    n, h = grid.n_points, _band_half(spec, grid)
+    if built is not None:
+        def diagonal(d, lo, hi):
+            return built.diagonal(-d).real
+    elif spec.kind == "separable":
+        f, g = _unit_slices(spec, grid)
+
+        def diagonal(d, lo, hi):
+            return f[lo + d:hi + d] * g[lo:hi]
+    else:
+        pump, corr = _unit_tables(spec, grid)
+
+        def diagonal(d, lo, hi):  # pump[i + j] * corr[i - j + N - 1] at i = j + d
+            return pump[2 * lo + d:2 * hi + d - 1:2] * corr[n - 1 + d]
+    band = np.zeros((2 * h + 1, n))
+    for t in range(2 * h + 1):
+        d = t - h  # band[t] is the diagonal A[j + d, j], for lo <= j < hi
+        lo, hi = max(0, -d), n - max(0, d)
+        band[t, lo:hi] = diagonal(d, lo, hi)
+    return band
 
 
 def _matrix_schmidt_number(matrix: np.ndarray) -> float:
@@ -166,6 +227,10 @@ def _matrix_schmidt_number(matrix: np.ndarray) -> float:
     if peak == 0.0:
         raise ValueError("cannot compute the Schmidt number of a zero amplitude")
     m = m / peak
+    # Products of entries this small underflow, and underflow is slow.  As
+    # zeros they move a Gram entry by under N * 1e-150, far below one
+    # rounding step of either moment (the peak entry alone gives 1).
+    m[np.abs(m) < _FLUSH_BELOW] = 0.0
     gram = m.conj().T @ m
     return float(np.vdot(m, m).real ** 2 / np.vdot(gram, gram).real)
 

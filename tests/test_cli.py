@@ -222,10 +222,15 @@ class TestValidateAndErrors:
 
 
 class TestWorkCounts:
-    """Each command builds the source once, runs the dense signal arm once
-    and the dense idler arm never.  The signal arm's dense head runs on the
-    source's rows in ``_toward_slit``; any dense pass of an arm along an
-    axis of the joint amplitude goes through ``apply_arm_to_axis``."""
+    """Each command builds the source at most once and never runs a dense
+    idler pass.  measure and ghost take slit A's rows from the source's
+    band and one backward kernel per row, so they run the signal arm's
+    dense head (``_toward_slit``) only where a signal step's band limit
+    cuts on the grid, to make its checks; measure still builds the source
+    for the singles, ghost builds it only for that check.  klyshko-check
+    keeps the dense head as its oracle's partner.  Any dense pass of an
+    arm along an axis of the joint amplitude goes through
+    ``apply_arm_to_axis``."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
@@ -241,11 +246,11 @@ class TestWorkCounts:
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
         monkeypatch.setattr(experiment, "_toward_slit", counting(experiment._toward_slit, "signal"))
         monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
-        # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
-        base = "[grid]\nn_points = 128\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
 
-        def run(command, extra=""):
+        # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
+        def run(command, extra="", n_points=128):
             calls.clear()
+            base = f"[grid]\nn_points = {n_points}\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert main([command, outdir_config(base + extra)]) == 0
@@ -257,10 +262,16 @@ class TestWorkCounts:
         # No dense idler pass, whatever the number of scans: the coincidences
         # follow the idler arm on slit A's rows, and every scan's singles
         # start from the one idler spectrum of the source.
-        assert counted(command) == {"build": 1, "signal": 1, "idler": 0}
+        assert counted(command) == {"build": 1, "signal": 0, "idler": 0}
 
     def test_ghost(self, counted):
-        assert counted("ghost") == {"build": 1, "signal": 1, "idler": 0}
+        assert counted("ghost") == {"build": 0, "signal": 0, "idler": 0}
+
+    @pytest.mark.parametrize("command", ["measure-m2", "ghost"])
+    def test_band_limited_head_runs_the_dense_check(self, counted, command):
+        # At 384 points over +-7.5 mm the 1 m step before slit A keeps
+        # 1.07e4 of 1.28e4 cycles/m, and passes its check.
+        assert counted(command, n_points=384) == {"build": 1, "signal": 1, "idler": 0}
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):

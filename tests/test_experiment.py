@@ -14,7 +14,9 @@ from dataclasses import replace
 from ghostbench.elements import (_forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis,
                                  diagonal_factor, split_last_step)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import _lit_rows, _rows_behind, build_bench_state, signal_conditioned_rows
+from ghostbench.experiment import (_band_limited, _lit_rows, _rows_behind, _rows_from_band, _slit_rows,
+                                   build_bench_state, signal_conditioned_rows)
+from ghostbench.source import source_band
 
 from conftest import dense_scan
 
@@ -335,9 +337,10 @@ HEAD_BENCHES = {
 
 
 class TestHeadOnRows:
-    """The source is symmetric, so the signal head runs on its rows, from the
-    source's idler spectrum when the arm leads with a free-space step; the
-    rows at slit A have the bytes of the head run on a transposed copy."""
+    """The source is symmetric, so klyshko-check's signal head runs on its
+    rows, from the source's idler spectrum when the arm leads with a
+    free-space step; the rows at slit A have the bytes of the head run on
+    a transposed copy."""
 
     # A 3 mm slit A right behind the lens leaves more rows lit than the thin
     # inverse takes, so the lead step's full inverse runs on the spectrum.
@@ -361,21 +364,99 @@ class TestHeadOnRows:
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             assert np.array_equal(source, before) and np.array_equal(spectrum, spectrum_before)
 
+
+def slit_before_lens(bench):
+    """The bench with a 2 mm slit between the crystal and the lens."""
+    elements = bench.signal_arm.elements
+    return replace(bench, signal_arm=replace(bench.signal_arm, elements=(elements[0], Slit(2e-3)) + elements[1:]))
+
+
+def without_signal_slit(bench):
+    arm = bench.signal_arm
+    return replace(bench, signal_arm=replace(arm, elements=tuple(el for el in arm.elements
+                                                                 if not isinstance(el, Slit))))
+
+
+def dense_signal_rows(bench, grid, rows):
+    """Rows of the joint amplitude after the signal arm, by the dense route
+    (:func:`propagate_bench`'s signal half)."""
+    return apply_arm_to_axis(build_bench_state(bench, grid), bench.signal_arm, "signal").amplitudes[rows]
+
+
+def near(got, expected, rtol=1e-13):
+    """``got`` matches ``expected`` to ``rtol`` of the peak of ``expected``."""
+    return got.shape == expected.shape and np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+# Benches whose slit-A rows the band route must take as the dense route does.
+BAND_BENCHES = {
+    "reference": lambda: default_bench(),
+    "separable": lambda: default_bench(source_kind="separable"),
+    "nondegenerate": lambda: default_bench(signal_wavelength_m=650e-9, idler_wavelength_m=763.5162261625964e-9),
+    "point-d1": lambda: default_bench(d1_mode="point", d1_position_m=30e-6),
+    "slit-a-offset": lambda: default_bench(slit_a_center_m=0.3e-3),
+    "no-signal-slit": lambda: without_signal_slit(default_bench()),
+}
+
+
+class TestRowsFromBand:
+    """measure and ghost take the signal rows behind slit A as K A: the
+    unit rows sent back through the arm's transpose, times the source read
+    through its nonzero diagonals.  The dense signal arm on the whole
+    source is the oracle; the two sum in different orders, so they agree
+    to rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("make", BAND_BENCHES.values(), ids=BAND_BENCHES.keys())
+    def test_rows_match_dense_signal_arm(self, grid, make):
+        bench = make()
+        arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
+        rows = _slit_rows(arm, grid, wavelength)[0]
+        got = _rows_from_band(source_band(bench.source, grid), arm, rows, grid, wavelength)
+        assert near(got, dense_signal_rows(bench, grid, rows))
+
+    @pytest.mark.parametrize("make", [BAND_BENCHES[k] for k in ("reference", "separable", "point-d1")],
+                             ids=["reference", "separable", "point-d1"])
+    def test_conditioned_rows_match_dense_signal_arm(self, grid, make):
+        bench = replace(make(), idler_arm=default_bench(slit_b="open").idler_arm)
+        offsets = (0.0, 0.3e-3)
+        for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
+            moved = replace(bench, signal_arm=shifted(bench.signal_arm, offset))
+            assert near(amps, dense_signal_rows(moved, grid, rows))
+
     @pytest.mark.parametrize("name", [*HEAD_BENCHES, "slit-before-lens"])
-    def test_conditioned_rows_equal_transposed_copy_route(self, grid, name):
-        # Ghost runs the head in place over the source's spectrum, unless an
-        # offset moves a slit before the last step (here a 2 mm slit before
-        # the lens); each offset then starts afresh from the spectrum.
+    def test_conditioned_rows_match_head_route(self, grid, name):
+        # Heads that start with a free-space step, with the lens, none at
+        # all, and a slit before the lens, which each offset moves.
         bench = default_bench(slit_b="open", **HEAD_BENCHES.get(name, {}))
         if name == "slit-before-lens":
-            elements = bench.signal_arm.elements
-            bench = replace(bench, signal_arm=replace(bench.signal_arm,
-                                                      elements=(elements[0], Slit(2e-3)) + elements[1:]))
+            bench = slit_before_lens(bench)
         offsets = (0.0, 0.5e-3, -0.3e-3)
         state = build_bench_state(bench, grid)
         for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
-            expected = transposed_copy_rows(state, shifted(bench.signal_arm, offset), rows)
-            assert amps.shape == expected.shape and amps.tobytes() == expected.tobytes()
+            assert near(amps, transposed_copy_rows(state, shifted(bench.signal_arm, offset), rows))
+
+    @pytest.mark.parametrize("name", ["reference", "slit-before-lens"])
+    def test_check_path_rows_match_dense(self, name):
+        # At 2048 points over +-15 mm the 1 m step before slit A cuts its
+        # band (2.14e4 of 3.41e4 cycles/m) and passes its check, so the
+        # dense head runs for the check and the rows still come from K A.
+        grid = TransverseGrid(2048, 15e-3)
+        bench = default_bench(slit_b="open")
+        if name == "slit-before-lens":
+            bench = slit_before_lens(bench)
+        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        offsets = (0.0, 0.5e-3)
+        for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
+            moved = replace(bench, signal_arm=shifted(bench.signal_arm, offset))
+            assert near(amps, dense_signal_rows(moved, grid, rows))
+
+    def test_scan_on_band_limited_grid_matches_dense_route(self, scan_window):
+        grid = TransverseGrid(2048, 15e-3)
+        bench = default_bench(slit_b="open")
+        scan = run_coincidence_scan(bench, scan_window, grid)
+        coincidence, singles = dense_scan(bench, scan_window, grid)
+        assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
+        assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
 
 
 # Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
@@ -482,7 +563,8 @@ class TestPeakMemory:
     N x N complex arrays at once: the source (or its idler spectrum) and
     the signal arm's one intermediate, which every lens, slit and forward
     transform overwrites.  A lens product into a new array holds 3.  Ghost
-    holds about one: its head overwrites the source's spectrum."""
+    holds about one when its band-limit check runs the dense head, which
+    overwrites the source's spectrum, and no N x N array otherwise."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -500,6 +582,14 @@ class TestPeakMemory:
 
     def test_ghost_peak_at_most_one_and_a_half_arrays(self):
         assert self.peak(self.CALLS["ghost"]) <= 1.5 * self.GRID.n_points ** 2 * 16
+
+    def test_ghost_without_a_band_limited_head_makes_no_n_by_n_array(self):
+        # No signal step cuts its band on this grid, so ghost builds no
+        # source: it reads the source's band and holds a few rows.  A
+        # quarter of one complex N x N array is half of a real one.
+        bench = default_bench(slit_b="open")
+        assert not _band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
+        assert self.peak(self.CALLS["ghost"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
     def peak(self, call):
         with warnings.catch_warnings():

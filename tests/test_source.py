@@ -3,7 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ghostbench import SourceSpec, TransverseGrid, build_biphoton, build_separable, build_source, schmidt_number
-from ghostbench.source import _peak_slices, _tables
+from ghostbench.source import _peak_slices, _tables, source_band
 
 PUMP_RADIUS = 1.5e-3
 
@@ -262,3 +262,52 @@ class TestBuildBytes:
         grid = TransverseGrid(n_points, extent_m)
         amps = build_source(SourceSpec(kind=kind, **spec_args), grid, grid).amplitudes
         assert amps.tobytes() == np.ascontiguousarray(amps.T).tobytes()
+
+
+def from_band(band, n_points):
+    """The N x N matrix whose diagonals ``band[t, j] = A[j + t - h, j]`` are."""
+    h = band.shape[0] // 2
+    dense = np.zeros((n_points, n_points))
+    j = np.arange(n_points)
+    for t, diagonal in enumerate(band):
+        i = j + t - h
+        inside = (i >= 0) & (i < n_points)
+        dense[i[inside], j[inside]] = diagonal[inside]
+    return dense
+
+
+# Entangled and separable at the reference grid, a correlation as wide as
+# the pump (every diagonal nonzero), and an odd point count.
+BAND_BENCHES = {
+    "entangled": ({}, 1024, 15e-3),
+    "separable": ({"kind": "separable"}, 1024, 15e-3),
+    "wide-correlation": ({"pump_diameter_m": 1e-3, "correlation_width_m": 1e-3}, 129, 2e-3),
+    "wide-separable": ({"kind": "separable", "pump_diameter_m": 1e-3, "correlation_width_m": 1e-3}, 129, 2e-3),
+    "odd-n": ({}, 1023, 15e-3),
+    "odd-n-separable": ({"kind": "separable"}, 1023, 15e-3),
+}
+
+
+class TestSourceBand:
+    """measure and ghost read the source through its nonzero diagonals."""
+
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", BAND_BENCHES.values(), ids=BAND_BENCHES.keys())
+    def test_equals_build_source_on_the_band_and_zero_off_it(self, spec_args, n_points, extent_m):
+        spec = SourceSpec(**spec_args)
+        grid = TransverseGrid(n_points, extent_m)
+        built = build_source(spec, grid, grid).amplitudes
+        band = source_band(spec, grid)
+        assert band.shape[1] == n_points and band.shape[0] % 2 == 1
+        # Evaluated from the tables, or read off the built source: the same bits.
+        assert band.tobytes() == source_band(spec, grid, built).tobytes()
+        assert not np.any(built.imag)
+        assert from_band(band, n_points).tobytes() == built.real.tobytes()
+
+    @pytest.mark.parametrize("name, half", [("entangled", 12), ("wide-correlation", 128)])
+    def test_band_half_width(self, name, half):
+        # 13 um correlation at the 29.3 um reference pitch underflows to 0.0
+        # beyond 12 cells; as wide as the pump, it fills the whole matrix.
+        spec_args, n_points, extent_m = BAND_BENCHES[name]
+        band = source_band(SourceSpec(**spec_args), TransverseGrid(n_points, extent_m))
+        assert band.shape[0] == 2 * half + 1
+        assert np.any(band[0]) and np.any(band[-1])

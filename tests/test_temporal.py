@@ -109,3 +109,15 @@ class TestFactorability:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             factorability_check(np.zeros((8, 8)))
+
+    @pytest.mark.parametrize("sigmas", [(1.0, 10.0), (2.0, 3.0), (1.0, 30.0), (0.5, 10.0)],
+                             ids=["1-10", "2-3", "1-30", "0.5-10"])
+    def test_flushing_tiny_entries_keeps_the_bits(self, sigmas):
+        # Entries below 1e-150 of the peak are set to 0 before the Gram
+        # (60% of them at 1-10, none at 2-3); K keeps every bit of the two
+        # moments taken without that.
+        magnitude = np.abs(eval_biphoton_wavepacket(TemporalSpec(*sigmas)))
+        m = magnitude / magnitude.max()
+        gram = m.T @ m
+        unflushed = float(np.vdot(m, m).real ** 2 / np.vdot(gram, gram).real)
+        assert factorability_check(magnitude) == unflushed
