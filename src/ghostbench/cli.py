@@ -37,13 +37,17 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _write_csv(config: RunConfig, command: str, name: str, lines: list[str]):
     """Write the config header and ``lines`` to ``name`` in the output directory."""
-    directory = Path(config.output_directory)
-    directory.mkdir(parents=True, exist_ok=True)
     header = [f"# ghostbench {__version__}", f"# command = {command}", "# config:"]
     header += [f"# {line}" if line else "#" for line in render_config(config).splitlines()]
+    directory = Path(config.output_directory)
     path = directory / name
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        file = path.open("w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {name} to [output] directory {directory}: {exc}") from None
     # Line by line, so a large CSV is never also held as one string.
-    with path.open("w") as file:
+    with file:
         file.writelines(line + "\n" for line in header + lines)
     print(f"csv = {path}")
 

@@ -282,67 +282,60 @@ def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, waveleng
     return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
-def _identity(element: OpticalElement) -> bool:
-    """Whether the element leaves every field as it is: ``Open`` or a
-    zero-distance step."""
-    return isinstance(element, Open) or (isinstance(element, FreeSpace) and element.distance_m == 0.0)
+def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
+    """The arm read once, as ``(distance_m, factor)`` pairs in order.
 
-
-def _factor(element: OpticalElement, grid: TransverseGrid, wavelength_m: float) -> Optional[np.ndarray]:
-    """Per-cell factor of an element that acts cell by cell (lens, slit);
-    None for an identity (:func:`_identity`)."""
-    if _identity(element):
-        return None
-    if isinstance(element, ThinLens):
-        factor = _lens_phase(grid, wavelength_m, element.focal_m)
-        if element.aperture_diameter_m is not None:
-            factor = factor * aperture_transmission(grid, element.aperture_diameter_m, 0.0)
-        return factor
-    if isinstance(element, Slit):
-        return aperture_transmission(grid, element.width_m, element.center_m)
-    raise TypeError(f"unknown optical element {element!r}")
-
-
-def diagonal_factor(elements, grid: TransverseGrid, wavelength_m: float) -> Optional[np.ndarray]:
-    """Product of the per-cell factors of elements that all act cell by
-    cell; None when every one is an identity."""
-    factor = None
-    for element in elements:
-        f = _factor(element, grid, wavelength_m)
-        if f is not None:
-            factor = f if factor is None else factor * f
-    return factor
-
-
-def split_last_step(arm: ArmSpec):
-    """``(head, step, tail)``: the arm's last free-space step of nonzero
-    distance, the elements before it, and those behind it, which all act
-    cell by cell.  ``step`` is None, and ``head`` empty, when the arm has
-    no such step."""
-    elements = arm.elements
-    steps = [i for i, el in enumerate(elements) if isinstance(el, FreeSpace) and el.distance_m != 0.0]
-    if not steps:
-        return (), None, elements
-    return elements[:steps[-1]], elements[steps[-1]], elements[steps[-1] + 1:]
-
-
-def _apply(amps: np.ndarray, element: OpticalElement, axis: int, grid: TransverseGrid,
-           wavelength_m: float, overwrite: bool = False) -> np.ndarray:
-    """Act with one element along one array axis; the other axes are untouched.
-
-    ``amps`` is modified only when ``overwrite`` is set.
+    Each free-space step of nonzero distance is one pair, with ``factor``
+    the product, in element order, of the per-cell factors of the lenses
+    and slits behind it up to the next step, or None when there are none.
+    Lenses and slits before the first step make a leading ``(0.0,
+    factor)`` pair.  Zero-distance steps and ``Open`` leave every field as
+    it is and are dropped.  Every pass through an arm walks these pairs.
     """
-    if isinstance(element, FreeSpace):
-        return _propagate_array(amps, axis, grid, wavelength_m, element.distance_m, overwrite)
-    factor = _factor(element, grid, wavelength_m)
-    if factor is None:
-        return amps
+    steps = []
+    for element in arm.elements:
+        if isinstance(element, FreeSpace):
+            if element.distance_m != 0.0:
+                steps.append((element.distance_m, None))
+            continue
+        if isinstance(element, ThinLens):
+            factor = _lens_phase(grid, wavelength_m, element.focal_m)
+            if element.aperture_diameter_m is not None:
+                factor = factor * aperture_transmission(grid, element.aperture_diameter_m, 0.0)
+        elif isinstance(element, Slit):
+            factor = aperture_transmission(grid, element.width_m, element.center_m)
+        elif isinstance(element, Open):
+            continue
+        else:
+            raise TypeError(f"unknown optical element {element!r}")
+        distance, behind = steps.pop() if steps else (0.0, None)
+        steps.append((distance, factor if behind is None else behind * factor))
+    return steps
+
+
+def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
+                      wavelength_m: float, overwrite: bool = False) -> np.ndarray:
+    """Act with an arm's steps (:func:`arm_steps`), in order, along one
+    array axis; the other axes are untouched.
+
+    Each step overwrites the arm's own complex intermediate; ``amps`` is
+    overwritten too only when ``overwrite`` is set (it must then be
+    complex128).
+    """
+    owned = overwrite
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
-    if overwrite:
-        amps *= factor.reshape(shape)
-        return amps
-    return amps * factor.reshape(shape)
+    for distance, factor in steps:
+        if distance != 0.0:
+            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned), True
+        if factor is None:
+            continue
+        if owned:
+            amps *= factor.reshape(shape)
+        else:
+            amps = amps * factor.reshape(shape)
+            owned = amps.dtype == np.complex128
+    return amps
 
 
 def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseGrid,
@@ -350,17 +343,10 @@ def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseG
     """Act with every element of an arm, in order, along one array axis.
 
     Every 1-D slice along ``axis`` is one field on ``grid``; the other
-    axes are untouched, so an array of rows is a batch of fields.  Each
-    step overwrites the arm's own complex intermediate; ``amps`` is
-    overwritten too only when ``overwrite`` is set (it must then be
-    complex128).
+    axes are untouched, so an array of rows is a batch of fields.  The
+    overwrite rules are those of :func:`apply_steps_along`.
     """
-    owned = overwrite
-    for element in arm.elements:
-        out = _apply(amps, element, axis, grid, wavelength_m, overwrite=owned)
-        owned = owned or (out is not amps and out.dtype == np.complex128)
-        amps = out
-    return amps
+    return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), axis, grid, wavelength_m, overwrite)
 
 
 def apply_arm_transpose(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
@@ -370,21 +356,18 @@ def apply_arm_transpose(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
 
     Every free-space step is F^-1 diag(t) F with t even in f, a symmetric
     matrix, and every lens or slit is diagonal; so the transpose is the
-    arm's elements in reverse order, each acting forward with its own
-    distance and focal length.  It is not :func:`reverse_arm`, which
-    negates distances and conjugates the lens: that is the inverse.  The
-    band limits are applied but not checked: a line here starts as one
-    cell, whose spectrum is flat.
+    arm's steps in reverse order, each factor before its step, each acting
+    forward with its own distance and focal length.  It is not
+    :func:`reverse_arm`, which negates distances and conjugates the lens:
+    that is the inverse.  The band limits are applied but not checked: a
+    line here starts as one cell, whose spectrum is flat.
     """
-    for element in reversed(arm.elements):
-        if isinstance(element, FreeSpace):
-            if element.distance_m != 0.0:
-                spectrum = _transform(np.fft.fft, lines, lines)
-                lines = _inverse(spectrum, _step(grid, wavelength_m, element.distance_m)[0])
-        else:
-            factor = _factor(element, grid, wavelength_m)
-            if factor is not None:
-                lines *= factor
+    for distance, factor in reversed(arm_steps(arm, grid, wavelength_m)):
+        if factor is not None:
+            lines *= factor
+        if distance != 0.0:
+            spectrum = _transform(np.fft.fft, lines, lines)
+            lines = _inverse(spectrum, _step(grid, wavelength_m, distance)[0])
     return lines
 
 

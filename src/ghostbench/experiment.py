@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Open, Slit, _checked_transfer, _forward,
-                       _identity, _inverse, _refuse_aliasing, _spectrum, _step, _summed_power,
-                       aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
-                       apply_arm_transpose, diagonal_factor, reverse_arm, split_last_step)
+from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Slit, _checked_transfer, _forward, _inverse,
+                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
+                       apply_arm_along, apply_arm_to_axis, apply_arm_transpose, apply_steps_along, arm_steps,
+                       reverse_arm)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, build_source, source_band
@@ -87,9 +87,10 @@ def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitu
     """Source amplitude at the crystal plane on a shared grid.
 
     The amplitude must be exactly symmetric, A == A.T bit for bit, for
-    the dense signal head (:func:`_toward_slit`): it runs the signal arm on
-    the rows, as signal-axis lines, and starts from the idler spectrum as
-    the forward half of the arm's leading step.  That head now serves
+    the dense signal head (:func:`_toward_slit`): it runs the signal arm's
+    steps (:func:`arm_steps`) on the rows, as signal-axis lines, and
+    starts from the idler spectrum as the forward half of the arm's first
+    step when that step has a nonzero distance.  The head serves
     klyshko-check's 2-D route and the band-limit checks of measure and
     ghost; their slit-A rows come from the source's band
     (:func:`source_band`, :func:`_rows_from_band`), which reads A by its
@@ -130,44 +131,36 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
 
 
-def _lead_step(arm: ArmSpec) -> int | None:
-    """Index of the arm's first element that is not an identity, when that
-    element is a free-space step; None otherwise."""
-    lead = next((i for i, el in enumerate(arm.elements) if not _identity(el)), None)
-    return lead if lead is not None and isinstance(arm.elements[lead], FreeSpace) else None
-
-
 def _toward_slit(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
                  spectrum: tuple | None = None, overwrite: bool = False):
-    """The signal arm up to its last free-space step, and that step's
-    forward half, on the rows of ``source``: ``(spectrum, transfer)``, the
-    spectrum along the last axis.  Without such a step, ``(lines, None)``
-    in space.
+    """The signal arm's steps (:func:`arm_steps`) but the last, and the
+    last step's forward half, on the rows of ``source``: ``(spectrum,
+    transfer)``, the spectrum along the last axis.  Without a free-space
+    step, ``(source, None)`` in space.
 
     The source is symmetric (:func:`build_bench_state`), so its rows are
     its signal-axis lines, and when the arm leads with a free-space step
-    (:func:`_lead_step`) the source's idler spectrum is that step's
-    forward half.  ``spectrum`` is ``(spectrum, power)``, that spectrum and
-    its summed power, when the caller holds them; otherwise the spectrum
-    is taken here when needed.  ``source`` and ``spectrum`` are
-    overwritten only when ``overwrite`` is set.
+    (a first step of nonzero distance) the source's idler spectrum is that
+    step's forward half.  ``spectrum`` is ``(spectrum, power)``, that
+    spectrum and its summed power, when the caller holds them; otherwise
+    the spectrum is taken here when needed.  ``source`` and ``spectrum``
+    are overwritten only when ``overwrite`` is set.
     """
-    head, step, _ = split_last_step(arm)
-    lead = _lead_step(arm)
+    steps = arm_steps(arm, grid, wavelength_m)
+    if not steps or steps[-1][0] == 0.0:
+        return source, None
     lines, owned = source, overwrite
-    if lead is not None:
+    if steps[0][0] != 0.0:
         if spectrum is None:
             spectrum, owned = (_spectrum(source, 1, overwrite), None), True
         lines, power = spectrum
-        transfer = _checked_transfer(lines, grid, wavelength_m, arm.elements[lead].distance_m, power)
-        if lead == len(head):  # the leading step is the last one
+        transfer = _checked_transfer(lines, grid, wavelength_m, steps[0][0], power)
+        if len(steps) == 1:  # the leading step is the last one
             return lines, transfer
         lines = _inverse(lines, transfer, overwrite=owned)
-        head, owned = head[lead + 1:], True
-    at_step = apply_arm_along(lines, replace(arm, elements=head), 1, grid, wavelength_m, owned)
-    if step is None:
-        return at_step, None
-    return _forward(at_step, 1, grid, wavelength_m, step.distance_m,
+        steps[0], owned = (0.0, steps[0][1]), True  # the step is done; its factor is not
+    at_step = apply_steps_along(lines, steps[:-1], 1, grid, wavelength_m, owned)
+    return _forward(at_step, 1, grid, wavelength_m, steps[-1][0],
                     overwrite=owned or not np.may_share_memory(at_step, lines))
 
 
@@ -184,41 +177,40 @@ def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
 def _slit_rows(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
     """``(row_indices, factor)``: the rows the signal arm can leave nonzero
     (behind slit A, the few rows the slit transmits; all rows without a
-    slit or stop behind the last step) and the product of the elements
-    behind that step (:func:`split_last_step`), or None."""
-    factor = diagonal_factor(split_last_step(arm)[2], grid, wavelength_m)
+    slit or stop behind the last step) and the last step's factor
+    (:func:`arm_steps`), or None."""
+    steps = arm_steps(arm, grid, wavelength_m)
+    factor = steps[-1][1] if steps else None
     return (np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)), factor
 
 
-def _lit_rows(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
-              spectrum: tuple | None = None, overwrite: bool = False):
+def _lit_rows(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
     """``(row_indices, row_amplitudes)`` of the rows the signal arm can
-    leave nonzero (:func:`_slit_rows`), by the dense head.  The arguments
-    are those of :func:`_toward_slit`."""
+    leave nonzero (:func:`_slit_rows`), by the dense head
+    (:func:`_toward_slit`); ``source`` is left as it is."""
     rows, factor = _slit_rows(arm, grid, wavelength_m)
-    pending = _toward_slit(source, arm, grid, wavelength_m, spectrum, overwrite)
-    inputs = (source,) if spectrum is None else (source, spectrum[0])
-    owned = overwrite or not any(np.may_share_memory(pending[0], each) for each in inputs)
-    return rows, _rows_behind(pending, factor, rows, overwrite=owned)
+    pending = _toward_slit(source, arm, grid, wavelength_m)
+    return rows, _rows_behind(pending, factor, rows, overwrite=not np.may_share_memory(pending[0], source))
 
 
 def _band_limited(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> bool:
     """Whether a free-space step of the arm cuts a band on the grid, so
     its band-limit check can fail."""
-    return any(isinstance(el, FreeSpace) and el.distance_m != 0.0
-               and not _step(grid, wavelength_m, el.distance_m)[1].all() for el in arm.elements)
+    return any(distance != 0.0 and not _step(grid, wavelength_m, distance)[1].all()
+               for distance, _ in arm_steps(arm, grid, wavelength_m))
 
 
 def _rows_from_band(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: TransverseGrid,
                     wavelength_m: float) -> np.ndarray:
     """Signal rows ``rows`` behind the whole arm, idler axis at the crystal,
     as K A: K holds the unit rows at ``rows`` sent through the arm's
-    transpose (:func:`apply_arm_transpose`), one 1-D backward kernel per
-    row, and the source A is read through its nonzero diagonals ``band``
-    (:func:`source_band`).  The product is summed diagonal by diagonal,
-    O(R N (2h + 1)), with no BLAS call.  Nothing is checked here: callers
-    run the dense head (:func:`_toward_slit`) first when the arm's band
-    limits can fail (:func:`_band_limited`)."""
+    transpose (:func:`apply_arm_transpose`, the arm's steps walked in
+    reverse), one 1-D backward kernel per row, and the source A is read
+    through its nonzero diagonals ``band`` (:func:`source_band`).  The
+    product is summed diagonal by diagonal, O(R N (2h + 1)), with no BLAS
+    call.  Nothing is checked here: callers run the dense head
+    (:func:`_toward_slit`) first when the arm's band limits can fail
+    (:func:`_band_limited`)."""
     width, n = band.shape
     h = width // 2
     kernel = np.zeros((rows.size, n), dtype=np.complex128)
@@ -248,31 +240,26 @@ def _singles_profile(spectrum: np.ndarray, power: np.ndarray, arm: ArmSpec, grid
     """D2 singles profile: sum over the signal axis of |A|^2 with the idler
     arm applied to the source's idler spectrum.
 
-    The leading run of free-space steps (through ``Open``) is one spectral
-    pass; each step is checked on the source power inside the bands of the
-    steps before it (|transfer| = 1 on a kept band).  When the elements
-    behind the run (slit B) leave few cells open, the run's inverse is
+    The arm's steps (:func:`arm_steps`) up to the first that has a factor
+    are one spectral pass; each step is checked on the source power inside
+    the bands of the steps before it (|transfer| = 1 on a kept band).  When
+    that factor (slit B) leaves few cells open, the pass's inverse is
     taken at those cells only, and the N x R block there is replaced by
     its :func:`_gram_rows`, which finish the arm.  ``spectrum`` is
     overwritten only when ``last_reader`` is set.
     """
-    elements = arm.elements
+    steps = arm_steps(arm, grid, wavelength_m)
     transfer = np.ones(grid.n_points, dtype=np.complex128)
     band = np.ones(grid.n_points, dtype=bool)
-    run = 0
-    while run < len(elements) and isinstance(elements[run], (FreeSpace, Open)):
-        distance = elements[run].distance_m if isinstance(elements[run], FreeSpace) else 0.0
-        run += 1
+    run = next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
+    for distance, _ in steps[:run]:
         if distance != 0.0:
             step, keep = _step(grid, wavelength_m, distance)
             if not keep.all():
                 _refuse_aliasing(power * band, keep, grid, wavelength_m, distance)
             transfer *= step
             band &= keep
-    rest = run
-    while rest < len(elements) and not isinstance(elements[rest], FreeSpace):
-        rest += 1
-    factor = diagonal_factor(elements[run:rest], grid, wavelength_m)
+    factor = steps[run - 1][1] if run else None
     if factor is not None and np.count_nonzero(factor) <= _THIN_INVERSE_CELLS:
         cells = np.flatnonzero(factor)
         amps = _gram_rows(_inverse(spectrum, transfer, cells) * factor[cells], cells, grid.n_points)
@@ -280,7 +267,7 @@ def _singles_profile(spectrum: np.ndarray, power: np.ndarray, arm: ArmSpec, grid
         amps = _inverse(spectrum, transfer, overwrite=last_reader)
         if factor is not None:
             amps *= factor
-    amps = apply_arm_along(amps, replace(arm, elements=elements[rest:]), 1, grid, wavelength_m)
+    amps = apply_steps_along(amps, steps[run:], 1, grid, wavelength_m)
     return _summed_power(amps) * grid.spacing_m
 
 
@@ -331,10 +318,11 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     coincidences follow the idler arm on the rows slit A can leave
     nonzero (:func:`_slit_rows`), taken as K A from the source's band
     (:func:`_rows_from_band`); the dense signal head runs only where a
-    signal step's band limit cuts on the grid, to make its checks.  The singles rate is the signal-axis marginal of the state
-    with only the idler arm applied (:func:`_singles_profile`): it counts
-    every idler photon regardless of what happens in the signal arm, so
-    signal-arm losses (slit A) cannot imprint on it.
+    signal step's band limit cuts on the grid, to make its checks.  The
+    singles rate is the signal-axis marginal of the state with only the
+    idler arm applied (:func:`_singles_profile`): it counts every idler
+    photon regardless of what happens in the signal arm, so signal-arm
+    losses (slit A) cannot imprint on it.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
     first = benches[0]
@@ -346,7 +334,8 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     amps, arm, wavelength = state.amplitudes, first.signal_arm, state.wavelength_s_m
     band = source_band(first.source, grid, amps)
     # The dense head runs only to make the band-limit checks it would make.
-    checked, leads = _band_limited(arm, grid, wavelength), _lead_step(arm) is not None
+    checked = _band_limited(arm, grid, wavelength)
+    leads = checked and arm_steps(arm, grid, wavelength)[0][0] != 0.0
     if checked and not leads:  # the signal head starts in space, from the source
         _toward_slit(amps, arm, grid, wavelength)
     # Nothing reads the source after this: its idler spectrum overwrites it.
@@ -404,7 +393,10 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     band = source_band(bench.source, grid, source)
     if source is not None:
         # An offset that moves a slit before the last step changes the head.
-        heads = {split_last_step(arm)[0]: arm for arm in arms}
+        heads = {}
+        for arm in arms:
+            head = arm_steps(arm, grid, wavelength)[:-1]
+            heads.setdefault(tuple((d, f if f is None else f.tobytes()) for d, f in head), arm)
         for arm in heads.values():
             _toward_slit(source, arm, grid, wavelength, overwrite=len(heads) == 1)
     conditioned = []

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ghostbench import (ArmSpec, ScanWindow, apply_arm, apply_arm_to_axis, default_bench,
-                        propagate_bench, run_coincidence_scan)
+from ghostbench import (ArmSpec, FreeSpace, ScanWindow, Slit, ThinLens, apply_arm, apply_arm_to_axis,
+                        default_bench, propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
-from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
+from ghostbench.elements import (BAND_LIMIT_LOSS_TOLERANCE, _lens_phase, _propagate_array, _step,
+                                 aperture_transmission, band_limit_cycles_per_m)
 from ghostbench.errors import SamplingError
 from ghostbench.experiment import _d1_weights, build_bench_state
 
@@ -88,3 +89,60 @@ def numpy_propagate_array(amps, axis, grid, wavelength_m, distance_m):
                 f"use a coarser grid, a smaller window, or a shorter distance")
     transfer = np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep
     return np.fft.ifft(spectrum * transfer.reshape(shape), axis=axis)
+
+
+def element_factor(element, grid, wavelength_m):
+    """Per-cell factor of one lens or slit, read straight off the element."""
+    if isinstance(element, Slit):
+        return aperture_transmission(grid, element.width_m, element.center_m)
+    assert isinstance(element, ThinLens)
+    factor = _lens_phase(grid, wavelength_m, element.focal_m)
+    if element.aperture_diameter_m is not None:
+        factor = factor * aperture_transmission(grid, element.aperture_diameter_m)
+    return factor
+
+
+def diagonal_product(elements, grid, wavelength_m):
+    """Product, in element order, of the factors of the lenses and slits
+    among ``elements``; None when there are none."""
+    product = None
+    for element in elements:
+        if isinstance(element, (ThinLens, Slit)):
+            factor = element_factor(element, grid, wavelength_m)
+            product = factor if product is None else product * factor
+    return product
+
+
+def reference_along(amps, arm, axis, grid, wavelength_m):
+    """An arm along one axis, element by element, each result a new array:
+    each free-space step of nonzero distance by :func:`_propagate_array`,
+    and the lenses and slits between two such steps as one product of
+    their factors, taken in element order (:func:`diagonal_product`)."""
+    shape = [1] * amps.ndim
+    shape[axis] = grid.n_points
+
+    def behind(amps, run):
+        product = diagonal_product(run, grid, wavelength_m)
+        return amps if product is None else amps * product.reshape(shape)
+
+    run = []
+    for element in arm.elements:
+        if isinstance(element, FreeSpace) and element.distance_m != 0.0:
+            amps, run = _propagate_array(behind(amps, run), axis, grid, wavelength_m, element.distance_m), []
+        else:
+            run.append(element)
+    return behind(amps, run)
+
+
+def reference_transpose(lines, arm, grid, wavelength_m):
+    """The transpose of an arm on lines along the last axis, element by
+    element in reverse order: each lens and slit by its own factor, each
+    step of nonzero distance by ``numpy.fft`` with its band-limited
+    transfer.  On unit rows a run of two factors gives the bytes of their
+    product, since 1.0 * b * a == a * b exactly."""
+    for element in reversed(arm.elements):
+        if isinstance(element, FreeSpace) and element.distance_m != 0.0:
+            lines = np.fft.ifft(np.fft.fft(lines) * _step(grid, wavelength_m, element.distance_m)[0])
+        elif isinstance(element, (ThinLens, Slit)):
+            lines = lines * element_factor(element, grid, wavelength_m)
+    return lines

@@ -201,6 +201,16 @@ class TestValidateAndErrors:
         code, _, err = run_cli(capsys, "validate-config", str(tmp_path / "nope.cfg"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["measure-m1", "ghost"])
+    def test_unwritable_output_directory_exit_2(self, capsys, tmp_path, command):
+        # A directory below a regular file cannot be made.
+        (tmp_path / "afile").write_text("")
+        cfg = write_config(tmp_path, f"[output]\ndirectory = {tmp_path / 'afile' / 'sub'}\n")
+        code, _, err = run_cli(capsys, command, cfg)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert "[output] directory" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command, body, message", [
         ("measure-m1", "[detectors]\nd1_mode = point\nd1_position_mm = 20\n", "point D1 at 0.02 m"),
         ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n", "slit A is narrower than one grid cell")],

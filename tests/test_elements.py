@@ -1,19 +1,23 @@
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.fft
 
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
-                        SamplingError, Slit, ThinLens, TransverseGrid, apply_arm,
-                        reverse_arm)
+                        SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
+                        default_bench, reverse_arm, run_coincidence_scan)
 from ghostbench import elements
-from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _apply, _inverse,
+from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _inverse,
                                  _propagate_array, _spectrum, _step, _summed_power, _thin_inverse,
-                                 _transform, aperture_transmission, apply_arm_along)
+                                 _transform, aperture_transmission, apply_arm_along, apply_arm_transpose,
+                                 arm_steps)
+from ghostbench.experiment import build_bench_state
 
-from conftest import along, gaussian_field, numpy_propagate_array, through
+from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
+                      reference_transpose, through)
 
 WAVELENGTH = 702.2e-9
 
@@ -302,20 +306,86 @@ class TestKernelOracle:
     def test_arm_overwrites_only_its_own_intermediates(self, field, layout, axis):
         # Lens and slit products and each step's forward transform overwrite
         # the arm's intermediate in place; the bytes are those of one new
-        # array per element, and the caller's array is left as it was.
+        # array per step and per product of the lens and slit factors
+        # between steps, and the caller's array is left as it was.
         amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field), "row": field[3]}[layout]
         before = amps.copy()
         arm = ArmSpec((FreeSpace(0.01), ThinLens(0.5, 1.5e-3), Slit(1e-3, 1e-4), Open(), FreeSpace(-0.1),
                        Slit(2e-3)), WAVELENGTH)
-        expected = amps
-        for element in arm.elements:
-            expected = _apply(expected, element, axis, KERNEL_GRID, WAVELENGTH)
+        expected = reference_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
         got = apply_arm_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
         assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
         # Handed over to be overwritten, the array itself becomes the first intermediate.
         assert np.array_equal(apply_arm_along(amps.copy(), arm, axis, KERNEL_GRID, WAVELENGTH, overwrite=True),
                               expected)
+
+
+class Mirror:
+    """An element no pass knows."""
+
+
+# Every arm the config builds: the reference signal arm, the idler arm
+# with slit B in and open, and the signal arm with either step at zero.
+CONFIG_ARMS = {
+    "signal": default_bench().signal_arm,
+    "idler-slit": default_bench().idler_arm,
+    "idler-open": default_bench(slit_b="open").idler_arm,
+    "lens-first": default_bench(crystal_to_lens_m=0.0).signal_arm,
+    "lens-at-slit-a": default_bench(lens_to_slit_m=0.0).signal_arm,
+}
+
+
+class TestArmSteps:
+    """An arm is read once into (distance, factor) steps, and every pass
+    through it walks them."""
+
+    def test_groups_a_mixed_arm(self, grid):
+        lens, slit = ThinLens(0.5, 4e-3), Slit(1e-3, 1e-4)
+        arm = ArmSpec((Slit(2e-3), ThinLens(0.3), FreeSpace(0.0), Open(), FreeSpace(0.1), lens, slit,
+                       FreeSpace(0.0), FreeSpace(-0.2)), WAVELENGTH)
+        steps = arm_steps(arm, grid, WAVELENGTH)
+        # The leading slit and lens act before any step; the zero steps and
+        # Open are gone; the lens next to the slit is one product, in order.
+        assert [distance for distance, _ in steps] == [0.0, 0.1, -0.2]
+        lead = element_factor(Slit(2e-3), grid, WAVELENGTH) * element_factor(ThinLens(0.3), grid, WAVELENGTH)
+        assert steps[0][1].tobytes() == lead.tobytes()
+        behind = element_factor(lens, grid, WAVELENGTH) * element_factor(slit, grid, WAVELENGTH)
+        assert steps[1][1].tobytes() == behind.tobytes()
+        assert steps[2][1] is None
+
+    def test_identity_arms_have_no_steps(self, grid):
+        assert arm_steps(ArmSpec((), WAVELENGTH), grid, WAVELENGTH) == []
+        assert arm_steps(ArmSpec((Open(), FreeSpace(0.0)), WAVELENGTH), grid, WAVELENGTH) == []
+
+    def test_unknown_element_raises(self, grid):
+        arm = ArmSpec((FreeSpace(0.1), Mirror()), WAVELENGTH)
+        with pytest.raises(TypeError, match="unknown optical element"):
+            apply_arm_along(np.ones(grid.n_points, dtype=complex), arm, 0, grid, WAVELENGTH)
+        with pytest.raises(TypeError, match="unknown optical element"):
+            apply_arm_transpose(np.ones((1, grid.n_points), dtype=complex), arm, grid, WAVELENGTH)
+
+    @pytest.mark.parametrize("arm_name", ["signal_arm", "idler_arm"])
+    def test_scan_with_unknown_element_raises(self, arm_name):
+        bench = default_bench()
+        arm = getattr(bench, arm_name)
+        bench = replace(bench, **{arm_name: replace(arm, elements=arm.elements + (Mirror(),))})
+        with pytest.raises(TypeError, match="unknown optical element"):
+            run_coincidence_scan(bench, ScanWindow(-1e-3, 1e-3, 5), TransverseGrid(256, 15e-3))
+
+    @pytest.mark.parametrize("name", CONFIG_ARMS)
+    def test_config_arms_equal_the_element_reference(self, grid, name):
+        arm = CONFIG_ARMS[name]
+        wavelength = arm.wavelength_m
+        source = build_bench_state(default_bench(), grid).amplitudes
+        for axis in (0, 1):
+            expected = reference_along(source, arm, axis, grid, wavelength)
+            assert apply_arm_along(source, arm, axis, grid, wavelength).tobytes() == expected.tobytes()
+        # Unit rows at the cells around the axis, as the backward kernels start.
+        rows = np.zeros((9, grid.n_points), dtype=np.complex128)
+        rows[np.arange(9), grid.n_points // 2 - 4 + np.arange(9)] = 1.0
+        expected = reference_transpose(rows, arm, grid, wavelength)
+        assert apply_arm_transpose(rows.copy(), arm, grid, wavelength).tobytes() == expected.tobytes()
 
 
 class TestThinInverse:

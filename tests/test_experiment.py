@@ -11,14 +11,13 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
 from dataclasses import replace
 
-from ghostbench.elements import (_forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis,
-                                 diagonal_factor, split_last_step)
+from ghostbench.elements import _forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis
 from ghostbench.errors import SamplingError
 from ghostbench.experiment import (_band_limited, _lit_rows, _rows_behind, _rows_from_band, _slit_rows,
-                                   build_bench_state, signal_conditioned_rows)
+                                   _toward_slit, build_bench_state, signal_conditioned_rows)
 from ghostbench.source import source_band
 
-from conftest import dense_scan
+from conftest import dense_scan, diagonal_product
 
 WAVELENGTH = 702.2e-9
 
@@ -311,14 +310,16 @@ class TestRowSparseEqualsDense:
 def transposed_copy_rows(state, arm, rows):
     """Signal rows at ``rows`` by the route that ran the arm's head along the
     source's signal axis (a transposed working copy for its first free-space
-    step), then the last step's forward half along that axis and its
-    inverse at the rows."""
-    head, step, tail = split_last_step(arm)
-    grid, wavelength = state.grid_s, state.wavelength_s_m
+    step), then the last free-space step's forward half along that axis and
+    its inverse at the rows, times the elements behind that step."""
+    elements, grid, wavelength = arm.elements, state.grid_s, state.wavelength_s_m
+    last = max((i for i, el in enumerate(elements) if isinstance(el, FreeSpace) and el.distance_m != 0.0),
+               default=None)
+    head, tail = ((), elements) if last is None else (elements[:last], elements[last + 1:])
     at_step = apply_arm_to_axis(state, replace(arm, elements=head), "signal").amplitudes
-    pending = (np.moveaxis(at_step, 0, -1), None) if step is None else \
-        _forward(at_step, 0, grid, wavelength, step.distance_m)
-    return _rows_behind(pending, diagonal_factor(tail, grid, wavelength), rows)
+    pending = (np.moveaxis(at_step, 0, -1), None) if last is None else \
+        _forward(at_step, 0, grid, wavelength, elements[last].distance_m)
+    return _rows_behind(pending, diagonal_product(tail, grid, wavelength), rows)
 
 
 def shifted(arm, offset):
@@ -352,15 +353,21 @@ class TestHeadOnRows:
         state = build_bench_state(bench, grid)
         rows = np.flatnonzero(aperture_transmission(grid, arm.slits()[-1].width_m))
         expected = transposed_copy_rows(state, arm, rows)
-        source = state.amplitudes
+        source, wavelength = state.amplitudes, state.wavelength_s_m
+        before = source.copy()
+        # As klyshko-check calls it, the source left as it is.
+        got_rows, got = _lit_rows(source, arm, grid, wavelength)
+        assert got_rows.tolist() == rows.tolist()
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert np.array_equal(source, before)
+        # The head as measure calls it (with the scan's idler spectrum and
+        # power) and as ghost does (over a source it may overwrite).
         spectrum = _spectrum(source, 1)
-        # As klyshko-check calls it (the source left as it is), as a scan
-        # does (with its idler spectrum and power), and over a spare copy.
-        for shared, overwrite in ((None, False), ((spectrum, _summed_power(spectrum)), False), (None, True)):
-            before, spectrum_before = source.copy(), spectrum.copy()
-            got_rows, got = _lit_rows(before.copy() if overwrite else source, arm, grid, state.wavelength_s_m,
-                                      shared, overwrite)
-            assert got_rows.tolist() == rows.tolist()
+        spectrum_before = spectrum.copy()
+        factor = _slit_rows(arm, grid, wavelength)[1]
+        for shared, overwrite in (((spectrum, _summed_power(spectrum)), False), (None, True)):
+            pending = _toward_slit(before.copy() if overwrite else source, arm, grid, wavelength, shared, overwrite)
+            got = _rows_behind(pending, factor, rows)
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
             assert np.array_equal(source, before) and np.array_equal(spectrum, spectrum_before)
 
