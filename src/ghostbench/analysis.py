@@ -251,8 +251,9 @@ def compute_pattern_stats(scan: ScanResult, channel: str = "coincidence",
                           reference: Optional[PatternStats] = None) -> PatternStats:
     """Assemble :class:`PatternStats` for one scan channel.
 
-    The sinc^2 fit is attempted only when the geometry is supplied; fit
-    failure leaves the optional fields empty rather than failing the
+    The sinc^2 fit is attempted only when the geometry is supplied and
+    the slit-to-detector distance is positive (the model divides by it);
+    fit failure leaves the optional fields empty rather than failing the
     whole analysis (the first-zero fallback remains available).
     """
     y = scan.positions_m
@@ -261,7 +262,7 @@ def compute_pattern_stats(scan: ScanResult, channel: str = "coincidence",
     peak_pos = float(y[np.argmax(v)])
     zero = profile_first_zero(y, v)
     fit_width = fit_residual = None
-    if wavelength_m is not None and slit_to_detector_m is not None:
+    if wavelength_m is not None and slit_to_detector_m is not None and slit_to_detector_m > 0:
         try:
             fit = fit_sinc2(scan, wavelength_m, slit_to_detector_m, channel)
             fit_width, fit_residual = fit.width_m, fit.residual

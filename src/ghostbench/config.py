@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .analysis import PlaneSweep
 from .elements import ArmSpec, FreeSpace, Open, Slit, ThinLens
@@ -22,140 +22,79 @@ from .grid import TransverseGrid
 from .source import SourceSpec
 from .temporal import TemporalSpec
 
-_MM = 1e-3
-_UM = 1e-6
-_NM = 1e-9
+_SCALES = {"mm": 1e-3, "um": 1e-6, "nm": 1e-9}
+
+
+def _key(section: str, key: str, default):
+    """A :class:`RunConfig` field set by ``key`` in ``[section]``."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Fully validated run parameters (lengths stored in meters).
 
-    The defaults are the reference bench; a value that a spec owns is read
-    from that spec's field default.
+    Each field names the section and key that set it; a key ending in a
+    unit of ``_SCALES`` is read in that unit.  The defaults are the
+    reference bench; a value that a spec owns is read from that spec's
+    field default.
     """
 
-    # grid
-    n_points: int = 1024
-    extent_m: float = 15e-3
-    # source
-    source_kind: str = SourceSpec.kind
-    pump_diameter_m: float = SourceSpec.pump_diameter_m
-    correlation_width_m: float = SourceSpec.correlation_width_m
-    pump_wavelength_m: float = SourceSpec.lambda_pump_m
-    signal_wavelength_m: float = SourceSpec.lambda_signal_m
-    idler_wavelength_m: float = SourceSpec.lambda_idler_m
-    # signal arm
-    crystal_to_lens_m: float = 255e-3
-    lens_focal_m: float = 500e-3
-    lens_aperture_m: float = 25e-3
-    lens_to_slit_m: float = 1.0
-    slit_a_width_m: float = 0.16e-3
-    slit_a_center_m: float = 0.0
-    # idler arm
-    crystal_to_screen_m: float = 745e-3
-    slit_b: str = "slit"
-    slit_b_width_m: float = 0.16e-3
-    slit_b_center_m: float = 0.0
-    screen_to_d2_m: float = 500e-3
-    # detectors
-    d1_mode: str = "bucket"
-    d1_position_m: float = 0.0
-    d1_aperture_m: float = DetectorSpec.aperture_diameter_m
-    d2_mode: str = "point"
-    d2_aperture_m: float = DetectorSpec.aperture_diameter_m
-    # scan
-    scan_y_min_m: float = -4e-3
-    scan_y_max_m: float = 4e-3
-    scan_steps: int = 161
-    # ghost plane sweep
-    ghost_plane_min_m: float = 600e-3
-    ghost_plane_max_m: float = 900e-3
-    ghost_steps: int = 31
-    ghost_slit_offset_m: float = 0.5e-3
-    # klyshko check
-    klyshko_positions: int = 5
-    klyshko_tolerance: float = 1e-6
-    klyshko_backward_offset_m: float = 0.0
-    # temporal
-    temporal_sigma_plus_hz: float = 1.0
-    temporal_sigma_minus_hz: float = 10.0
-    temporal_omega_signal_hz: float = TemporalSpec.omega_s_hz
-    temporal_omega_idler_hz: float = TemporalSpec.omega_i_hz
-    temporal_amplitude: float = TemporalSpec.amplitude_a0
-    temporal_n_points: int = TemporalSpec.n_points
-    temporal_span: float = TemporalSpec.span_coherence_times
-    # output
-    output_directory: str = "."
+    n_points: int = _key("grid", "n_points", 1024)
+    extent_m: float = _key("grid", "extent_mm", 15e-3)
+    source_kind: str = _key("source", "kind", SourceSpec.kind)
+    pump_diameter_m: float = _key("source", "pump_diameter_mm", SourceSpec.pump_diameter_m)
+    correlation_width_m: float = _key("source", "correlation_width_um", SourceSpec.correlation_width_m)
+    pump_wavelength_m: float = _key("source", "pump_wavelength_nm", SourceSpec.lambda_pump_m)
+    signal_wavelength_m: float = _key("source", "signal_wavelength_nm", SourceSpec.lambda_signal_m)
+    idler_wavelength_m: float = _key("source", "idler_wavelength_nm", SourceSpec.lambda_idler_m)
+    crystal_to_lens_m: float = _key("signal_arm", "crystal_to_lens_mm", 255e-3)
+    lens_focal_m: float = _key("signal_arm", "lens_focal_mm", 500e-3)
+    lens_aperture_m: float = _key("signal_arm", "lens_aperture_mm", 25e-3)
+    lens_to_slit_m: float = _key("signal_arm", "lens_to_slit_mm", 1.0)
+    slit_a_width_m: float = _key("signal_arm", "slit_a_width_mm", 0.16e-3)
+    slit_a_center_m: float = _key("signal_arm", "slit_a_center_mm", 0.0)
+    crystal_to_screen_m: float = _key("idler_arm", "crystal_to_screen_mm", 745e-3)
+    slit_b: str = _key("idler_arm", "slit_b", "slit")
+    slit_b_width_m: float = _key("idler_arm", "slit_b_width_mm", 0.16e-3)
+    slit_b_center_m: float = _key("idler_arm", "slit_b_center_mm", 0.0)
+    screen_to_d2_m: float = _key("idler_arm", "screen_to_d2_mm", 500e-3)
+    d1_mode: str = _key("detectors", "d1_mode", "bucket")
+    d1_position_m: float = _key("detectors", "d1_position_mm", 0.0)
+    d1_aperture_m: float = _key("detectors", "d1_aperture_um", DetectorSpec.aperture_diameter_m)
+    d2_mode: str = _key("detectors", "d2_mode", "point")
+    d2_aperture_m: float = _key("detectors", "d2_aperture_um", DetectorSpec.aperture_diameter_m)
+    scan_y_min_m: float = _key("scan", "y_min_mm", -4e-3)
+    scan_y_max_m: float = _key("scan", "y_max_mm", 4e-3)
+    scan_steps: int = _key("scan", "steps", 161)
+    ghost_plane_min_m: float = _key("ghost", "plane_min_mm", 600e-3)
+    ghost_plane_max_m: float = _key("ghost", "plane_max_mm", 900e-3)
+    ghost_steps: int = _key("ghost", "steps", 31)
+    ghost_slit_offset_m: float = _key("ghost", "slit_offset_mm", 0.5e-3)
+    klyshko_positions: int = _key("klyshko", "n_positions", 5)
+    klyshko_tolerance: float = _key("klyshko", "tolerance", 1e-6)
+    klyshko_backward_offset_m: float = _key("klyshko", "backward_offset_mm", 0.0)
+    temporal_sigma_plus_hz: float = _key("temporal", "sigma_plus_hz", 1.0)
+    temporal_sigma_minus_hz: float = _key("temporal", "sigma_minus_hz", 10.0)
+    temporal_omega_signal_hz: float = _key("temporal", "omega_signal_hz", TemporalSpec.omega_s_hz)
+    temporal_omega_idler_hz: float = _key("temporal", "omega_idler_hz", TemporalSpec.omega_i_hz)
+    temporal_amplitude: float = _key("temporal", "amplitude", TemporalSpec.amplitude_a0)
+    temporal_n_points: int = _key("temporal", "n_points", TemporalSpec.n_points)
+    temporal_span: float = _key("temporal", "span_coherence_times", TemporalSpec.span_coherence_times)
+    output_directory: str = _key("output", "directory", ".")
 
 
-# section -> key -> (attribute, converter tag)
-_SCHEMA = {
-    "grid": {
-        "n_points": ("n_points", "int"),
-        "extent_mm": ("extent_m", "mm"),
-    },
-    "source": {
-        "kind": ("source_kind", "str"),
-        "pump_diameter_mm": ("pump_diameter_m", "mm"),
-        "correlation_width_um": ("correlation_width_m", "um"),
-        "pump_wavelength_nm": ("pump_wavelength_m", "nm"),
-        "signal_wavelength_nm": ("signal_wavelength_m", "nm"),
-        "idler_wavelength_nm": ("idler_wavelength_m", "nm"),
-    },
-    "signal_arm": {
-        "crystal_to_lens_mm": ("crystal_to_lens_m", "mm"),
-        "lens_focal_mm": ("lens_focal_m", "mm"),
-        "lens_aperture_mm": ("lens_aperture_m", "mm"),
-        "lens_to_slit_mm": ("lens_to_slit_m", "mm"),
-        "slit_a_width_mm": ("slit_a_width_m", "mm"),
-        "slit_a_center_mm": ("slit_a_center_m", "mm"),
-    },
-    "idler_arm": {
-        "crystal_to_screen_mm": ("crystal_to_screen_m", "mm"),
-        "slit_b": ("slit_b", "str"),
-        "slit_b_width_mm": ("slit_b_width_m", "mm"),
-        "slit_b_center_mm": ("slit_b_center_m", "mm"),
-        "screen_to_d2_mm": ("screen_to_d2_m", "mm"),
-    },
-    "detectors": {
-        "d1_mode": ("d1_mode", "str"),
-        "d1_position_mm": ("d1_position_m", "mm"),
-        "d1_aperture_um": ("d1_aperture_m", "um"),
-        "d2_mode": ("d2_mode", "str"),
-        "d2_aperture_um": ("d2_aperture_m", "um"),
-    },
-    "scan": {
-        "y_min_mm": ("scan_y_min_m", "mm"),
-        "y_max_mm": ("scan_y_max_m", "mm"),
-        "steps": ("scan_steps", "int"),
-    },
-    "ghost": {
-        "plane_min_mm": ("ghost_plane_min_m", "mm"),
-        "plane_max_mm": ("ghost_plane_max_m", "mm"),
-        "steps": ("ghost_steps", "int"),
-        "slit_offset_mm": ("ghost_slit_offset_m", "mm"),
-    },
-    "klyshko": {
-        "n_positions": ("klyshko_positions", "int"),
-        "tolerance": ("klyshko_tolerance", "float"),
-        "backward_offset_mm": ("klyshko_backward_offset_m", "mm"),
-    },
-    "temporal": {
-        "sigma_plus_hz": ("temporal_sigma_plus_hz", "float"),
-        "sigma_minus_hz": ("temporal_sigma_minus_hz", "float"),
-        "omega_signal_hz": ("temporal_omega_signal_hz", "float"),
-        "omega_idler_hz": ("temporal_omega_idler_hz", "float"),
-        "amplitude": ("temporal_amplitude", "float"),
-        "n_points": ("temporal_n_points", "int"),
-        "span_coherence_times": ("temporal_span", "float"),
-    },
-    "output": {
-        "directory": ("output_directory", "str"),
-    },
-}
+def _tag(f) -> str:
+    """The converter of a field's key: its unit suffix, else the field's
+    declared type (``int``, ``float`` or ``str``)."""
+    unit = f.metadata["key"].rpartition("_")[2]
+    return unit if unit in _SCALES else f.type
 
-_SCALES = {"mm": _MM, "um": _UM, "nm": _NM}
+
+# section -> key -> (attribute, converter tag), in field order
+_SCHEMA = {}
+for _field in fields(RunConfig):
+    _SCHEMA.setdefault(_field.metadata["section"], {})[_field.metadata["key"]] = (_field.name, _tag(_field))
 
 
 def _convert(section: str, key: str, raw: str, tag: str):
@@ -242,13 +181,13 @@ def to_grid(config: RunConfig) -> TransverseGrid:
     return TransverseGrid(config.n_points, config.extent_m)
 
 
-def to_source(config: RunConfig, kind: str | None = None) -> SourceSpec:
+def to_source(config: RunConfig) -> SourceSpec:
     return SourceSpec(pump_diameter_m=config.pump_diameter_m,
                       correlation_width_m=config.correlation_width_m,
                       lambda_pump_m=config.pump_wavelength_m,
                       lambda_signal_m=config.signal_wavelength_m,
                       lambda_idler_m=config.idler_wavelength_m,
-                      kind=kind if kind is not None else config.source_kind)
+                      kind=config.source_kind)
 
 
 # A bench arm's distances run forward from the crystal; FreeSpace itself

@@ -339,14 +339,14 @@ def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: Transverse
 
 
 def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseGrid,
-                    wavelength_m: float, overwrite: bool = False) -> np.ndarray:
+                    wavelength_m: float) -> np.ndarray:
     """Act with every element of an arm, in order, along one array axis.
 
     Every 1-D slice along ``axis`` is one field on ``grid``; the other
-    axes are untouched, so an array of rows is a batch of fields.  The
-    overwrite rules are those of :func:`apply_steps_along`.
+    axes are untouched, so an array of rows is a batch of fields.
+    ``amps`` is left as it was (:func:`apply_steps_along`).
     """
-    return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), axis, grid, wavelength_m, overwrite)
+    return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), axis, grid, wavelength_m)
 
 
 def apply_arm_transpose(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid,

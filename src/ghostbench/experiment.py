@@ -332,7 +332,7 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise SamplingError("scan window extends outside the grid window")
     state = build_bench_state(first, grid)
     amps, arm, wavelength = state.amplitudes, first.signal_arm, state.wavelength_s_m
-    band = source_band(first.source, grid, amps)
+    band = source_band(first.source, grid)
     # The dense head runs only to make the band-limit checks it would make.
     checked = _band_limited(arm, grid, wavelength)
     leads = checked and arm_steps(arm, grid, wavelength)[0][0] != 0.0
@@ -390,7 +390,7 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     source = None
     if _band_limited(bench.signal_arm, grid, wavelength):
         source = build_bench_state(bench, grid).amplitudes
-    band = source_band(bench.source, grid, source)
+    band = source_band(bench.source, grid)
     if source is not None:
         # An offset that moves a slit before the last step changes the head.
         heads = {}

@@ -114,15 +114,6 @@ def _unit_slices(spec: SourceSpec, grid: TransverseGrid):
     return f, g
 
 
-def _joint(left: np.ndarray, right: np.ndarray, spec: SourceSpec, grid_s: TransverseGrid,
-           grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """The product of two real arrays that broadcast to N x N, written in one
-    pass into the real part of a zeroed complex array."""
-    amps = np.zeros((grid_s.n_points, grid_i.n_points), dtype=np.complex128)
-    np.multiply(left, right, out=amps.real)
-    return BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
-
-
 def _require_matching_grids(grid_s: TransverseGrid, grid_i: TransverseGrid):
     if grid_s.n_points != grid_i.n_points or grid_s.extent_m != grid_i.extent_m:
         raise ValueError("signal and idler grids must have identical count and extent")
@@ -137,8 +128,7 @@ def build_biphoton(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseG
     """
     if spec.kind != "entangled":
         raise ValueError(f"build_biphoton requires kind='entangled', got {spec.kind!r}")
-    _require_matching_grids(grid_s, grid_i)
-    return _joint(*_views(*_unit_tables(spec, grid_s), grid_s.n_points), spec, grid_s, grid_i)
+    return build_source(spec, grid_s, grid_i)
 
 
 def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
@@ -153,16 +143,23 @@ def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: Transverse
     """
     if spec.kind != "separable":
         raise ValueError(f"build_separable requires kind='separable', got {spec.kind!r}")
-    _require_matching_grids(grid_s, grid_i)
-    f, g = _unit_slices(spec, grid_s)
-    return _joint(f[:, None], g[None, :], spec, grid_s, grid_i)
+    return build_source(spec, grid_s, grid_i)
 
 
 def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """Dispatch on ``spec.kind``."""
-    if spec.kind == "separable":
-        return build_separable(spec, grid_s, grid_i)
-    return build_biphoton(spec, grid_s, grid_i)
+    """The source of either kind: its nonzero diagonals (:func:`source_band`)
+    written into the real part of a zeroed N x N complex array."""
+    _require_matching_grids(grid_s, grid_i)
+    n = grid_s.n_points
+    band = source_band(spec, grid_s)
+    h = len(band) // 2
+    amps = np.zeros((n, n), dtype=np.complex128)
+    flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + d * N]
+    for t, diagonal in enumerate(band):
+        d = t - h
+        lo, hi = max(0, -d), n - max(0, d)
+        flat[lo * (n + 1) + d * n::n + 1][:hi - lo] = diagonal[lo:hi]
+    return BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
 
 
 def _band_half(spec: SourceSpec, grid: TransverseGrid) -> int:
@@ -179,21 +176,16 @@ def _band_half(spec: SourceSpec, grid: TransverseGrid) -> int:
     return int(np.max(np.abs(np.flatnonzero(_tables(spec, grid)[1]) - (n - 1)), initial=0))
 
 
-def source_band(spec: SourceSpec, grid: TransverseGrid, built: np.ndarray | None = None) -> np.ndarray:
+def source_band(spec: SourceSpec, grid: TransverseGrid) -> np.ndarray:
     """The source's nonzero diagonals: the real (2h + 1) x N array
     ``band[t, j] = A[j + t - h, j]``, 0 where j + t - h leaves the grid.
 
     Off its 2h + 1 central diagonals (:func:`_band_half`) the source is
-    exactly 0.0, so ``band`` holds every nonzero entry of
-    :func:`build_source` on one grid, bit for bit: the same tables and
-    norm give the same products.  ``built``, that source's amplitudes when
-    the caller holds them, is read instead of evaluating the norm again.
+    exactly 0.0, so ``band`` holds every nonzero entry of the source;
+    :func:`build_source` writes it into the dense array.
     """
     n, h = grid.n_points, _band_half(spec, grid)
-    if built is not None:
-        def diagonal(d, lo, hi):
-            return built.diagonal(-d).real
-    elif spec.kind == "separable":
+    if spec.kind == "separable":
         f, g = _unit_slices(spec, grid)
 
         def diagonal(d, lo, hi):

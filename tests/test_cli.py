@@ -72,6 +72,16 @@ class TestMeasure:
         assert float(summary_value(out, "uncertainty_product_over_h_lower_bound")) > 1.0
 
 
+    @pytest.mark.parametrize("command", ["measure-m1", "measure-m2"])
+    def test_d2_at_slit_b_reports_without_a_fit(self, capsys, outdir_config, command):
+        # The sinc^2 model divides by the slit-B-to-D2 distance, so at 0 no fit is attempted.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, command, outdir_config("[idler_arm]\nscreen_to_d2_mm = 0\n"))
+        assert code == 0 and err == ""
+        assert "sinc_fit_width_mm" not in out
+        assert float(summary_value(out, "fwhm_mm")) > 0
+
 class TestGhost:
     def test_summary(self, capsys, tmp_path, outdir_config):
         code, out, _ = run_cli(capsys, "ghost", outdir_config())

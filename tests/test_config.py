@@ -1,5 +1,6 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,7 +109,7 @@ class TestBuilders:
     def test_source_kind_override(self):
         cfg = RunConfig()
         assert to_source(cfg).kind == "entangled"
-        assert to_source(cfg, kind="separable").kind == "separable"
+        assert to_source(replace(cfg, source_kind="separable")).kind == "separable"
 
     def test_temporal_builder(self):
         cfg = parse_config("[temporal]\nsigma_plus_hz = 2.0\nsigma_minus_hz = 8.0\nn_points = 64\n")
@@ -203,6 +204,165 @@ def _value(section, key):
     return st.one_of(st.sampled_from(["0", "-0.0", "nan", "inf", "-inf"]),
                      st.floats(-2.0, 2.0).map(lambda f: repr(default * f)),
                      st.floats(-1e3, 1e3).map(repr))
+
+
+# Every key set to a valid value other than its default: ints, strings and
+# each of the mm, um and nm tags and the plain floats.
+_EVERY_KEY = """\
+[grid]
+n_points = 512
+extent_mm = 12.5
+[source]
+kind = separable
+pump_diameter_mm = 2.5
+correlation_width_um = 20.0
+pump_wavelength_nm = 400.0
+signal_wavelength_nm = 650.0
+idler_wavelength_nm = 1040.0
+[signal_arm]
+crystal_to_lens_mm = 300.0
+lens_focal_mm = 400.0
+lens_aperture_mm = 20.0
+lens_to_slit_mm = 800.0
+slit_a_width_mm = 0.2
+slit_a_center_mm = 0.05
+[idler_arm]
+crystal_to_screen_mm = 700.0
+slit_b = open
+slit_b_width_mm = 0.25
+slit_b_center_mm = -0.1
+screen_to_d2_mm = 450.0
+[detectors]
+d1_mode = point
+d1_position_mm = 0.03
+d1_aperture_um = 150.0
+d2_mode = bucket
+d2_aperture_um = 200.0
+[scan]
+y_min_mm = -3.0
+y_max_mm = 3.5
+steps = 81
+[ghost]
+plane_min_mm = 500.0
+plane_max_mm = 950.0
+steps = 11
+slit_offset_mm = 0.4
+[klyshko]
+n_positions = 4
+tolerance = 1e-5
+backward_offset_mm = 2.5
+[temporal]
+sigma_plus_hz = 2.0
+sigma_minus_hz = 8.0
+omega_signal_hz = 3.0
+omega_idler_hz = -3.0
+amplitude = 0.5
+n_points = 256
+span_coherence_times = 3.0
+[output]
+directory = out
+"""
+
+_EVERY_KEY_RENDERED = """\
+[grid]
+n_points = 512
+extent_mm = 12.5
+
+[source]
+kind = separable
+pump_diameter_mm = 2.5
+correlation_width_um = 20.0
+pump_wavelength_nm = 400.0
+signal_wavelength_nm = 650.0
+idler_wavelength_nm = 1040.0
+
+[signal_arm]
+crystal_to_lens_mm = 300.0
+lens_focal_mm = 400.0
+lens_aperture_mm = 20.0
+lens_to_slit_mm = 800.0
+slit_a_width_mm = 0.2
+slit_a_center_mm = 0.05
+
+[idler_arm]
+crystal_to_screen_mm = 700.0
+slit_b = open
+slit_b_width_mm = 0.25
+slit_b_center_mm = -0.1
+screen_to_d2_mm = 450.0
+
+[detectors]
+d1_mode = point
+d1_position_mm = 0.03
+d1_aperture_um = 150.0
+d2_mode = bucket
+d2_aperture_um = 200.0
+
+[scan]
+y_min_mm = -3.0
+y_max_mm = 3.5
+steps = 81
+
+[ghost]
+plane_min_mm = 500.0
+plane_max_mm = 950.0
+steps = 11
+slit_offset_mm = 0.4
+
+[klyshko]
+n_positions = 4
+tolerance = 1e-05
+backward_offset_mm = 2.5
+
+[temporal]
+sigma_plus_hz = 2.0
+sigma_minus_hz = 8.0
+omega_signal_hz = 3.0
+omega_idler_hz = -3.0
+amplitude = 0.5
+n_points = 256
+span_coherence_times = 3.0
+
+[output]
+directory = out
+
+"""
+
+
+class TestRendering:
+    def test_every_key_renders_to_pinned_text(self):
+        config = parse_config(_EVERY_KEY)
+        assert all(getattr(config, f.name) != getattr(RunConfig(), f.name) for f in fields(RunConfig))
+        assert render_config(config) == _EVERY_KEY_RENDERED
+
+    def test_every_key_is_read_in_the_unit_its_name_ends_with(self):
+        config = parse_config(_EVERY_KEY)
+        scales = {"mm": 1e-3, "um": 1e-6, "nm": 1e-9}
+        texts = {section: dict(line.split(" = ") for line in body.strip().splitlines()[1:])
+                 for section, body in zip(_SCHEMA, _EVERY_KEY_RENDERED.split("\n\n"))}
+        for section, keys in _SCHEMA.items():
+            for key, (attr, _) in keys.items():
+                value, text = getattr(config, attr), texts[section][key]
+                if isinstance(value, float):
+                    assert value == pytest.approx(float(text) * scales.get(key.rpartition("_")[2], 1.0),
+                                                  rel=1e-15), key
+                else:
+                    assert str(value) == text, key
+
+    def test_readme_key_table_matches_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("## Configuration format", 1)[1].split("```\n", 2)[1]
+        listed = {section: [pair.strip().split(" = ") for pair in body.split(",") if pair.strip()]
+                  for section, body in re.findall(r"^\[(\w+)\]([^[]*)", table, re.M)}
+        assert list(listed) == list(_SCHEMA)
+        for section, pairs in listed.items():
+            assert [key for key, _ in pairs] == list(_SCHEMA[section]), section
+            for key, default in pairs:
+                rendered = _DEFAULT_TEXT[section][key]
+                if _SCHEMA[section][key][1] == "str":
+                    assert default.split("|")[0] == rendered, key
+                else:
+                    assert float(default) == pytest.approx(float(rendered), rel=1e-12), key
 
 
 @st.composite

@@ -13,7 +13,7 @@ from ghostbench import elements
 from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _inverse,
                                  _propagate_array, _spectrum, _step, _summed_power, _thin_inverse,
                                  _transform, aperture_transmission, apply_arm_along, apply_arm_transpose,
-                                 arm_steps)
+                                 apply_steps_along, arm_steps)
 from ghostbench.experiment import build_bench_state
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
@@ -317,7 +317,8 @@ class TestKernelOracle:
         assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
         # Handed over to be overwritten, the array itself becomes the first intermediate.
-        assert np.array_equal(apply_arm_along(amps.copy(), arm, axis, KERNEL_GRID, WAVELENGTH, overwrite=True),
+        steps = arm_steps(arm, KERNEL_GRID, WAVELENGTH)
+        assert np.array_equal(apply_steps_along(amps.copy(), steps, axis, KERNEL_GRID, WAVELENGTH, overwrite=True),
                               expected)
 
 

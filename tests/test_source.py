@@ -196,9 +196,10 @@ BYTE_BENCHES = [
 
 
 class TestBuildBytes:
-    """The build reads two 1-D tables through Hankel and Toeplitz views and
-    writes their product once into a complex array; its bytes equal the
-    slow reference (:func:`table_source`), normalized the same way."""
+    """The build evaluates the source's nonzero diagonals from two 1-D
+    tables and writes them into the real part of a zeroed complex array;
+    its bytes equal the slow reference (:func:`table_source`), normalized
+    the same way."""
 
     @pytest.mark.parametrize("kind", ["entangled", "separable"])
     @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
@@ -298,8 +299,6 @@ class TestSourceBand:
         built = build_source(spec, grid, grid).amplitudes
         band = source_band(spec, grid)
         assert band.shape[1] == n_points and band.shape[0] % 2 == 1
-        # Evaluated from the tables, or read off the built source: the same bits.
-        assert band.tobytes() == source_band(spec, grid, built).tobytes()
         assert not np.any(built.imag)
         assert from_band(band, n_points).tobytes() == built.real.tobytes()
 
