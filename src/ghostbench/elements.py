@@ -217,14 +217,13 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
 
 
 def _checked_transfer(spectrum: np.ndarray, grid: TransverseGrid, wavelength_m: float,
-                      distance_m: float, power: Optional[np.ndarray] = None) -> np.ndarray:
+                      distance_m: float) -> np.ndarray:
     """The band-limited transfer function of a free-space step, once the
     step's band-limit check has passed on ``spectrum`` (lines along the
-    last axis), or on ``power``, its summed power, when that is given."""
+    last axis)."""
     transfer, keep = _step(grid, wavelength_m, distance_m)
     if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum) if power is None else power, keep, grid, wavelength_m,
-                         distance_m)
+        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
     return transfer
 
 
@@ -349,20 +348,21 @@ def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseG
     return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), axis, grid, wavelength_m)
 
 
-def apply_arm_transpose(lines: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
-                        wavelength_m: float) -> np.ndarray:
-    """Act with the transpose of an arm's matrix on each line along the
-    last axis; ``lines`` (C-contiguous complex128) is overwritten.
+def apply_steps_transpose(lines: np.ndarray, steps: list, grid: TransverseGrid,
+                          wavelength_m: float) -> np.ndarray:
+    """Act with the transpose of an arm's steps (:func:`arm_steps`) on each
+    line along the last axis; ``lines`` (C-contiguous complex128) is
+    overwritten.
 
     Every free-space step is F^-1 diag(t) F with t even in f, a symmetric
     matrix, and every lens or slit is diagonal; so the transpose is the
-    arm's steps in reverse order, each factor before its step, each acting
+    steps in reverse order, each factor before its step, each acting
     forward with its own distance and focal length.  It is not
     :func:`reverse_arm`, which negates distances and conjugates the lens:
     that is the inverse.  The band limits are applied but not checked: a
     line here starts as one cell, whose spectrum is flat.
     """
-    for distance, factor in reversed(arm_steps(arm, grid, wavelength_m)):
+    for distance, factor in reversed(steps):
         if factor is not None:
             lines *= factor
         if distance != 0.0:

@@ -23,13 +23,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (_THIN_INVERSE_CELLS, ArmSpec, FreeSpace, Slit, _checked_transfer, _forward, _inverse,
-                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
-                       apply_arm_along, apply_arm_to_axis, apply_arm_transpose, apply_steps_along, arm_steps,
-                       reverse_arm)
+from .elements import (ArmSpec, FreeSpace, Slit, _forward, _inverse, _refuse_aliasing, _spectrum, _step,
+                       _summed_power, aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
+                       apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
-from .source import SourceSpec, build_source, source_band
+from .source import SourceSpec, _dense_from_band, build_source, source_band
+
+# The D2 singles take the band route (:func:`_reduced_state_lags`, and
+# slit B's rows from the source's band) while its cost estimate,
+# N (2h + 1 + R)^2 for a band of 2h + 1 diagonals and R cells open behind
+# slit B, is at most this many times the dense route's N^2 log2 N; beyond
+# it they take the dense source's idler spectrum.
+_BAND_ROUTE_COST = 6.0
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,15 @@ def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitu
     starts from the idler spectrum as the forward half of the arm's first
     step when that step has a nonzero distance.  The head serves
     klyshko-check's 2-D route and the band-limit checks of measure and
-    ghost; their slit-A rows come from the source's band
-    (:func:`source_band`, :func:`_rows_from_band`), which reads A by its
-    columns and needs no symmetry.  The singles take the idler spectrum
-    too.  ``build_source`` makes A symmetric on one grid for both axes;
-    ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A source
-    term that breaks the symmetry (a pump offset or tilt, unequal grids)
-    must first give the signal head its own lines.
+    ghost, which write the band they hold into the dense array
+    (:func:`_dense_from_band`) only for those checks.  Their slit-A rows
+    and the D2 singles come from the source's band (:func:`source_band`,
+    :func:`_rows_from_band`, :func:`_reduced_state_lags`); slit B's rows
+    read A through its symmetry too.  ``build_source`` makes A symmetric
+    on one grid for both axes; ``test_source.py``'s
+    ``test_exactly_symmetric`` guards it.  A source term that breaks the
+    symmetry (a pump offset or tilt, unequal grids) must first give the
+    signal head and slit B their own lines.
     """
     return build_source(bench.source, grid, grid)
 
@@ -132,7 +140,7 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
 
 
 def _toward_slit(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
-                 spectrum: tuple | None = None, overwrite: bool = False):
+                 overwrite: bool = False):
     """The signal arm's steps (:func:`arm_steps`) but the last, and the
     last step's forward half, on the rows of ``source``: ``(spectrum,
     transfer)``, the spectrum along the last axis.  Without a free-space
@@ -141,23 +149,18 @@ def _toward_slit(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelen
     The source is symmetric (:func:`build_bench_state`), so its rows are
     its signal-axis lines, and when the arm leads with a free-space step
     (a first step of nonzero distance) the source's idler spectrum is that
-    step's forward half.  ``spectrum`` is ``(spectrum, power)``, that
-    spectrum and its summed power, when the caller holds them; otherwise
-    the spectrum is taken here when needed.  ``source`` and ``spectrum``
-    are overwritten only when ``overwrite`` is set.
+    step's forward half.  ``source`` is overwritten only when
+    ``overwrite`` is set.
     """
     steps = arm_steps(arm, grid, wavelength_m)
     if not steps or steps[-1][0] == 0.0:
         return source, None
     lines, owned = source, overwrite
     if steps[0][0] != 0.0:
-        if spectrum is None:
-            spectrum, owned = (_spectrum(source, 1, overwrite), None), True
-        lines, power = spectrum
-        transfer = _checked_transfer(lines, grid, wavelength_m, steps[0][0], power)
+        spectrum, transfer = _forward(source, 1, grid, wavelength_m, steps[0][0], overwrite)
         if len(steps) == 1:  # the leading step is the last one
-            return lines, transfer
-        lines = _inverse(lines, transfer, overwrite=owned)
+            return spectrum, transfer
+        lines = _inverse(spectrum, transfer)
         steps[0], owned = (0.0, steps[0][1]), True  # the step is done; its factor is not
     at_step = apply_steps_along(lines, steps[:-1], 1, grid, wavelength_m, owned)
     return _forward(at_step, 1, grid, wavelength_m, steps[-1][0],
@@ -200,24 +203,25 @@ def _band_limited(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> bo
                for distance, _ in arm_steps(arm, grid, wavelength_m))
 
 
-def _rows_from_band(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: TransverseGrid,
+def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid,
                     wavelength_m: float) -> np.ndarray:
-    """Signal rows ``rows`` behind the whole arm, idler axis at the crystal,
-    as K A: K holds the unit rows at ``rows`` sent through the arm's
-    transpose (:func:`apply_arm_transpose`, the arm's steps walked in
-    reverse), one 1-D backward kernel per row, and the source A is read
-    through its nonzero diagonals ``band`` (:func:`source_band`).  The
-    product is summed diagonal by diagonal, O(R N (2h + 1)), with no BLAS
-    call.  Nothing is checked here: callers run the dense head
-    (:func:`_toward_slit`) first when the arm's band limits can fail
-    (:func:`_band_limited`)."""
+    """Signal rows ``rows`` behind an arm's ``steps`` (:func:`arm_steps`),
+    idler axis at the crystal, as K A: K holds the unit rows at ``rows``
+    sent through the steps' transpose (:func:`apply_steps_transpose`, the
+    steps walked in reverse), one 1-D backward kernel per row, and the
+    source A is read through its nonzero diagonals ``band``
+    (:func:`source_band`).  The product is summed diagonal by diagonal,
+    O(R N (2h + 1)), with no BLAS call.  Nothing is checked here: callers
+    run the dense head (:func:`_toward_slit`) first when the arm's band
+    limits can fail (:func:`_band_limited`), and the singles check slit
+    B's steps on the idler spectrum's power (:func:`_singles_profile`)."""
     width, n = band.shape
     h = width // 2
     kernel = np.zeros((rows.size, n), dtype=np.complex128)
     kernel[np.arange(rows.size), rows] = 1.0
     # Padded by h zero cells each side, so diagonal t reads kernel[:, j + t - h].
     padded = np.zeros((rows.size, n + 2 * h), dtype=np.complex128)
-    padded[:, h:h + n] = apply_arm_transpose(kernel, arm, grid, wavelength_m)
+    padded[:, h:h + n] = apply_steps_transpose(kernel, steps, grid, wavelength_m)
     at_rows = np.zeros((rows.size, n), dtype=np.complex128)
     for t in range(width):
         at_rows += padded[:, t:t + n] * band[t]
@@ -226,45 +230,117 @@ def _rows_from_band(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: Tran
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
     """Rows with the Gram matrix of ``block``, a stack of fields nonzero only
-    at ``cells`` (one column each): the R factor of its QR, placed at the
-    cells.  Since X^H X = R^H R, any linear map applied to the rows leaves
-    the sum of |.|^2 over them, per sample, as it is for ``block``."""
-    r = np.linalg.qr(block, mode="r")
-    rows = np.zeros((r.shape[0], n_points), dtype=np.complex128)
-    rows[:, cells] = r
+    at ``cells`` (one column each): with X^H X = V L V^H, the rows sqrt(L)
+    V^H, placed at the cells.  Since their Gram matrix is X^H X, any linear
+    map applied to the rows leaves the sum of |.|^2 over them, per sample,
+    as it is for ``block``."""
+    values, vectors = np.linalg.eigh(block.conj().T @ block)
+    rows = np.zeros((values.size, n_points), dtype=np.complex128)
+    rows[:, cells] = np.sqrt(np.clip(values, 0.0, None))[:, None] * vectors.conj().T
     return rows
 
 
-def _singles_profile(spectrum: np.ndarray, power: np.ndarray, arm: ArmSpec, grid: TransverseGrid,
-                     wavelength_m: float, last_reader: bool) -> np.ndarray:
-    """D2 singles profile: sum over the signal axis of |A|^2 with the idler
-    arm applied to the source's idler spectrum.
+def _reduced_state_lags(band: np.ndarray) -> np.ndarray:
+    """The idler's reduced state rho = A^T A on and above its diagonal,
+    read off the source's band (:func:`source_band`): ``lags[e, j] =
+    rho(j, j + e) = sum_d a_d(j) a_{d-e}(j + e)``, a_d the band's diagonal
+    d, for e = 0 ... 2h, 0 where j + e leaves the grid.  rho is real and
+    symmetric, so these are its 4h + 1 nonzero diagonals.  O(N h^2)."""
+    width, n = band.shape
+    lags = np.zeros((min(width, n), n))
+    for e in range(lags.shape[0]):
+        lags[e, :n - e] = np.einsum("tj,tj->j", band[e:, :n - e], band[:width - e, e:])
+    return lags
 
-    The arm's steps (:func:`arm_steps`) up to the first that has a factor
-    are one spectral pass; each step is checked on the source power inside
-    the bands of the steps before it (|transfer| = 1 on a kept band).  When
-    that factor (slit B) leaves few cells open, the pass's inverse is
-    taken at those cells only, and the N x R block there is replaced by
-    its :func:`_gram_rows`, which finish the arm.  ``spectrum`` is
-    overwritten only when ``last_reader`` is set.
-    """
+
+def _lag_power(lags: np.ndarray) -> np.ndarray:
+    """The summed power of the source's idler spectrum, sum over i of
+    |fft(A[i, :])|^2, as the DFT of rho's lag sums c_e = sum_j rho(j, j + e)
+    (:func:`_reduced_state_lags`; c_-e = c_e)."""
+    count, n = lags.shape
+    sums = lags.sum(axis=1)
+    circular = np.zeros(n)
+    circular[:count] = sums
+    circular[n - np.arange(1, count)] += sums[1:]
+    return np.fft.fft(circular).real
+
+
+def _open_singles(lags: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """diag(U rho U^H), the summed |.|^2 over the signal axis with the
+    circulant U = ifft . diag(transfer) . fft on the idler axis, from rho's
+    lags (:func:`_reduced_state_lags`): with u = ifft(transfer) and w_e[m] =
+    u[m] conj(u[m - e]), it is sum over e = -2h ... 2h of the circular
+    convolution w_e * r_e.  Lag -e gives the complex conjugate of lag e's
+    term, so the lags e > 0 count twice, by their real part.  One batched
+    FFT of the lags and one of the w_e.  This is the intensity of a
+    partially coherent field from its cross-spectral density (Mandel &
+    Wolf, *Optical Coherence and Quantum Optics*, ch. 4-5)."""
+    count, n = lags.shape
+    u = np.fft.ifft(transfer)
+    kernels = np.fft.fft(u * u[(np.arange(n) - np.arange(count)[:, None]) % n].conj())
+    kernels[1:] *= 2.0
+    return np.fft.ifft(np.einsum("ef,ef->f", kernels, np.fft.fft(lags))).real
+
+
+def _idler_run(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
+    """``(steps, run)``: the arm's steps (:func:`arm_steps`) and the number
+    of them, up to the first that has a factor (slit B), that make one
+    spectral pass."""
     steps = arm_steps(arm, grid, wavelength_m)
+    return steps, next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
+
+
+def _band_route_pays(band: np.ndarray, benches: list, grid: TransverseGrid) -> bool:
+    """Whether the singles of ``benches`` take the band route: its cost
+    estimate N (2h + 1 + R)^2, R the cells left open by the factor that
+    ends each bench's spectral pass (:func:`_idler_run`), summed, against
+    the dense route's N^2 log2 N (``_BAND_ROUTE_COST``)."""
+    cells = 0
+    for bench in benches:
+        steps, run = _idler_run(bench.idler_arm, grid, bench.source.lambda_idler_m)
+        if run and steps[run - 1][1] is not None:
+            cells += np.count_nonzero(steps[run - 1][1])
+    n = grid.n_points
+    return (band.shape[0] + cells) ** 2 <= _BAND_ROUTE_COST * n * np.log2(n)
+
+
+def _singles_profile(source, power: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+                     last_reader: bool) -> np.ndarray:
+    """D2 singles profile: sum over the signal axis of |A|^2 with the idler
+    arm applied to the source.
+
+    The arm's steps up to the first that has a factor are one spectral
+    pass (:func:`_idler_run`); each step is checked on ``power``, the
+    summed power of the source's idler spectrum, inside the bands of the
+    steps before it (|transfer| = 1 on a kept band).  ``source`` is, on the
+    band route, the pair of the source's band and its reduced state's lags
+    (:func:`_reduced_state_lags`): without a factor the profile is
+    :func:`_open_singles`; with one (slit B), the N x R block at the R
+    cells it leaves open is the transpose of slit B's rows taken from the
+    band (:func:`_rows_from_band`, A is symmetric), replaced by its
+    :func:`_gram_rows`, which finish the arm.  On the dense route
+    (:func:`_band_route_pays`) ``source`` is the source's idler spectrum,
+    inverted whole, and overwritten only when ``last_reader`` is set.
+    """
+    steps, run = _idler_run(arm, grid, wavelength_m)
     transfer = np.ones(grid.n_points, dtype=np.complex128)
-    band = np.ones(grid.n_points, dtype=bool)
-    run = next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
+    kept = np.ones(grid.n_points, dtype=bool)
     for distance, _ in steps[:run]:
         if distance != 0.0:
             step, keep = _step(grid, wavelength_m, distance)
             if not keep.all():
-                _refuse_aliasing(power * band, keep, grid, wavelength_m, distance)
+                _refuse_aliasing(power * kept, keep, grid, wavelength_m, distance)
             transfer *= step
-            band &= keep
+            kept &= keep
     factor = steps[run - 1][1] if run else None
-    if factor is not None and np.count_nonzero(factor) <= _THIN_INVERSE_CELLS:
+    if isinstance(source, tuple):
+        band, lags = source
+        if factor is None:
+            return _open_singles(lags, transfer) * grid.spacing_m
         cells = np.flatnonzero(factor)
-        amps = _gram_rows(_inverse(spectrum, transfer, cells) * factor[cells], cells, grid.n_points)
+        amps = _gram_rows(_rows_from_band(band, steps[:run], cells, grid, wavelength_m).T, cells, grid.n_points)
     else:
-        amps = _inverse(spectrum, transfer, overwrite=last_reader)
+        amps = _inverse(source, transfer, overwrite=last_reader)
         if factor is not None:
             amps *= factor
     amps = apply_steps_along(amps, steps[run:], 1, grid, wavelength_m)
@@ -313,16 +389,20 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
 
     ``bench`` is one :class:`BenchSpec` (one :class:`ScanResult`) or a
     sequence of benches that differ only in the idler arm (one result
-    each), which share one source, one set of slit-A rows and one idler
-    spectrum of the source.  D1 stays fixed as configured.  The
-    coincidences follow the idler arm on the rows slit A can leave
-    nonzero (:func:`_slit_rows`), taken as K A from the source's band
-    (:func:`_rows_from_band`); the dense signal head runs only where a
-    signal step's band limit cuts on the grid, to make its checks.  The
-    singles rate is the signal-axis marginal of the state with only the
-    idler arm applied (:func:`_singles_profile`): it counts every idler
-    photon regardless of what happens in the signal arm, so signal-arm
-    losses (slit A) cannot imprint on it.
+    each), which share one source band and one set of slit-A rows.  D1
+    stays fixed as configured.  The coincidences follow the idler arm on
+    the rows slit A can leave nonzero (:func:`_slit_rows`), taken as K A
+    from the source's band (:func:`_rows_from_band`).  The singles rate is
+    the signal-axis marginal of the state with only the idler arm applied
+    (:func:`_singles_profile`): it counts every idler photon regardless of
+    what happens in the signal arm, so signal-arm losses (slit A) cannot
+    imprint on it.  The singles too come from the band, through the
+    idler's reduced state (:func:`_reduced_state_lags`), unless a band as
+    wide as the window makes the dense source's idler spectrum cheaper
+    (:func:`_band_route_pays`).  No N x N array is made but there, or where
+    a signal step's band limit cuts on the grid: the band is then written
+    into the dense source for the signal head (:func:`_toward_slit`) to
+    make its checks.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
     first = benches[0]
@@ -330,28 +410,29 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise ValueError("benches scanned together may differ only in the idler arm")
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise SamplingError("scan window extends outside the grid window")
-    state = build_bench_state(first, grid)
-    amps, arm, wavelength = state.amplitudes, first.signal_arm, state.wavelength_s_m
+    arm, wavelength, idler_wavelength = first.signal_arm, first.source.lambda_signal_m, first.source.lambda_idler_m
     band = source_band(first.source, grid)
-    # The dense head runs only to make the band-limit checks it would make.
     checked = _band_limited(arm, grid, wavelength)
-    leads = checked and arm_steps(arm, grid, wavelength)[0][0] != 0.0
-    if checked and not leads:  # the signal head starts in space, from the source
-        _toward_slit(amps, arm, grid, wavelength)
-    # Nothing reads the source after this: its idler spectrum overwrites it.
-    spectrum = _spectrum(amps, 1, overwrite=True)
-    power = _summed_power(spectrum)
-    if checked and leads:  # the signal head starts from the same spectrum
-        _toward_slit(amps, arm, grid, wavelength, (spectrum, power))
+    banded = _band_route_pays(band, benches, grid)
+    if checked or not banded:
+        amps = _dense_from_band(band)
+        if checked:  # the dense head runs only to make the band-limit checks it would make
+            _toward_slit(amps, arm, grid, wavelength, overwrite=banded)
+    if banded:
+        lags = _reduced_state_lags(band)
+        source, power = (band, lags), _lag_power(lags)
+    else:  # nothing reads the source after this: its idler spectrum overwrites it
+        source = _spectrum(amps, 1, overwrite=True)
+        power = _summed_power(source)
     rows = _slit_rows(arm, grid, wavelength)[0]
-    at_d1 = _rows_from_band(band, arm, rows, grid, wavelength)
+    at_d1 = _rows_from_band(band, arm_steps(arm, grid, wavelength), rows, grid, wavelength)
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
     for k, each in enumerate(benches):
-        at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, state.wavelength_i_m)
+        at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, idler_wavelength)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
-        singles_profile = _singles_profile(spectrum, power, each.idler_arm, grid, state.wavelength_i_m,
+        singles_profile = _singles_profile(source, power, each.idler_arm, grid, idler_wavelength,
                                            last_reader=k == len(benches) - 1)
         coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
         singles = _sample_profile(grid, singles_profile, each.d2, positions)
@@ -387,11 +468,9 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
         replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
         for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
     wavelength = bench.source.lambda_signal_m
-    source = None
-    if _band_limited(bench.signal_arm, grid, wavelength):
-        source = build_bench_state(bench, grid).amplitudes
     band = source_band(bench.source, grid)
-    if source is not None:
+    if _band_limited(bench.signal_arm, grid, wavelength):
+        source = _dense_from_band(band)
         # An offset that moves a slit before the last step changes the head.
         heads = {}
         for arm in arms:
@@ -404,7 +483,8 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
         weights = _d1_weights(replace(bench, signal_arm=arm,
                                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
         rows = np.nonzero(weights > 0)[0]
-        conditioned.append((rows, weights[rows], _rows_from_band(band, arm, rows, grid, wavelength)))
+        at_rows = _rows_from_band(band, arm_steps(arm, grid, wavelength), rows, grid, wavelength)
+        conditioned.append((rows, weights[rows], at_rows))
     return conditioned
 
 

@@ -150,16 +150,22 @@ def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGri
     """The source of either kind: its nonzero diagonals (:func:`source_band`)
     written into the real part of a zeroed N x N complex array."""
     _require_matching_grids(grid_s, grid_i)
-    n = grid_s.n_points
-    band = source_band(spec, grid_s)
-    h = len(band) // 2
+    return BiphotonAmplitude(grid_s, grid_i, _dense_from_band(source_band(spec, grid_s)),
+                             spec.lambda_signal_m, spec.lambda_idler_m)
+
+
+def _dense_from_band(band: np.ndarray) -> np.ndarray:
+    """The N x N complex source whose nonzero diagonals are ``band``
+    (:func:`source_band`), written into the real part of a zeroed array."""
+    width, n = band.shape
+    h = width // 2
     amps = np.zeros((n, n), dtype=np.complex128)
     flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + d * N]
     for t, diagonal in enumerate(band):
         d = t - h
         lo, hi = max(0, -d), n - max(0, d)
         flat[lo * (n + 1) + d * n::n + 1][:hi - lo] = diagonal[lo:hi]
-    return BiphotonAmplitude(grid_s, grid_i, amps, spec.lambda_signal_m, spec.lambda_idler_m)
+    return amps
 
 
 def _band_half(spec: SourceSpec, grid: TransverseGrid) -> int:

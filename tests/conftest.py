@@ -7,7 +7,7 @@ from ghostbench.config import RunConfig, to_grid
 from ghostbench.elements import (BAND_LIMIT_LOSS_TOLERANCE, _lens_phase, _propagate_array, _step,
                                  aperture_transmission, band_limit_cycles_per_m)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import _d1_weights, build_bench_state
+from ghostbench.experiment import _d1_weights, _sample_profile, build_bench_state
 
 WAVELENGTH = 702.2e-9
 
@@ -51,19 +51,19 @@ def along(joint, axis, *elements):
 
 
 def dense_scan(bench, window, grid):
-    """Coincidences and singles of a point-D2 scan by the dense route.
+    """Coincidences and singles of a scan by the dense route.
 
     Both arms act on all N^2 samples (:func:`propagate_bench`), and D1 is
-    read off the whole array; the singles take the idler arm alone.
+    read off the whole array; the singles take the idler arm alone.  D2
+    reads both profiles as the scan does (point or bucket).
     """
-    assert bench.d2.mode == "point"
     state = build_bench_state(bench, grid)
     joint = propagate_bench(state, bench).amplitudes
     coincidence = np.sum(_d1_weights(bench, grid)[:, None] * np.abs(joint) ** 2, axis=0) * grid.spacing_m
     idler_only = apply_arm_to_axis(state, bench.idler_arm, "idler").amplitudes
     singles = np.sum(np.abs(idler_only) ** 2, axis=0) * grid.spacing_m
     y = window.positions()
-    return np.interp(y, grid.positions, coincidence), np.interp(y, grid.positions, singles)
+    return _sample_profile(grid, coincidence, bench.d2, y), _sample_profile(grid, singles, bench.d2, y)
 
 
 def numpy_propagate_array(amps, axis, grid, wavelength_m, distance_m):

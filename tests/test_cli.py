@@ -242,15 +242,15 @@ class TestValidateAndErrors:
 
 
 class TestWorkCounts:
-    """Each command builds the source at most once and never runs a dense
-    idler pass.  measure and ghost take slit A's rows from the source's
-    band and one backward kernel per row, so they run the signal arm's
-    dense head (``_toward_slit``) only where a signal step's band limit
-    cuts on the grid, to make its checks; measure still builds the source
-    for the singles, ghost builds it only for that check.  klyshko-check
-    keeps the dense head as its oracle's partner.  Any dense pass of an
-    arm along an axis of the joint amplitude goes through
-    ``apply_arm_to_axis``."""
+    """Each command builds the N x N source at most once and never runs a
+    dense idler pass.  measure and ghost take slit A's rows from the
+    source's band and one backward kernel per row, and measure takes the
+    D2 singles from the band too, through the idler's reduced state; so
+    they build the source, from the band they hold, only where a signal
+    step's band limit cuts on the grid, for the signal arm's dense head
+    (``_toward_slit``) to make its checks.  klyshko-check keeps the dense
+    head as its oracle's partner.  Any dense pass of an arm along an axis
+    of the joint amplitude goes through ``apply_arm_to_axis``."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
@@ -264,6 +264,7 @@ class TestWorkCounts:
             return wrapper
 
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
+        monkeypatch.setattr(experiment, "_dense_from_band", counting(experiment._dense_from_band, "build"))
         monkeypatch.setattr(experiment, "_toward_slit", counting(experiment._toward_slit, "signal"))
         monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
 
@@ -279,10 +280,10 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
     def test_measure(self, counted, command, scans):
-        # No dense idler pass, whatever the number of scans: the coincidences
+        # No N x N array, whatever the number of scans: the coincidences
         # follow the idler arm on slit A's rows, and every scan's singles
-        # start from the one idler spectrum of the source.
-        assert counted(command) == {"build": 1, "signal": 0, "idler": 0}
+        # come from the one reduced state of the source's band.
+        assert counted(command) == {"build": 0, "signal": 0, "idler": 0}
 
     def test_ghost(self, counted):
         assert counted("ghost") == {"build": 0, "signal": 0, "idler": 0}

@@ -12,8 +12,8 @@ from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
 from ghostbench import elements
 from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _inverse,
                                  _propagate_array, _spectrum, _step, _summed_power, _thin_inverse,
-                                 _transform, aperture_transmission, apply_arm_along, apply_arm_transpose,
-                                 apply_steps_along, arm_steps)
+                                 _transform, aperture_transmission, apply_arm_along, apply_steps_along,
+                                 apply_steps_transpose, arm_steps)
 from ghostbench.experiment import build_bench_state
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
@@ -364,7 +364,8 @@ class TestArmSteps:
         with pytest.raises(TypeError, match="unknown optical element"):
             apply_arm_along(np.ones(grid.n_points, dtype=complex), arm, 0, grid, WAVELENGTH)
         with pytest.raises(TypeError, match="unknown optical element"):
-            apply_arm_transpose(np.ones((1, grid.n_points), dtype=complex), arm, grid, WAVELENGTH)
+            apply_steps_transpose(np.ones((1, grid.n_points), dtype=complex), arm_steps(arm, grid, WAVELENGTH), grid,
+                                  WAVELENGTH)
 
     @pytest.mark.parametrize("arm_name", ["signal_arm", "idler_arm"])
     def test_scan_with_unknown_element_raises(self, arm_name):
@@ -386,7 +387,8 @@ class TestArmSteps:
         rows = np.zeros((9, grid.n_points), dtype=np.complex128)
         rows[np.arange(9), grid.n_points // 2 - 4 + np.arange(9)] = 1.0
         expected = reference_transpose(rows, arm, grid, wavelength)
-        assert apply_arm_transpose(rows.copy(), arm, grid, wavelength).tobytes() == expected.tobytes()
+        transposed = apply_steps_transpose(rows.copy(), arm_steps(arm, grid, wavelength), grid, wavelength)
+        assert transposed.tobytes() == expected.tobytes()
 
 
 class TestThinInverse:

@@ -11,10 +11,12 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
 from dataclasses import replace
 
-from ghostbench.elements import _forward, _spectrum, _summed_power, aperture_transmission, apply_arm_to_axis
+from ghostbench.elements import (_forward, _spectrum, _step, _summed_power, aperture_transmission,
+                                 apply_arm_to_axis, arm_steps)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import (_band_limited, _lit_rows, _rows_behind, _rows_from_band, _slit_rows,
-                                   _toward_slit, build_bench_state, signal_conditioned_rows)
+from ghostbench.experiment import (_band_limited, _band_route_pays, _lag_power, _lit_rows, _reduced_state_lags,
+                                   _rows_behind, _rows_from_band, _slit_rows, _toward_slit,
+                                   build_bench_state, signal_conditioned_rows)
 from ghostbench.source import source_band
 
 from conftest import dense_scan, diagonal_product
@@ -360,16 +362,10 @@ class TestHeadOnRows:
         assert got_rows.tolist() == rows.tolist()
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert np.array_equal(source, before)
-        # The head as measure calls it (with the scan's idler spectrum and
-        # power) and as ghost does (over a source it may overwrite).
-        spectrum = _spectrum(source, 1)
-        spectrum_before = spectrum.copy()
-        factor = _slit_rows(arm, grid, wavelength)[1]
-        for shared, overwrite in (((spectrum, _summed_power(spectrum)), False), (None, True)):
-            pending = _toward_slit(before.copy() if overwrite else source, arm, grid, wavelength, shared, overwrite)
-            got = _rows_behind(pending, factor, rows)
-            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-            assert np.array_equal(source, before) and np.array_equal(spectrum, spectrum_before)
+        # The head as measure and ghost call it, over a source it may overwrite.
+        pending = _toward_slit(source, arm, grid, wavelength, overwrite=True)
+        got = _rows_behind(pending, _slit_rows(arm, grid, wavelength)[1], rows)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def slit_before_lens(bench):
@@ -418,7 +414,8 @@ class TestRowsFromBand:
         bench = make()
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
         rows = _slit_rows(arm, grid, wavelength)[0]
-        got = _rows_from_band(source_band(bench.source, grid), arm, rows, grid, wavelength)
+        steps = arm_steps(arm, grid, wavelength)
+        got = _rows_from_band(source_band(bench.source, grid), steps, rows, grid, wavelength)
         assert near(got, dense_signal_rows(bench, grid, rows))
 
     @pytest.mark.parametrize("make", [BAND_BENCHES[k] for k in ("reference", "separable", "point-d1")],
@@ -464,6 +461,69 @@ class TestRowsFromBand:
         coincidence, singles = dense_scan(bench, scan_window, grid)
         assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
         assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
+
+
+# Benches whose D2 singles the band route must give as the dense route does.
+SINGLES_BENCHES = {
+    "reference": {},
+    "nondegenerate": {"signal_wavelength_m": 650e-9, "idler_wavelength_m": 763.5162261625964e-9},
+    "separable": {"source_kind": "separable"},
+    "slit-b-offset": {"slit_b_center_m": -0.2e-3},
+    "bucket-d2": {"d2_mode": "bucket", "d2_aperture_m": 0.3e-3},
+}
+
+
+class TestSinglesFromBand:
+    """measure takes the D2 singles from the source's band: with slit B
+    open, as diag(U rho U^H) from the lags of the idler's reduced state;
+    with slit B in, from slit B's rows taken off the band and their R x R
+    Gram factor.  The dense idler arm on the whole source is the oracle
+    (:func:`dense_scan`)."""
+
+    WINDOW = ScanWindow(-4e-3, 4e-3, 81)
+
+    @pytest.mark.parametrize("overrides", SINGLES_BENCHES.values(), ids=SINGLES_BENCHES.keys())
+    def test_singles_match_dense_route(self, grid, overrides):
+        benches = [default_bench(**overrides), default_bench(slit_b="open", **overrides)]
+        assert _band_route_pays(source_band(benches[0].source, grid), benches, grid)
+        for bench, scan in zip(benches, run_coincidence_scan(benches, self.WINDOW, grid)):
+            assert near(scan.singles_d2, dense_scan(bench, self.WINDOW, grid)[1], 1e-12)
+
+    def test_singles_where_the_idler_step_band_limits(self):
+        # At 512 points over +-8 mm the 745 mm idler step keeps 1.53e4 of
+        # 1.60e4 cycles/m and cuts 4.4% of the source's power, just inside
+        # the tolerance; its check reads the band's lag power.
+        grid = TransverseGrid(512, 8e-3)
+        benches = [default_bench(), default_bench(slit_b="open")]
+        wavelength = benches[0].source.lambda_idler_m
+        assert not _step(grid, wavelength, 0.745)[1].all()
+        for bench, scan in zip(benches, run_coincidence_scan(benches, self.WINDOW, grid)):
+            assert near(scan.singles_d2, dense_scan(bench, self.WINDOW, grid)[1], 1e-12)
+
+    @pytest.mark.parametrize("correlation_width_m, banded", [(50e-6, True), (600e-6, False)])
+    def test_singles_on_both_sides_of_the_wide_band_rule(self, correlation_width_m, banded):
+        grid = TransverseGrid(256, 7.5e-3)
+        benches = [default_bench(correlation_width_m=correlation_width_m),
+                   default_bench(slit_b="open", correlation_width_m=correlation_width_m)]
+        assert _band_route_pays(source_band(benches[0].source, grid), benches, grid) == banded
+        for bench, scan in zip(benches, run_coincidence_scan(benches, self.WINDOW, grid)):
+            assert near(scan.singles_d2, dense_scan(bench, self.WINDOW, grid)[1], 1e-12)
+
+    @pytest.mark.parametrize("overrides", SINGLES_BENCHES.values(), ids=SINGLES_BENCHES.keys())
+    def test_lag_power_is_the_summed_power_of_the_idler_spectrum(self, grid, overrides):
+        bench = default_bench(**overrides)
+        power = _lag_power(_reduced_state_lags(source_band(bench.source, grid)))
+        assert near(power, _summed_power(_spectrum(build_bench_state(bench, grid).amplitudes, 1)), 1e-13)
+
+    def test_reduced_state_lags_are_the_diagonals_of_rho(self, grid):
+        bench = default_bench(source_kind="separable")
+        band = source_band(bench.source, grid)
+        amps = build_bench_state(bench, grid).amplitudes.real
+        rho = amps.T @ amps
+        lags = _reduced_state_lags(band)
+        for e in range(lags.shape[0]):
+            assert near(lags[e, :grid.n_points - e], np.diagonal(rho, e), 1e-14)
+            assert not lags[e, grid.n_points - e:].any()
 
 
 # Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
@@ -570,8 +630,8 @@ class TestPeakMemory:
     N x N complex arrays at once: the source (or its idler spectrum) and
     the signal arm's one intermediate, which every lens, slit and forward
     transform overwrites.  A lens product into a new array holds 3.  Ghost
-    holds about one when its band-limit check runs the dense head, which
-    overwrites the source's spectrum, and no N x N array otherwise."""
+    and measure hold about one when a band-limit check runs the dense head,
+    which overwrites the source's spectrum, and no N x N array otherwise."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -597,6 +657,17 @@ class TestPeakMemory:
         bench = default_bench(slit_b="open")
         assert not _band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
         assert self.peak(self.CALLS["ghost"]) <= 0.25 * self.GRID.n_points ** 2 * 16
+
+    def test_scan_without_a_band_limited_head_makes_no_n_by_n_array(self):
+        # No step cuts its band on this grid, so measure's M1 and M2 read
+        # the source's band alone: slit A's and slit B's rows and the
+        # reduced state's lags, a few lines of N each.  A quarter of one
+        # complex N x N array is half of a real one.
+        bench = default_bench()
+        assert not _band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
+        for arm in (bench.idler_arm, default_bench(slit_b="open").idler_arm):
+            assert not _band_limited(arm, self.GRID, bench.source.lambda_idler_m)
+        assert self.peak(self.CALLS["scan-m1-m2"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
     def peak(self, call):
         with warnings.catch_warnings():
