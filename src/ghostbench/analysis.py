@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .elements import _inverse, _refuse_aliasing, _spectrum, _step, _summed_power
-from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError,
+from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError, PatternError,
                      WindowTooSmallError)
 from .experiment import BenchSpec, ScanResult, signal_conditioned_rows
 from .grid import TransverseGrid
@@ -344,8 +344,9 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
     D1-conditioned intensity profile at each plane, and reports the plane
     of minimum width.  The magnification is estimated by displacing slit A
     by ``magnification_offset_m`` and reading the image centroid shift at
-    the best plane.  Requires screen B open (any idler slit would mask the
-    swept image).
+    the best plane; :class:`PatternError` is raised when either image has
+    no finite centroid there (the displaced slit passes no light).
+    Requires screen B open (any idler slit would mask the swept image).
     """
     if bench.idler_arm.slits():
         raise ValueError("ghost-image sweep requires slit B open")
@@ -379,8 +380,13 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
 
     shifted = next(_image_profiles(w_off, rows_off, grid, wavelength, [best_plane]))
     y = grid.positions
-    centroid_shifted = float(np.sum(shifted * y) / np.sum(shifted))
-    centroid_base = float(np.sum(base * y) / np.sum(base))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        centroid_shifted = float(np.sum(shifted * y) / np.sum(shifted))
+        centroid_base = float(np.sum(base * y) / np.sum(base))
+    if not (np.isfinite(centroid_shifted) and np.isfinite(centroid_base)):
+        raise PatternError(f"slit A moved by [ghost] slit_offset_mm = {magnification_offset_m * 1e3:g} leaves "
+                           f"no image with a finite centroid at the best plane: the moved slit passes no light "
+                           f"inside the +-{grid.extent_m * 1e3:g} mm grid window")
     magnification = (centroid_shifted - centroid_base) / magnification_offset_m
     return GhostImageStats(best_plane_m=best_plane, fwhm_m=float(widths[i_best]),
                            magnification=float(magnification),

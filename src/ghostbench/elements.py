@@ -203,12 +203,17 @@ def _step(grid: TransverseGrid, wavelength_m: float, distance_m: float):
 
 
 def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
-                     wavelength_m: float, distance_m: float):
+                     wavelength_m: float, distance_m: float, unseen: float = 0.0):
     """Raise :class:`SamplingError` if the step's band limit would remove
-    more than ``BAND_LIMIT_LOSS_TOLERANCE`` of ``power`` (per frequency)."""
+    more than ``BAND_LIMIT_LOSS_TOLERANCE`` of ``power`` (per frequency).
+
+    ``unseen`` bounds the summed power of lines left out of ``power``: they
+    add at most that much to both the lost and the total power, so the
+    step passes only if it would pass with all of it lost.
+    """
     total = float(np.sum(power))
     lost = float(np.sum(power[~keep]))
-    if total > 0 and lost / total > BAND_LIMIT_LOSS_TOLERANCE:
+    if total > 0 and (lost + unseen) / total > BAND_LIMIT_LOSS_TOLERANCE:
         raise SamplingError(
             f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
             f"energy (band limit {band_limit_cycles_per_m(grid, wavelength_m, distance_m):.3g} cycles/m, "
@@ -217,25 +222,25 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
 
 
 def _checked_transfer(spectrum: np.ndarray, grid: TransverseGrid, wavelength_m: float,
-                      distance_m: float) -> np.ndarray:
+                      distance_m: float, unseen: float = 0.0) -> np.ndarray:
     """The band-limited transfer function of a free-space step, once the
     step's band-limit check has passed on ``spectrum`` (lines along the
-    last axis)."""
+    last axis) and ``unseen`` (:func:`_refuse_aliasing`)."""
     transfer, keep = _step(grid, wavelength_m, distance_m)
     if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
+        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m, unseen)
     return transfer
 
 
 def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
-             distance_m: float, overwrite: bool = False):
+             distance_m: float, overwrite: bool = False, unseen: float = 0.0):
     """Forward half of a free-space step: ``(spectrum, transfer)``.
 
     The spectrum runs along the last axis and has passed the band-limit
-    check; :func:`_inverse` completes the step.
+    check (:func:`_checked_transfer`); :func:`_inverse` completes the step.
     """
     spectrum = _spectrum(amps, axis, overwrite)
-    return spectrum, _checked_transfer(spectrum, grid, wavelength_m, distance_m)
+    return spectrum, _checked_transfer(spectrum, grid, wavelength_m, distance_m, unseen)
 
 
 def _thin_inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -313,15 +318,14 @@ def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
 
 
 def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
-                      wavelength_m: float, overwrite: bool = False) -> np.ndarray:
+                      wavelength_m: float) -> np.ndarray:
     """Act with an arm's steps (:func:`arm_steps`), in order, along one
     array axis; the other axes are untouched.
 
     Each step overwrites the arm's own complex intermediate; ``amps`` is
-    overwritten too only when ``overwrite`` is set (it must then be
-    complex128).
+    left as it was.
     """
-    owned = overwrite
+    owned = False
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
     for distance, factor in steps:

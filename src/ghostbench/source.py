@@ -154,17 +154,19 @@ def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGri
                              spec.lambda_signal_m, spec.lambda_idler_m)
 
 
-def _dense_from_band(band: np.ndarray) -> np.ndarray:
-    """The N x N complex source whose nonzero diagonals are ``band``
-    (:func:`source_band`), written into the real part of a zeroed array."""
+def _dense_from_band(band: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows ``lo`` ... ``hi`` - 1 (all N by default) of the N x N complex
+    source whose nonzero diagonals are ``band`` (:func:`source_band`),
+    written into the real part of a zeroed (hi - lo) x N array."""
     width, n = band.shape
-    h = width // 2
-    amps = np.zeros((n, n), dtype=np.complex128)
-    flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + d * N]
+    h, hi = width // 2, n if hi is None else hi
+    amps = np.zeros((hi - lo, n), dtype=np.complex128)
+    flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + (d - lo) * N]
     for t, diagonal in enumerate(band):
         d = t - h
-        lo, hi = max(0, -d), n - max(0, d)
-        flat[lo * (n + 1) + d * n::n + 1][:hi - lo] = diagonal[lo:hi]
+        first, last = max(0, lo - d), min(n, hi - d)  # the j with 0 <= j < N and lo <= j + d < hi
+        if first < last:
+            flat[first * (n + 1) + (d - lo) * n::n + 1][:last - first] = diagonal[first:last]
     return amps
 
 

@@ -110,6 +110,18 @@ class TestGhost:
         assert err.startswith("error: config:")
         assert "slit_offset_mm" in err
 
+    # The displaced slit A lies outside the +-15 mm window, or beyond its
+    # edge, so it passes no light and its image has no centroid.
+    @pytest.mark.parametrize("extra", ["[ghost]\nslit_offset_mm = 20\n", "[signal_arm]\nslit_a_center_mm = 14.9\n"],
+                             ids=["offset-outside-window", "slit-a-at-window-edge"])
+    def test_dark_displaced_slit_exit_3(self, capsys, tmp_path, outdir_config, extra):
+        code, out, err = run_cli(capsys, "ghost", outdir_config(extra))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: numerical:")
+        assert "[ghost] slit_offset_mm" in err
+        assert not (tmp_path / "ghost_sweep.csv").exists()
+
 
 class TestKlyshko:
     def test_pass(self, capsys, tmp_path, outdir_config):
@@ -242,24 +254,27 @@ class TestValidateAndErrors:
 
 
 class TestWorkCounts:
-    """Each command builds the N x N source at most once and never runs a
-    dense idler pass.  measure and ghost take slit A's rows from the
-    source's band and one backward kernel per row, and measure takes the
-    D2 singles from the band too, through the idler's reduced state; so
-    they build the source, from the band they hold, only where a signal
-    step's band limit cuts on the grid, for the signal arm's dense head
-    (``_toward_slit``) to make its checks.  klyshko-check keeps the dense
-    head as its oracle's partner.  Any dense pass of an arm along an axis
-    of the joint amplitude goes through ``apply_arm_to_axis``."""
+    """Each command builds the source at most once and never runs a dense
+    idler pass.  measure and ghost take slit A's rows from the source's
+    band and one backward kernel per row, and measure takes the D2
+    singles from the band too, through the idler's reduced state; so they
+    build rows of the source, from the band they hold, only where a signal
+    step's band limit cuts on the grid, and then only its lit lines, for
+    the signal arm's dense head (``_toward_slit``) to make its checks.
+    klyshko-check keeps the dense head on the whole N x N source as its
+    oracle's partner.  Any dense pass of an arm along an axis of the joint
+    amplitude goes through ``apply_arm_to_axis``."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
         import ghostbench.experiment as experiment
-        calls = []
+        calls, head_lines = [], []
 
         def counting(original, name=None):
             def wrapper(*args, **kwargs):
                 calls.append(name or args[2])
+                if name == "signal":
+                    head_lines.append(len(args[0]))
                 return original(*args, **kwargs)
             return wrapper
 
@@ -271,11 +286,13 @@ class TestWorkCounts:
         # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
         def run(command, extra="", n_points=128):
             calls.clear()
+            head_lines.clear()
             base = f"[grid]\nn_points = {n_points}\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert main([command, outdir_config(base + extra)]) == 0
             return {name: calls.count(name) for name in ("build", "signal", "idler")}
+        run.head_lines = head_lines
         return run
 
     @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
@@ -289,15 +306,43 @@ class TestWorkCounts:
         assert counted("ghost") == {"build": 0, "signal": 0, "idler": 0}
 
     @pytest.mark.parametrize("command", ["measure-m2", "ghost"])
-    def test_band_limited_head_runs_the_dense_check(self, counted, command):
+    def test_band_limited_head_checks_the_lit_lines(self, counted, command):
         # At 384 points over +-7.5 mm the 1 m step before slit A keeps
-        # 1.07e4 of 1.28e4 cycles/m, and passes its check.
+        # 1.07e4 of 1.28e4 cycles/m, and passes its check, made on the
+        # source's 286 lit lines alone.
         assert counted(command, n_points=384) == {"build": 1, "signal": 1, "idler": 0}
+        assert counted.head_lines == [286]
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):
         assert counted("klyshko-check", f"[klyshko]\nn_positions = {n_positions}\n") == \
             {"build": 1, "signal": 1, "idler": 0}
+        assert counted.head_lines == [128]
+
+
+class TestLitLineHeadRefusal:
+    """measure and ghost make the signal head's band-limit checks on the
+    source's lit lines; they pass, or refuse with the exit code and the
+    message, as the head run on all N lines does.  On this 129-point bench
+    a 1 mm correlation leaves every line lit, and the head passes while an
+    idler step refuses (measure) or nothing does (ghost); a 30 um one drops
+    8 lines, and the head itself refuses."""
+
+    @pytest.mark.parametrize("command, correlation_um, code", [
+        ("measure-m2", 1000, 3), ("ghost", 1000, 0), ("measure-m2", 30, 3), ("ghost", 30, 3)])
+    def test_same_outcome_as_on_all_lines(self, capsys, monkeypatch, outdir_config, command, correlation_um, code):
+        import ghostbench.experiment as experiment
+        cfg = outdir_config("[grid]\nn_points = 129\nextent_mm = 2\n[source]\npump_diameter_mm = 1\n"
+                            f"correlation_width_um = {correlation_um}\n[scan]\ny_min_mm = -1.5\ny_max_mm = 1.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lit = run_cli(capsys, command, cfg)
+            monkeypatch.setattr(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0))
+            every_line = run_cli(capsys, command, cfg)
+        assert lit == every_line
+        assert lit[0] == code
+        if code == 3:
+            assert lit[2].startswith("error: numerical: propagation over")
 
 
 class TestFitCounts:

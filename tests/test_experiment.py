@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ghostbench.elements
 from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanWindow, Slit, SourceSpec,
                         ThinLens, TransverseGrid, build_biphoton, build_source, conditional_field, default_bench,
                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
@@ -14,10 +15,10 @@ from dataclasses import replace
 from ghostbench.elements import (_forward, _spectrum, _step, _summed_power, aperture_transmission,
                                  apply_arm_to_axis, arm_steps)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import (_band_limited, _band_route_pays, _lag_power, _lit_rows, _reduced_state_lags,
-                                   _rows_behind, _rows_from_band, _slit_rows, _toward_slit,
-                                   build_bench_state, signal_conditioned_rows)
-from ghostbench.source import source_band
+from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
+                                   _lit_rows, _reduced_state_lags, _rows_behind, _rows_from_band, _slit_rows,
+                                   _toward_slit, build_bench_state, signal_conditioned_rows)
+from ghostbench.source import _dense_from_band, source_band
 
 from conftest import dense_scan, diagonal_product
 
@@ -362,7 +363,7 @@ class TestHeadOnRows:
         assert got_rows.tolist() == rows.tolist()
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
         assert np.array_equal(source, before)
-        # The head as measure and ghost call it, over a source it may overwrite.
+        # The head over a source it may overwrite, as measure and ghost run it on the lit lines.
         pending = _toward_slit(source, arm, grid, wavelength, overwrite=True)
         got = _rows_behind(pending, _slit_rows(arm, grid, wavelength)[1], rows)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
@@ -443,7 +444,8 @@ class TestRowsFromBand:
     def test_check_path_rows_match_dense(self, name):
         # At 2048 points over +-15 mm the 1 m step before slit A cuts its
         # band (2.14e4 of 3.41e4 cycles/m) and passes its check, so the
-        # dense head runs for the check and the rows still come from K A.
+        # signal head runs on the lit lines for the check and the rows
+        # still come from K A.
         grid = TransverseGrid(2048, 15e-3)
         bench = default_bench(slit_b="open")
         if name == "slit-before-lens":
@@ -625,13 +627,84 @@ class TestBandLimitChecksKept:
         assert str(scan.value) == str(dense.value)
 
 
+class TestLitLineHead:
+    """Where a signal step cuts its band, measure and ghost run the signal
+    head on the source's lit lines (:func:`_lit_lines`), each check
+    counting the dark lines' power as a bound, and decide as the head on
+    all N lines does; a check the bound leaves undecided runs that head."""
+
+    FINE = TransverseGrid(2048, 15e-3)
+    BENCHES = {"fine-grid": {}, "separable": {"source_kind": "separable"},
+               "nondegenerate": {"signal_wavelength_m": 650e-9, "idler_wavelength_m": 763.5162261625964e-9}}
+
+    @pytest.fixture()
+    def heads(self, monkeypatch):
+        """The number of lines of each array the signal head runs on."""
+        import ghostbench.experiment as experiment
+        lines, original = [], experiment._toward_slit
+
+        def spy(source, *args, **kwargs):
+            lines.append(len(source))
+            return original(source, *args, **kwargs)
+        monkeypatch.setattr(experiment, "_toward_slit", spy)
+        return lines
+
+    def band_and_head(self, overrides):
+        bench = default_bench(**overrides)
+        assert _band_limited(bench.signal_arm, self.FINE, bench.source.lambda_signal_m)
+        return source_band(bench.source, self.FINE), (bench.signal_arm, self.FINE, bench.source.lambda_signal_m)
+
+    @staticmethod
+    def outcome(call):
+        """None if ``call`` passes, else the text of its SamplingError."""
+        try:
+            call()
+        except SamplingError as exc:
+            return str(exc)
+        return None
+
+    def full_head(self, band, args):
+        return self.outcome(lambda: _toward_slit(_dense_from_band(band), *args, overwrite=True))
+
+    @pytest.mark.parametrize("overrides", BENCHES.values(), ids=BENCHES.keys())
+    def test_lit_lines_pass_as_the_full_head(self, heads, overrides):
+        band, args = self.band_and_head(overrides)
+        assert self.full_head(band, args) is None
+        assert self.outcome(lambda: _check_signal_head(band, *args)) is None
+        lo, hi, _ = _lit_lines(band)
+        assert heads == [hi - lo] and hi - lo < self.FINE.n_points
+
+    @pytest.mark.parametrize("above", [True, False], ids=["just-above", "just-below"])
+    def test_undecided_check_runs_the_full_head(self, heads, monkeypatch, above):
+        # The tolerance one step of rounding either side of the full head's
+        # loss: the dark lines' bound (about 1e-13 of the power) leaves the
+        # check undecided, so the head runs again on all lines.
+        band, args = self.band_and_head({})
+        fractions, refuse = [], ghostbench.elements._refuse_aliasing
+
+        def record(power, keep, *rest):
+            fractions.append(float(np.sum(power[~keep])) / float(np.sum(power)))
+            return refuse(power, keep, *rest)
+        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record)
+        self.full_head(band, args)
+        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", refuse)
+        tolerance = np.nextafter(max(fractions), 1.0 if above else 0.0)
+        monkeypatch.setattr(ghostbench.elements, "BAND_LIMIT_LOSS_TOLERANCE", tolerance)
+        full = self.full_head(band, args)
+        assert (full is None) == above
+        assert self.outcome(lambda: _check_signal_head(band, *args)) == full
+        lo, hi, _ = _lit_lines(band)
+        assert heads == [hi - lo, self.FINE.n_points]
+
+
 class TestPeakMemory:
     """Each library call that builds the dense source holds at most 2.5
     N x N complex arrays at once: the source (or its idler spectrum) and
     the signal arm's one intermediate, which every lens, slit and forward
     transform overwrites.  A lens product into a new array holds 3.  Ghost
-    and measure hold about one when a band-limit check runs the dense head,
-    which overwrites the source's spectrum, and no N x N array otherwise."""
+    and measure build no N x N array: where a band-limit check runs the
+    signal head, they run it on the source's lit lines, in place, so at
+    2048 points over +-15 mm they hold 762 of its 2048 lines."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -669,16 +742,25 @@ class TestPeakMemory:
             assert not _band_limited(arm, self.GRID, bench.source.lambda_idler_m)
         assert self.peak(self.CALLS["scan-m1-m2"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
-    def peak(self, call):
+    @pytest.mark.parametrize("name", ["scan-m1-m2", "ghost"])
+    def test_band_limited_head_holds_under_half_an_array(self, name):
+        # The 1 m step before slit A cuts its band at 2048 points, so the
+        # signal head runs, on the source's 762 lit lines.
+        grid = TransverseGrid(2048, 15e-3)
+        bench = default_bench()
+        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert self.peak(self.CALLS[name], grid) <= 0.5 * grid.n_points ** 2 * 16
+
+    def peak(self, call, grid=GRID):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            call(self.GRID)  # warm-up: cached grid arrays and FFT plans
+            call(grid)  # warm-up: cached grid arrays and FFT plans
             started = not tracemalloc.is_tracing()
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
-                call(self.GRID)
+                call(grid)
                 peak = tracemalloc.get_traced_memory()[1] - before
             finally:
                 if started:

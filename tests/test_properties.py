@@ -7,8 +7,12 @@ nm), so no step band-limits and every arm is exactly invertible up to its
 stops.  The band-limit properties draw longer steps on their own.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, reject, settings, strategies as st
+
+import ghostbench.elements
 
 from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Field1D, FreeSpace,
                         Open, SamplingError, ScanWindow, Slit, SourceSpec, ThinLens, TransverseGrid,
@@ -17,7 +21,8 @@ from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Fie
 from ghostbench.config import RunConfig
 from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
 from ghostbench.elements import apply_arm_along
-from ghostbench.experiment import _gram_rows, build_bench_state
+from ghostbench.experiment import _gram_rows, _lit_lines, _toward_slit, build_bench_state
+from ghostbench.source import _dense_from_band, source_band
 
 from conftest import dense_scan
 
@@ -164,3 +169,44 @@ def test_gram_rows_keep_the_summed_intensity_through_any_tail(seed, n_cells, tai
         assert factor == dense
     else:
         assert np.max(np.abs(factor - dense)) <= 1e-12 * np.max(dense)
+
+
+# Relative rounding of a sum of the N^2 = 16384 spectral powers on GRID,
+# with room to spare (45 float64 steps).
+ROUNDING = 1e-14
+
+
+def _head_losses(lines, arm, unseen):
+    """``(lost, total)`` of each band-limit check of the signal head
+    (:func:`_toward_slit`) on ``lines``, every check recorded, none refused."""
+    losses = []
+
+    def record(power, keep, grid, wavelength_m, distance_m, unseen_arg=0.0):
+        assert unseen_arg == unseen
+        losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
+    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", record):
+        _toward_slit(lines, arm, GRID, SIGNAL, overwrite=True, unseen=unseen)
+    return losses
+
+
+@properties
+@given(st.floats(0.2e-3, 1e-3), st.floats(20e-6, 200e-6), st.sampled_from(["entangled", "separable"]),
+       st.lists(elements, max_size=2), band_limited_free_space, st.lists(elements, max_size=2), slits)
+def test_lit_lines_bracket_the_full_heads_loss(pump, correlation, kind, before, step, after, slit_a):
+    # The lines left dark add at most ``unseen`` to both the lost and the
+    # total power of every check, so the full head's loss fraction lies
+    # between lost / (total + unseen) and (lost + unseen) / total of the lit
+    # lines (cross-multiplied, so a check that sees no power still counts).
+    # ``unseen`` can be smaller than one rounding step of the total, so
+    # each side may be off by the rounding of the sums: ``ROUNDING``.
+    source = SourceSpec(pump_diameter_m=pump, correlation_width_m=correlation, lambda_pump_m=351.1e-9,
+                        lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
+    arm = ArmSpec(before + [step] + after + [slit_a], SIGNAL)
+    band = source_band(source, GRID)
+    lo, hi, unseen = _lit_lines(band)
+    lit = _head_losses(_dense_from_band(band, lo, hi), arm, unseen)
+    full = _head_losses(_dense_from_band(band), arm, 0.0)
+    assert len(lit) == len(full) >= 1
+    for (lost, total), (full_lost, full_total) in zip(lit, full):
+        assert lost * full_total <= full_lost * (total + unseen) * (1.0 + ROUNDING)
+        assert full_lost * total <= (lost + unseen) * full_total * (1.0 + ROUNDING)
