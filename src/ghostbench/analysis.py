@@ -74,9 +74,11 @@ def profile_fwhm(positions_m: np.ndarray, values: np.ndarray) -> float:
     v = np.asarray(values, dtype=float)
     vmax = float(v.max())
     vmin = float(v.min())
-    if vmax <= 0 or (vmin > 0 and vmax / vmin < FLATNESS_RATIO):
-        raise FlatPatternError(f"no pattern: max/min = {vmax / vmin if vmin > 0 else np.inf:.4f} "
-                               f"is below the flatness threshold {FLATNESS_RATIO}")
+    if vmax <= 0:
+        raise FlatPatternError(f"no pattern: the profile is dark (peak {vmax:g})")
+    if vmin > 0 and vmax / vmin < FLATNESS_RATIO:
+        raise FlatPatternError(f"no pattern: max/min = {vmax / vmin:.4f} is below the flatness threshold "
+                               f"{FLATNESS_RATIO}")
     i = int(np.argmax(v))
     half = vmax / 2.0
     below_left = np.nonzero(v[:i] < half)[0]
@@ -344,8 +346,9 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
     D1-conditioned intensity profile at each plane, and reports the plane
     of minimum width.  The magnification is estimated by displacing slit A
     by ``magnification_offset_m`` and reading the image centroid shift at
-    the best plane; :class:`PatternError` is raised when either image has
-    no finite centroid there (the displaced slit passes no light).
+    the best plane.  :class:`PatternError` is raised when no swept plane
+    resolves an image, and when either image has no finite centroid at the
+    best plane (the displaced slit passes no light).
     Requires screen B open (any idler slit would mask the swept image).
     """
     if bench.idler_arm.slits():
@@ -367,10 +370,10 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
         if base is None or widths[i] < widths[:i].min():
             base = profile
     if not np.isfinite(widths).any():
-        warnings.warn("no conditional image resolvable at any swept plane", stacklevel=2)
-        return GhostImageStats(best_plane_m=float("nan"), fwhm_m=float("inf"),
-                               magnification=float("nan"),
-                               planes_m=planes, fwhm_by_plane_m=widths, focus_at_edge=False)
+        slit_a = bench.signal_arm.slits()[-1]
+        raise PatternError(f"no conditional image resolvable at any swept plane: slit A "
+                           f"({slit_a.width_m * 1e3:g} mm wide at {slit_a.center_m * 1e3:g} mm) against the "
+                           f"+-{grid.extent_m * 1e3:g} mm grid window")
     i_best = int(np.argmin(widths))
     focus_at_edge = i_best in (0, planes.size - 1)
     if focus_at_edge:

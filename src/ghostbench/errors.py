@@ -25,7 +25,7 @@ class PatternError(GhostBenchError):
 
 
 class FlatPatternError(PatternError):
-    """Pattern has no usable peak (max/min below the flatness threshold)."""
+    """Pattern has no usable peak: it is dark, or max/min is below the flatness threshold."""
 
 
 class WindowTooSmallError(PatternError):

@@ -50,6 +50,11 @@ class TestFwhm:
         with pytest.raises(FlatPatternError):
             profile_fwhm(y, np.full(51, 3.0) + 1e-4 * np.cos(y / 1e-3))
 
+    def test_dark_profile_rejected_as_dark(self):
+        y = np.linspace(-1e-3, 1e-3, 51)
+        with pytest.raises(FlatPatternError, match=r"^no pattern: the profile is dark \(peak 0\)$"):
+            profile_fwhm(y, np.zeros(51))
+
     def test_unbracketed_half_maximum_rejected(self):
         y = np.linspace(-1e-3, 1e-3, 51)
         v = np.exp(-(y / 2e-3) ** 2)  # clear peak, never falls to half max

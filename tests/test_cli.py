@@ -82,6 +82,14 @@ class TestMeasure:
         assert "sinc_fit_width_mm" not in out
         assert float(summary_value(out, "fwhm_mm")) > 0
 
+    @pytest.mark.parametrize("command", ["measure-m1", "measure-m2"])
+    def test_dark_slit_a_exit_3(self, capsys, tmp_path, outdir_config, command):
+        # Slit A outside the +-15 mm window passes no light, so D2 sees no coincidences.
+        code, out, err = run_cli(capsys, command, outdir_config("[signal_arm]\nslit_a_center_mm = 16\n"))
+        assert (code, out, err) == (3, "", "error: numerical: no pattern: the profile is dark (peak 0)\n")
+        assert not any(tmp_path.glob("*.csv"))
+
+
 class TestGhost:
     def test_summary(self, capsys, tmp_path, outdir_config):
         code, out, _ = run_cli(capsys, "ghost", outdir_config())
@@ -111,15 +119,20 @@ class TestGhost:
         assert "slit_offset_mm" in err
 
     # The displaced slit A lies outside the +-15 mm window, or beyond its
-    # edge, so it passes no light and its image has no centroid.
-    @pytest.mark.parametrize("extra", ["[ghost]\nslit_offset_mm = 20\n", "[signal_arm]\nslit_a_center_mm = 14.9\n"],
-                             ids=["offset-outside-window", "slit-a-at-window-edge"])
-    def test_dark_displaced_slit_exit_3(self, capsys, tmp_path, outdir_config, extra):
+    # edge, so it passes no light and its image has no centroid.  Slit A
+    # itself outside the window lights no swept plane at all.
+    @pytest.mark.parametrize("extra, names", [
+        ("[ghost]\nslit_offset_mm = 20\n", "[ghost] slit_offset_mm"),
+        ("[signal_arm]\nslit_a_center_mm = 14.9\n", "[ghost] slit_offset_mm"),
+        ("[signal_arm]\nslit_a_center_mm = 16\n", "no conditional image resolvable at any swept plane: "
+                                                   "slit A (0.16 mm wide at 16 mm) against the +-15 mm grid window")],
+        ids=["offset-outside-window", "slit-a-at-window-edge", "slit-a-outside-window"])
+    def test_dark_displaced_slit_exit_3(self, capsys, tmp_path, outdir_config, extra, names):
         code, out, err = run_cli(capsys, "ghost", outdir_config(extra))
         assert code == 3
         assert out == ""
         assert err.startswith("error: numerical:")
-        assert "[ghost] slit_offset_mm" in err
+        assert names in err
         assert not (tmp_path / "ghost_sweep.csv").exists()
 
 
@@ -309,9 +322,9 @@ class TestWorkCounts:
     def test_band_limited_head_checks_the_lit_lines(self, counted, command):
         # At 384 points over +-7.5 mm the 1 m step before slit A keeps
         # 1.07e4 of 1.28e4 cycles/m, and passes its check, made on the
-        # source's 286 lit lines alone.
+        # source's 127 lit lines alone (all but 1e-3 of its power).
         assert counted(command, n_points=384) == {"build": 1, "signal": 1, "idler": 0}
-        assert counted.head_lines == [286]
+        assert counted.head_lines == [127]
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):

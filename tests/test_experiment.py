@@ -674,27 +674,38 @@ class TestLitLineHead:
         lo, hi, _ = _lit_lines(band)
         assert heads == [hi - lo] and hi - lo < self.FINE.n_points
 
-    @pytest.mark.parametrize("above", [True, False], ids=["just-above", "just-below"])
-    def test_undecided_check_runs_the_full_head(self, heads, monkeypatch, above):
+    @pytest.mark.parametrize("where", ["just-above", "just-below", "inside-the-bound", "beyond-the-bound"])
+    def test_undecided_check_runs_the_full_head(self, heads, monkeypatch, where):
         # The tolerance one step of rounding either side of the full head's
-        # loss: the dark lines' bound (about 1e-13 of the power) leaves the
-        # check undecided, so the head runs again on all lines.
+        # loss, or above it by half the dark lines' bound (1e-3 of the
+        # source's power): the bound leaves the check undecided, so the head
+        # runs again on all lines.  Above the loss plus the whole bound the
+        # lit lines decide alone.
         band, args = self.band_and_head({})
-        fractions, refuse = [], ghostbench.elements._refuse_aliasing
+        full_checks, lit_checks, refuse = [], [], ghostbench.elements._refuse_aliasing
 
-        def record(power, keep, *rest):
-            fractions.append(float(np.sum(power[~keep])) / float(np.sum(power)))
-            return refuse(power, keep, *rest)
-        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record)
+        def record(checks):
+            def wrapper(power, keep, grid, wavelength_m, distance_m, unseen=0.0):
+                total = float(np.sum(power))
+                checks.append((float(np.sum(power[~keep])) / total, unseen / total))
+                return refuse(power, keep, grid, wavelength_m, distance_m, unseen)
+            return wrapper
+        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record(full_checks))
         self.full_head(band, args)
+        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record(lit_checks))
+        _check_signal_head(band, *args)
         monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", refuse)
-        tolerance = np.nextafter(max(fractions), 1.0 if above else 0.0)
+        loss = max(fraction for fraction, _ in full_checks)
+        bound = max(fraction for _, fraction in lit_checks)
+        assert loss + bound / 2 == pytest.approx(7.3e-4, abs=0.05e-4) and loss + bound < 2e-3
+        tolerance = {"just-above": np.nextafter(loss, 1.0), "just-below": np.nextafter(loss, 0.0),
+                     "inside-the-bound": loss + bound / 2, "beyond-the-bound": 2e-3}[where]
         monkeypatch.setattr(ghostbench.elements, "BAND_LIMIT_LOSS_TOLERANCE", tolerance)
         full = self.full_head(band, args)
-        assert (full is None) == above
+        assert (full is None) == (where != "just-below")
+        heads.clear()
         assert self.outcome(lambda: _check_signal_head(band, *args)) == full
-        lo, hi, _ = _lit_lines(band)
-        assert heads == [hi - lo, self.FINE.n_points]
+        assert heads == ([337] if where == "beyond-the-bound" else [337, self.FINE.n_points])
 
 
 class TestPeakMemory:
@@ -704,7 +715,7 @@ class TestPeakMemory:
     transform overwrites.  A lens product into a new array holds 3.  Ghost
     and measure build no N x N array: where a band-limit check runs the
     signal head, they run it on the source's lit lines, in place, so at
-    2048 points over +-15 mm they hold 762 of its 2048 lines."""
+    2048 points over +-15 mm they hold 337 of its 2048 lines."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -743,13 +754,13 @@ class TestPeakMemory:
         assert self.peak(self.CALLS["scan-m1-m2"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
     @pytest.mark.parametrize("name", ["scan-m1-m2", "ghost"])
-    def test_band_limited_head_holds_under_half_an_array(self, name):
+    def test_band_limited_head_holds_under_a_quarter_of_an_array(self, name):
         # The 1 m step before slit A cuts its band at 2048 points, so the
-        # signal head runs, on the source's 762 lit lines.
+        # signal head runs, on the source's 337 lit lines.
         grid = TransverseGrid(2048, 15e-3)
         bench = default_bench()
         assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
-        assert self.peak(self.CALLS[name], grid) <= 0.5 * grid.n_points ** 2 * 16
+        assert self.peak(self.CALLS[name], grid) <= 0.25 * grid.n_points ** 2 * 16
 
     def peak(self, call, grid=GRID):
         with warnings.catch_warnings():
