@@ -40,13 +40,6 @@ BAND_LIMIT_LOSS_TOLERANCE = 0.05
 _THREADED_FFT_SAMPLES = 2 ** 18
 _FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# A step followed by a slit or stop is transformed back to space only at
-# the cells it leaves open, by one matrix product, when they number at most
-# this many; beyond it the full inverse transform is cheaper (measured on a
-# 2-core host, N lines of N samples: break-even near 55 cells at N = 1024
-# and 110 at N = 2048).
-_THIN_INVERSE_CELLS = 64
-
 
 @dataclass(frozen=True)
 class FreeSpace:
@@ -221,68 +214,44 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
             f"use a coarser grid, a smaller window, or a shorter distance")
 
 
-def _checked_transfer(spectrum: np.ndarray, grid: TransverseGrid, wavelength_m: float,
-                      distance_m: float, unseen: float = 0.0) -> np.ndarray:
-    """The band-limited transfer function of a free-space step, once the
-    step's band-limit check has passed on ``spectrum`` (lines along the
-    last axis) and ``unseen`` (:func:`_refuse_aliasing`)."""
-    transfer, keep = _step(grid, wavelength_m, distance_m)
-    if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m, unseen)
-    return transfer
-
-
 def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
              distance_m: float, overwrite: bool = False, unseen: float = 0.0):
     """Forward half of a free-space step: ``(spectrum, transfer)``.
 
-    The spectrum runs along the last axis and has passed the band-limit
-    check (:func:`_checked_transfer`); :func:`_inverse` completes the step.
+    The spectrum runs along the last axis and has passed the step's
+    band-limit check, with ``unseen`` (:func:`_refuse_aliasing`);
+    :func:`_inverse` completes the step.
     """
     spectrum = _spectrum(amps, axis, overwrite)
-    return spectrum, _checked_transfer(spectrum, grid, wavelength_m, distance_m, unseen)
+    transfer, keep = _step(grid, wavelength_m, distance_m)
+    if not keep.all():
+        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m, unseen)
+    return spectrum, transfer
 
 
-def _thin_inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """``ifft(spectrum * transfer)[..., cells]`` as one product with the
-    R x N kernel exp(2 pi i n k / N) / N, the transfer function folded in.
-    The phase n k is reduced mod N in integers, so every angle is exact."""
-    n = transfer.size
-    phase = np.outer(cells, np.arange(n)) % n
-    kernel = np.exp((2j * np.pi / n) * phase) * (transfer / n)
-    return spectrum @ kernel.T
-
-
-def _inverse(spectrum: np.ndarray, transfer: np.ndarray, cells: Optional[np.ndarray] = None,
-             overwrite: bool = True) -> np.ndarray:
-    """Inverse half of a free-space step, along the last axis.
-
-    With ``cells``, only those samples of each line: by the thin product
-    when they are few, else by slicing the full inverse.  ``spectrum`` is
-    overwritten only when ``overwrite`` is set and the full inverse runs.
-    """
-    if cells is not None and cells.size <= _THIN_INVERSE_CELLS:
-        return _thin_inverse(spectrum, transfer, cells)
+def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True) -> np.ndarray:
+    """Inverse half of a free-space step, along the last axis; ``spectrum``
+    is overwritten only when ``overwrite`` is set."""
     if overwrite:
         spectrum *= transfer
     else:
         spectrum = spectrum * transfer
-    lines = _transform(np.fft.ifft, spectrum, spectrum)
-    return lines if cells is None else lines[..., cells]
+    return _transform(np.fft.ifft, spectrum, spectrum)
 
 
 def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
-                     distance_m: float, overwrite: bool = False) -> np.ndarray:
+                     distance_m: float, overwrite: bool = False, unseen: float = 0.0) -> np.ndarray:
     """Band-limited angular-spectrum propagation along one array axis.
 
     The transforms run along the last, contiguous axis of a working copy,
     and the result is a view with the axis back in place, so the next
     step along the same axis needs no second copy.  ``amps`` is modified
-    only when ``overwrite`` is set.
+    only when ``overwrite`` is set; ``unseen`` goes to the band-limit
+    check (:func:`_refuse_aliasing`).
     """
     if distance_m == 0.0:
         return amps if overwrite else amps.copy()
-    spectrum, transfer = _forward(amps, axis, grid, wavelength_m, distance_m, overwrite)
+    spectrum, transfer = _forward(amps, axis, grid, wavelength_m, distance_m, overwrite, unseen)
     return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
@@ -318,19 +287,22 @@ def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
 
 
 def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
-                      wavelength_m: float) -> np.ndarray:
+                      wavelength_m: float, overwrite: bool = False, unseen: float = 0.0) -> np.ndarray:
     """Act with an arm's steps (:func:`arm_steps`), in order, along one
     array axis; the other axes are untouched.
 
     Each step overwrites the arm's own complex intermediate; ``amps`` is
-    left as it was.
+    overwritten too only when ``overwrite`` is set (it must then be
+    complex128).  ``amps`` may be a block of a larger batch's lines: every
+    band-limit check then counts ``unseen`` for the lines left out
+    (:func:`_refuse_aliasing`).
     """
-    owned = False
+    owned = overwrite
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
     for distance, factor in steps:
         if distance != 0.0:
-            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned), True
+            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned, unseen), True
         if factor is None:
             continue
         if owned:

@@ -106,22 +106,15 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
 def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """Source amplitude at the crystal plane on a shared grid.
 
-    The amplitude must be exactly symmetric, A == A.T bit for bit, for
-    the dense signal head (:func:`_toward_slit`): it runs the signal arm's
-    steps (:func:`arm_steps`) on the rows, as signal-axis lines, and
-    starts from the idler spectrum as the forward half of the arm's first
-    step when that step has a nonzero distance.  The head serves
-    klyshko-check's 2-D route, on this whole array, and the band-limit
-    checks of measure and ghost, which write only the source's lit rows
-    from the band they hold (:func:`_check_signal_head`), the norm of each
-    read off the band's column of the same index.  Their slit-A rows and
-    the D2 singles come from the source's band (:func:`source_band`,
-    :func:`_rows_from_band`, :func:`_reduced_state_lags`); slit B's rows
-    read A through its symmetry too.  ``build_source`` makes A symmetric
-    on one grid for both axes; ``test_source.py``'s
-    ``test_exactly_symmetric`` guards it.  A source term that breaks the
-    symmetry (a pump offset or tilt, unequal grids) must first give the
-    signal head and slit B their own lines.
+    The amplitude must be exactly symmetric, A == A.T bit for bit: the
+    dense signal arm runs on its rows, as signal-axis lines, in
+    klyshko-check (:func:`klyshko_deviation`) and in the band-limit checks
+    of measure and ghost (:func:`_check_signal_head`), and slit A's and
+    slit B's rows read the source's band through the symmetry too
+    (:func:`_rows_from_band`).  ``build_source`` makes A symmetric on one
+    grid for both axes; ``test_source.py``'s ``test_exactly_symmetric``
+    guards it.  A source term that breaks the symmetry (a pump offset or
+    tilt, unequal grids) must first give the signal arm its own lines.
     """
     return build_source(bench.source, grid, grid)
 
@@ -154,64 +147,13 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
 
 
-def _toward_slit(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
-                 overwrite: bool = False, unseen: float = 0.0):
-    """The signal arm's steps (:func:`arm_steps`) but the last, and the
-    last step's forward half, on the rows of ``source``: ``(spectrum,
-    transfer)``, the spectrum along the last axis.  Without a free-space
-    step, ``(source, None)`` in space.
-
-    The source is symmetric (:func:`build_bench_state`), so its rows are
-    its signal-axis lines, and when the arm leads with a free-space step
-    (a first step of nonzero distance) the source's idler spectrum is that
-    step's forward half.  ``source`` may be a block of the source's rows:
-    every step's band-limit check then counts ``unseen`` for the rows left
-    out (:func:`_refuse_aliasing`).  ``source`` is overwritten only when
-    ``overwrite`` is set.
-    """
-    steps = arm_steps(arm, grid, wavelength_m)
-    if not steps or steps[-1][0] == 0.0:
-        return source, None
-    lines, owned = source, overwrite
-    for distance, factor in steps[:-1]:
-        if distance != 0.0:
-            lines, owned = _inverse(*_forward(lines, 1, grid, wavelength_m, distance, owned, unseen)), True
-        if factor is None:
-            continue
-        if owned:
-            lines *= factor
-        else:
-            lines, owned = lines * factor, True
-    return _forward(lines, 1, grid, wavelength_m, steps[-1][0], owned, unseen)
-
-
-def _rows_behind(pending, factor: np.ndarray | None, rows: np.ndarray,
-                 overwrite: bool = False) -> np.ndarray:
-    """Signal rows behind the arm, idler axis at the crystal: the inverse
-    half of :func:`_toward_slit`'s step at ``rows``, times ``factor``, the
-    product of the elements behind that step."""
-    lines, transfer = pending
-    at_rows = (lines[..., rows] if transfer is None else _inverse(lines, transfer, rows, overwrite)).T
-    return at_rows if factor is None else at_rows * factor[rows, None]
-
-
-def _slit_rows(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """``(row_indices, factor)``: the rows the signal arm can leave nonzero
-    (behind slit A, the few rows the slit transmits; all rows without a
-    slit or stop behind the last step) and the last step's factor
-    (:func:`arm_steps`), or None."""
+def _slit_rows(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> np.ndarray:
+    """The rows the signal arm can leave nonzero: behind slit A, the few
+    rows the slit transmits; all rows without a slit or stop behind the
+    last step (:func:`arm_steps`)."""
     steps = arm_steps(arm, grid, wavelength_m)
     factor = steps[-1][1] if steps else None
-    return (np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)), factor
-
-
-def _lit_rows(source: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """``(row_indices, row_amplitudes)`` of the rows the signal arm can
-    leave nonzero (:func:`_slit_rows`), by the dense head
-    (:func:`_toward_slit`); ``source`` is left as it is."""
-    rows, factor = _slit_rows(arm, grid, wavelength_m)
-    pending = _toward_slit(source, arm, grid, wavelength_m)
-    return rows, _rows_behind(pending, factor, rows, overwrite=not np.may_share_memory(pending[0], source))
+    return np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
 
 
 def _band_limited(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> bool:
@@ -248,24 +190,30 @@ def _lit_lines(band: np.ndarray):
 
 
 def _check_signal_head(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """Make the band-limit checks of the signal arm's dense head
-    (:func:`_toward_slit`) for the source held as its band
-    (:func:`source_band`); callers run it where a signal step cuts a band
-    on the grid (:func:`_band_limited`).
+    """Make the band-limit checks of the signal head, the signal arm's
+    steps but the last and the last step's forward half, for the source
+    held as its band (:func:`source_band`); callers run it where a signal
+    step cuts a band on the grid (:func:`_band_limited`).
 
-    The head runs on the lit lines alone (:func:`_lit_lines`), each check
-    counting the dark lines' bound ``unseen``.  Should any check not pass
-    with that bound, undecided or refused, the head runs again on all N
-    lines, so it passes or refuses, with the same message, as on the whole
-    source.
+    The source is symmetric (:func:`build_bench_state`), so the head runs
+    on its rows (:func:`apply_steps_along`), in place, and on the lit
+    lines alone (:func:`_lit_lines`), each check counting the dark lines'
+    bound ``unseen``; nothing goes back to space at slit A.  Should any
+    check not pass with that bound, undecided or refused, the head runs
+    again on all N lines, so it passes or refuses, with the same message,
+    as on the whole source.
     """
-    lo, hi, unseen = _lit_lines(band)
+    steps = arm_steps(arm, grid, wavelength_m)
+
+    def head(lo=0, hi=None, unseen=0.0):
+        lines = apply_steps_along(_dense_from_band(band, lo, hi), steps[:-1], 1, grid, wavelength_m,
+                                  overwrite=True, unseen=unseen)
+        _forward(lines, 1, grid, wavelength_m, steps[-1][0], overwrite=True, unseen=unseen)
+
     try:
-        _toward_slit(_dense_from_band(band, lo, hi), arm, grid, wavelength_m, overwrite=True, unseen=unseen)
-        return
+        head(*_lit_lines(band))
     except SamplingError:
-        pass
-    _toward_slit(_dense_from_band(band), arm, grid, wavelength_m, overwrite=True)
+        head()
 
 
 def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid,
@@ -484,7 +432,7 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     else:
         source = _spectrum(_dense_from_band(band), 1, overwrite=True)
         power = _summed_power(source)
-    rows = _slit_rows(arm, grid, wavelength)[0]
+    rows = _slit_rows(arm, grid, wavelength)
     at_d1 = _rows_from_band(band, arm_steps(arm, grid, wavelength), rows, grid, wavelength)
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
@@ -593,11 +541,14 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     ``d1_positions_m`` is one position (a float result) or an array (one
     deviation each).  One source and one 2-D pass serve all positions: the
     signal arm on the whole source, the idler arm on the rows it leaves
-    nonzero.
+    nonzero (:func:`_slit_rows`).  The source is symmetric
+    (:func:`build_bench_state`), so the arm runs on its rows, as
+    signal-axis lines, on a working copy: the advanced wave reads the
+    source as it is.
     """
     state = build_bench_state(bench, grid)
-    # The advanced wave reads the source, so the signal head leaves it as it is.
-    rows, at_d1 = _lit_rows(state.amplitudes, bench.signal_arm, grid, state.wavelength_s_m)
+    rows = _slit_rows(bench.signal_arm, grid, state.wavelength_s_m)
+    at_d1 = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
     at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, state.wavelength_i_m)
     deviations = []
     for position in np.atleast_1d(d1_positions_m):
@@ -620,6 +571,10 @@ def in_slit_positions(bench: BenchSpec, grid: TransverseGrid, count: int) -> np.
     weights = aperture_transmission(grid, last.width_m, last.center_m)
     inside = np.nonzero(weights >= 0.999)[0]
     if inside.size == 0:
+        y, half = grid.positions, grid.spacing_m / 2.0
+        if last.center_m - last.width_m / 2.0 < y[0] - half or last.center_m + last.width_m / 2.0 > y[-1] + half:
+            raise SamplingError(f"slit A ({last.width_m * 1e3:g} mm wide at {last.center_m * 1e3:g} mm) lies "
+                                f"outside the +-{grid.extent_m * 1e3:g} mm grid window")
         raise SamplingError("slit A is narrower than one grid cell")
     order = np.argsort(np.abs(grid.positions[inside] - last.center_m), kind="stable")
     chosen = inside[order][:count]

@@ -248,8 +248,11 @@ class TestValidateAndErrors:
 
     @pytest.mark.parametrize("command, body, message", [
         ("measure-m1", "[detectors]\nd1_mode = point\nd1_position_mm = 20\n", "point D1 at 0.02 m"),
-        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n", "slit A is narrower than one grid cell")],
-        ids=["point-d1-outside-grid", "slit-a-below-one-cell"])
+        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n", "slit A is narrower than one grid cell"),
+        # Wider than five 29 um cells, but outside the window.
+        ("klyshko-check", "[signal_arm]\nslit_a_center_mm = 16\n",
+         "slit A (0.16 mm wide at 16 mm) lies outside the +-15 mm grid window")],
+        ids=["point-d1-outside-grid", "slit-a-below-one-cell", "slit-a-outside-grid"])
     def test_run_time_sampling_limit_exit_3(self, capsys, outdir_config, command, body, message):
         # The third such limit, a scan window outside the grid, is test_numerical_error_exit_3.
         code, out, err = run_cli(capsys, command, outdir_config(body))
@@ -273,33 +276,47 @@ class TestWorkCounts:
     singles from the band too, through the idler's reduced state; so they
     build rows of the source, from the band they hold, only where a signal
     step's band limit cuts on the grid, and then only its lit lines, for
-    the signal arm's dense head (``_toward_slit``) to make its checks.
-    klyshko-check keeps the dense head on the whole N x N source as its
-    oracle's partner.  Any dense pass of an arm along an axis of the joint
-    amplitude goes through ``apply_arm_to_axis``."""
+    the signal head (the arm's steps before slit A's) to make its checks
+    (``_check_signal_head``).  klyshko-check runs the signal arm on the
+    whole N x N source as its oracle's partner.  A dense pass is an arm's
+    steps (``apply_arm_along``, ``apply_steps_along``) run on the lines of
+    a source the command built, or any pass along an axis of the joint
+    amplitude (``apply_arm_to_axis``)."""
 
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config):
         import ghostbench.experiment as experiment
-        calls, head_lines = [], []
+        calls, head_lines, sources = [], [], []
 
         def counting(original, name=None):
             def wrapper(*args, **kwargs):
                 calls.append(name or args[2])
-                if name == "signal":
-                    head_lines.append(len(args[0]))
-                return original(*args, **kwargs)
+                built = original(*args, **kwargs)
+                if name == "build":
+                    sources.append(getattr(built, "amplitudes", built))
+                return built
+            return wrapper
+
+        def signal_pass(original):
+            # No idler pass runs on a built source, so each of these is the signal arm's.
+            def wrapper(amps, *args, **kwargs):
+                if any(amps is source for source in sources):
+                    calls.append("signal")
+                    head_lines.append(len(amps))
+                return original(amps, *args, **kwargs)
             return wrapper
 
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
         monkeypatch.setattr(experiment, "_dense_from_band", counting(experiment._dense_from_band, "build"))
-        monkeypatch.setattr(experiment, "_toward_slit", counting(experiment._toward_slit, "signal"))
+        monkeypatch.setattr(experiment, "apply_arm_along", signal_pass(experiment.apply_arm_along))
+        monkeypatch.setattr(experiment, "apply_steps_along", signal_pass(experiment.apply_steps_along))
         monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
 
         # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
         def run(command, extra="", n_points=128):
             calls.clear()
             head_lines.clear()
+            sources.clear()
             base = f"[grid]\nn_points = {n_points}\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
@@ -413,7 +430,7 @@ sys.exit(main([sys.argv[2], sys.argv[3]]))
                     reason="needs at least two CPUs")
 def test_output_bytes_do_not_depend_on_the_core_count(tmp_path):
     # One child on one CPU with one BLAS thread, one on every CPU: the
-    # threaded transforms and the thin inverse products give the same bytes.
+    # threaded transforms and the BLAS products give the same bytes.
     config = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n[grid]\nn_points = 1024\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []

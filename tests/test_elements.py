@@ -10,9 +10,8 @@ from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
                         default_bench, reverse_arm, run_coincidence_scan)
 from ghostbench import elements
-from ghostbench.elements import (_THIN_INVERSE_CELLS, _THREADED_FFT_SAMPLES, _inverse,
-                                 _propagate_array, _spectrum, _step, _summed_power, _thin_inverse,
-                                 _transform, aperture_transmission, apply_arm_along, apply_steps_transpose,
+from ghostbench.elements import (_THREADED_FFT_SAMPLES, _propagate_array, _spectrum, _summed_power, _transform,
+                                 aperture_transmission, apply_arm_along, apply_steps_along, apply_steps_transpose,
                                  arm_steps)
 from ghostbench.experiment import build_bench_state
 
@@ -386,40 +385,30 @@ class TestArmSteps:
         transposed = apply_steps_transpose(rows.copy(), arm_steps(arm, grid, wavelength), grid, wavelength)
         assert transposed.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("name", CONFIG_ARMS)
+    def test_in_place_pass_has_the_bytes_of_the_copying_pass(self, grid, name):
+        # As the signal head's checks run the steps on a block of the source's rows.
+        arm = CONFIG_ARMS[name]
+        steps, wavelength = arm_steps(arm, grid, arm.wavelength_m), arm.wavelength_m
+        source = build_bench_state(default_bench(), grid).amplitudes
+        before = source.copy()
+        expected = apply_steps_along(source, steps, 1, grid, wavelength)
+        assert np.array_equal(source, before)
+        got = apply_steps_along(source, steps, 1, grid, wavelength, overwrite=True)
+        assert got.tobytes() == expected.tobytes() and np.shares_memory(got, source)
 
-class TestThinInverse:
-    """The inverse half of a step at a few cells, as one product with the
-    DFT kernel, equals the full inverse transform at those cells."""
-
-    N = 256
-
-    @pytest.fixture(scope="class")
-    def spectrum(self):
-        rng = np.random.default_rng(11)
-        return rng.standard_normal((48, self.N)) + 1j * rng.standard_normal((48, self.N))
-
-    @pytest.mark.parametrize("cells", [[0], [N - 1], list(range(N))], ids=["first", "last", "all"])
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
-    def test_equals_full_inverse_at_the_cells(self, spectrum, layout, cells):
-        # A band-limited transfer function: 0.5 m keeps 36% of the band on this grid.
-        transfer = _step(TransverseGrid(self.N, 2e-3), WAVELENGTH, 0.5)[0]
-        assert 0 < np.count_nonzero(transfer) < self.N
-        lines = {"C": spectrum, "F": np.asfortranarray(spectrum), "strided": _strided(spectrum)}[layout]
-        before = lines.copy()
-        cells = np.array(cells)
-        expected = scipy.fft.ifft(lines * transfer)[..., cells]
-        got = _thin_inverse(lines, transfer, cells)
-        peak = np.max(np.abs(scipy.fft.ifft(lines * transfer)), axis=-1, keepdims=True)
-        assert got.shape == expected.shape
-        assert np.all(np.abs(got - expected) <= 1e-13 * peak)
-        assert np.array_equal(lines, before)
-
-    def test_many_cells_take_the_full_inverse(self, spectrum):
-        transfer = _step(TransverseGrid(self.N, 2e-3), WAVELENGTH, 0.5)[0]
-        few, many = np.arange(_THIN_INVERSE_CELLS), np.arange(_THIN_INVERSE_CELLS + 1)
-        assert np.array_equal(_inverse(spectrum, transfer, few), _thin_inverse(spectrum, transfer, few))
-        assert np.array_equal(_inverse(spectrum.copy(), transfer, many),
-                              scipy.fft.ifft(spectrum * transfer)[..., many])
+    def test_unseen_power_counts_in_every_check(self):
+        # The 0.1 m step keeps the whole band on this grid; the 1 m step
+        # after it keeps a sixth of it, which holds all of a broad beam's
+        # power but rounding.  Lines left out that may carry 6% as much
+        # again push that step's loss over the 5% tolerance; 4% do not.
+        grid = TransverseGrid(128, 2e-3)
+        line = gaussian_field(grid, 0.6e-3).amplitudes[None, :]
+        steps = [(0.1, None), (1.0, None)]
+        total = grid.n_points * float(np.sum(np.abs(line) ** 2))  # its summed spectral power
+        apply_steps_along(line, steps, 1, grid, WAVELENGTH, unseen=0.04 * total)
+        with pytest.raises(SamplingError, match="propagation over 1.0 m"):
+            apply_steps_along(line, steps, 1, grid, WAVELENGTH, unseen=0.06 * total)
 
 
 class TestSummedPower:

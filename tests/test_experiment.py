@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
 from dataclasses import replace
 
-from ghostbench.elements import (_forward, _spectrum, _step, _summed_power, aperture_transmission,
-                                 apply_arm_to_axis, arm_steps)
+from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_to_axis,
+                                 arm_steps)
 from ghostbench.errors import SamplingError
 from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
-                                   _lit_rows, _reduced_state_lags, _rows_behind, _rows_from_band, _slit_rows,
-                                   _toward_slit, build_bench_state, signal_conditioned_rows)
-from ghostbench.source import _dense_from_band, source_band
+                                   _reduced_state_lags, _rows_from_band, _slit_rows, build_bench_state,
+                                   signal_conditioned_rows)
+from ghostbench.source import source_band
 
-from conftest import dense_scan, diagonal_product
+from conftest import dense_scan
 
 WAVELENGTH = 702.2e-9
 
@@ -310,21 +311,6 @@ class TestRowSparseEqualsDense:
             assert np.max(np.abs(amps - dense[rows])) <= 1e-12 * np.max(np.abs(dense[rows]))
 
 
-def transposed_copy_rows(state, arm, rows):
-    """Signal rows at ``rows`` by the route that ran the arm's head along the
-    source's signal axis (a transposed working copy for its first free-space
-    step), then the last free-space step's forward half along that axis and
-    its inverse at the rows, times the elements behind that step."""
-    elements, grid, wavelength = arm.elements, state.grid_s, state.wavelength_s_m
-    last = max((i for i, el in enumerate(elements) if isinstance(el, FreeSpace) and el.distance_m != 0.0),
-               default=None)
-    head, tail = ((), elements) if last is None else (elements[:last], elements[last + 1:])
-    at_step = apply_arm_to_axis(state, replace(arm, elements=head), "signal").amplitudes
-    pending = (np.moveaxis(at_step, 0, -1), None) if last is None else \
-        _forward(at_step, 0, grid, wavelength, elements[last].distance_m)
-    return _rows_behind(pending, diagonal_product(tail, grid, wavelength), rows)
-
-
 def shifted(arm, offset):
     """The arm with every slit moved by ``offset``."""
     return replace(arm, elements=tuple(replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
@@ -341,32 +327,30 @@ HEAD_BENCHES = {
 
 
 class TestHeadOnRows:
-    """The source is symmetric, so klyshko-check's signal head runs on its
-    rows, from the source's idler spectrum when the arm leads with a
-    free-space step; the rows at slit A have the bytes of the head run on
-    a transposed copy."""
+    """The source is symmetric, so klyshko-check runs the signal arm on its
+    rows, along the idler axis, and takes slit A's rows from the result's
+    columns; they have the bytes of the dense oracle, which runs the arm
+    along the signal axis on a transposed working copy
+    (:func:`apply_arm_to_axis`)."""
 
-    # A 3 mm slit A right behind the lens leaves more rows lit than the thin
-    # inverse takes, so the lead step's full inverse runs on the spectrum.
+    # A 3 mm slit A right behind the lens leaves 103 rows lit.
     @pytest.mark.parametrize("overrides", [*HEAD_BENCHES.values(), {"lens_to_slit_m": 0.0, "slit_a_width_m": 3e-3}],
                              ids=[*HEAD_BENCHES, "wide-slit-at-lens"])
-    def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
+    def test_lit_rows_equal_transposed_copy_route(self, grid, monkeypatch, overrides):
+        import ghostbench.experiment as experiment
         bench = default_bench(**overrides)
-        arm = bench.signal_arm
-        state = build_bench_state(bench, grid)
-        rows = np.flatnonzero(aperture_transmission(grid, arm.slits()[-1].width_m))
-        expected = transposed_copy_rows(state, arm, rows)
-        source, wavelength = state.amplitudes, state.wavelength_s_m
-        before = source.copy()
-        # As klyshko-check calls it, the source left as it is.
-        got_rows, got = _lit_rows(source, arm, grid, wavelength)
-        assert got_rows.tolist() == rows.tolist()
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
-        assert np.array_equal(source, before)
-        # The head over a source it may overwrite, as measure and ghost run it on the lit lines.
-        pending = _toward_slit(source, arm, grid, wavelength, overwrite=True)
-        got = _rows_behind(pending, _slit_rows(arm, grid, wavelength)[1], rows)
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        at_d1, original = [], experiment.apply_arm_along
+
+        def spy(amps, arm, *args):
+            if arm == bench.idler_arm:
+                at_d1.append(amps.copy())
+            return original(amps, arm, *args)
+        monkeypatch.setattr(experiment, "apply_arm_along", spy)
+        rows = _slit_rows(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        klyshko_deviation(bench, grid.positions[rows[rows.size // 2]], grid)
+        expected = apply_arm_to_axis(build_bench_state(bench, grid), bench.signal_arm, "signal").amplitudes[rows]
+        assert len(at_d1) == 1
+        assert at_d1[0].shape == expected.shape and at_d1[0].tobytes() == expected.tobytes()
 
 
 def slit_before_lens(bench):
@@ -414,7 +398,7 @@ class TestRowsFromBand:
     def test_rows_match_dense_signal_arm(self, grid, make):
         bench = make()
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
-        rows = _slit_rows(arm, grid, wavelength)[0]
+        rows = _slit_rows(arm, grid, wavelength)
         steps = arm_steps(arm, grid, wavelength)
         got = _rows_from_band(source_band(bench.source, grid), steps, rows, grid, wavelength)
         assert near(got, dense_signal_rows(bench, grid, rows))
@@ -436,9 +420,9 @@ class TestRowsFromBand:
         if name == "slit-before-lens":
             bench = slit_before_lens(bench)
         offsets = (0.0, 0.5e-3, -0.3e-3)
-        state = build_bench_state(bench, grid)
         for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
-            assert near(amps, transposed_copy_rows(state, shifted(bench.signal_arm, offset), rows))
+            moved = replace(bench, signal_arm=shifted(bench.signal_arm, offset))
+            assert near(amps, dense_signal_rows(moved, grid, rows))
 
     @pytest.mark.parametrize("name", ["reference", "slit-before-lens"])
     def test_check_path_rows_match_dense(self, name):
@@ -641,12 +625,12 @@ class TestLitLineHead:
     def heads(self, monkeypatch):
         """The number of lines of each array the signal head runs on."""
         import ghostbench.experiment as experiment
-        lines, original = [], experiment._toward_slit
+        lines, original = [], experiment.apply_steps_along
 
-        def spy(source, *args, **kwargs):
-            lines.append(len(source))
-            return original(source, *args, **kwargs)
-        monkeypatch.setattr(experiment, "_toward_slit", spy)
+        def spy(amps, *args, **kwargs):
+            lines.append(len(amps))
+            return original(amps, *args, **kwargs)
+        monkeypatch.setattr(experiment, "apply_steps_along", spy)
         return lines
 
     def band_and_head(self, overrides):
@@ -664,7 +648,10 @@ class TestLitLineHead:
         return None
 
     def full_head(self, band, args):
-        return self.outcome(lambda: _toward_slit(_dense_from_band(band), *args, overwrite=True))
+        """The signal head's checks with every line lit and none left out."""
+        import ghostbench.experiment as experiment
+        with mock.patch.object(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0)):
+            return self.outcome(lambda: _check_signal_head(band, *args))
 
     @pytest.mark.parametrize("overrides", BENCHES.values(), ids=BENCHES.keys())
     def test_lit_lines_pass_as_the_full_head(self, heads, overrides):
@@ -672,7 +659,7 @@ class TestLitLineHead:
         assert self.full_head(band, args) is None
         assert self.outcome(lambda: _check_signal_head(band, *args)) is None
         lo, hi, _ = _lit_lines(band)
-        assert heads == [hi - lo] and hi - lo < self.FINE.n_points
+        assert heads == [self.FINE.n_points, hi - lo] and hi - lo < self.FINE.n_points
 
     @pytest.mark.parametrize("where", ["just-above", "just-below", "inside-the-bound", "beyond-the-bound"])
     def test_undecided_check_runs_the_full_head(self, heads, monkeypatch, where):

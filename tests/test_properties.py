@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, reject, settings, strategies as st
 
 import ghostbench.elements
+import ghostbench.experiment
 
 from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Field1D, FreeSpace,
                         Open, SamplingError, ScanWindow, Slit, SourceSpec, ThinLens, TransverseGrid,
@@ -21,8 +22,8 @@ from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Fie
 from ghostbench.config import RunConfig
 from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
 from ghostbench.elements import apply_arm_along
-from ghostbench.experiment import _gram_rows, _lit_lines, _toward_slit, build_bench_state
-from ghostbench.source import _dense_from_band, source_band
+from ghostbench.experiment import _check_signal_head, _gram_rows, _lit_lines, build_bench_state
+from ghostbench.source import source_band
 
 from conftest import dense_scan
 
@@ -176,16 +177,19 @@ def test_gram_rows_keep_the_summed_intensity_through_any_tail(seed, n_cells, tai
 ROUNDING = 1e-14
 
 
-def _head_losses(lines, arm, unseen):
+def _head_losses(band, arm, lit_lines):
     """``(lost, total)`` of each band-limit check of the signal head
-    (:func:`_toward_slit`) on ``lines``, every check recorded, none refused."""
+    (:func:`_check_signal_head`) on the lines ``lit_lines`` gives for
+    ``band``, every check recorded, none refused."""
     losses = []
+    unseen = lit_lines(band)[2]
 
     def record(power, keep, grid, wavelength_m, distance_m, unseen_arg=0.0):
-        assert unseen_arg == unseen
+        assert unseen_arg == unseen and len(power) == GRID.n_points
         losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
-    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", record):
-        _toward_slit(lines, arm, GRID, SIGNAL, overwrite=True, unseen=unseen)
+    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", record), \
+            mock.patch.object(ghostbench.experiment, "_lit_lines", lit_lines):
+        _check_signal_head(band, arm, GRID, SIGNAL)
     return losses
 
 
@@ -203,9 +207,9 @@ def test_lit_lines_bracket_the_full_heads_loss(pump, correlation, kind, before, 
                         lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
     arm = ArmSpec(before + [step] + after + [slit_a], SIGNAL)
     band = source_band(source, GRID)
-    lo, hi, unseen = _lit_lines(band)
-    lit = _head_losses(_dense_from_band(band, lo, hi), arm, unseen)
-    full = _head_losses(_dense_from_band(band), arm, 0.0)
+    unseen = _lit_lines(band)[2]
+    lit = _head_losses(band, arm, _lit_lines)
+    full = _head_losses(band, arm, lambda band: (0, band.shape[1], 0.0))
     assert len(lit) == len(full) >= 1
     for (lost, total), (full_lost, full_total) in zip(lit, full):
         assert lost * full_total <= full_lost * (total + unseen) * (1.0 + ROUNDING)
