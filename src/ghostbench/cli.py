@@ -10,8 +10,9 @@ sampling error, 4 failed consistency check.
 from __future__ import annotations
 
 import argparse
-import operator
+import itertools
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,13 @@ def _load_config(path: str | None) -> RunConfig:
     return parse_config(text)
 
 
-def _write_csv(config: RunConfig, command: str, name: str, lines: list[str]):
-    """Write the config header and ``lines`` to ``name`` in the output directory."""
+def _write_csv(config: RunConfig, command: str, name: str, lines: Iterable[str]):
+    """Write the config header and ``lines`` to ``name`` in the output directory.
+
+    ``lines`` is any iterable of strings, each one or more lines joined by
+    newlines without the last one; it is consumed once, while the file is
+    written, so a generator of row blocks never holds the whole CSV.
+    """
     header = [f"# ghostbench {__version__}", f"# command = {command}", "# config:"]
     header += [f"# {line}" if line else "#" for line in render_config(config).splitlines()]
     directory = Path(config.output_directory)
@@ -46,10 +52,95 @@ def _write_csv(config: RunConfig, command: str, name: str, lines: list[str]):
         file = path.open("w")
     except OSError as exc:
         raise ConfigError(f"cannot write {name} to [output] directory {directory}: {exc}") from None
-    # Line by line, so a large CSV is never also held as one string.
     with file:
-        file.writelines(line + "\n" for line in header + lines)
+        file.writelines(line + "\n" for line in itertools.chain(header, lines))
     print(f"csv = {path}")
+
+
+# The digit pairs '00'..'99', each read as the little-endian uint16 of its two bytes.
+_PAIRS = np.array([b"%02d" % i for i in range(100)], dtype="S2").view("<u2")
+# 10^k for |k| <= _POW10_REACH, each the correctly rounded double of 1eK.
+_POW10_REACH = 170
+_POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_REACH, _POW10_REACH + 1)])
+# Half-width of the band around a rounding tie that Python formats; see _e6_parts.
+_TIE_MARGIN = 1e-7
+# Rows of |Psi| formatted at a time, which bounds the kernel's temporaries.
+_BLOCK_ROWS = 64
+
+
+def _e6_parts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Digits, exponent and tie flag of ``'%.6e'`` for each finite value >= 0.
+
+    Returns ``(digits, exponent, tie)`` with ``value ~ digits *
+    10^(exponent - 6)`` and ``digits`` an integer in [1e6, 1e7) (0, with
+    exponent 0, for a zero).  The exponent is floor(log10(value)), moved
+    one decade where the mantissa falls outside [1e6, 1e7).  The mantissa
+    is value * 10^h * 10^(s - h), with s = 6 - exponent and h = s // 2, so
+    the partial product stays normal from the smallest subnormal to the
+    largest double.  np.rint rounds it, and one that rounds to 1e7 is
+    carried into the next decade.  At a decade boundary either decade
+    rounds to the same string.
+
+    Error bound: each table power is correctly rounded and each product
+    rounds once, so the mantissa's relative error is below 4 * 2^-53
+    (~4.4e-16); being below 1e7, it is off by less than 4.5e-9.  ``tie``
+    marks the cells within ``_TIE_MARGIN`` = 1e-7 of a half-integer, over
+    20 times that bound, where the rounding direction is not certain; the
+    caller formats those with Python instead.
+    """
+    positive = np.where(values > 0, values, 1.0)
+    exponent = np.floor(np.log10(positive)).astype(np.int64)
+
+    def mantissa(exponent):
+        scale = 6 - exponent
+        half = scale // 2
+        return positive * _POW10[half + _POW10_REACH] * _POW10[scale - half + _POW10_REACH]
+
+    scaled = mantissa(exponent)
+    shift = (scaled >= 1e7).astype(np.int64) - (scaled < 1e6)
+    if shift.any():
+        exponent += shift
+        scaled = mantissa(exponent)
+    digits = np.rint(scaled)
+    tie = np.abs(scaled - digits) > 0.5 - _TIE_MARGIN
+    carry = digits == 1e7
+    exponent += carry
+    digits[carry] = 1e6
+    zero = values == 0
+    digits[zero] = 0
+    exponent[zero] = 0
+    return digits.astype(np.int64), exponent, tie
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The rows of a 2-D block of finite values >= 0 as ``'%.6e'`` CSV lines,
+    joined by newlines without the last one, with the bytes of Python's format.
+
+    Each cell is written as 14 bytes, seven uint16 slots: ``d.``, three digit
+    pairs, ``e`` and the sign, then the exponent and the separator, padded
+    with NUL when the exponent has two digits.  The NULs are then dropped.
+    """
+    values = block.ravel()
+    digits, exponent, tie = _e6_parts(values)
+    lead, rest = np.divmod(digits, 1000000)
+    power = np.abs(exponent)
+    wide = power >= 100
+    sep = np.full(block.shape, ord(","), np.uint16)
+    sep[:, -1] = ord("\n")
+    sep[-1, -1] = 0
+    sep = sep.ravel()
+    cells = np.empty((block.size, 7), np.uint16)
+    cells[:, 0] = lead + (ord("0") | ord(".") << 8)
+    cells[:, 1] = _PAIRS[rest // 10000]
+    cells[:, 2] = _PAIRS[rest // 100 % 100]
+    cells[:, 3] = _PAIRS[rest % 100]
+    cells[:, 4] = np.where(exponent < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8)
+    cells[:, 5] = _PAIRS[np.where(wide, power // 10, power)]
+    cells[:, 6] = np.where(wide, (ord("0") + power % 10) | sep << 8, sep)
+    for i in np.flatnonzero(tie):
+        text = ("%.6e" % values[i]).encode() + bytes([sep[i]])
+        cells[i] = np.frombuffer(text.ljust(14, b"\0"), "<u2")
+    return cells.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def _scan_lines(scan: ScanResult) -> list[str]:
@@ -152,13 +243,10 @@ def _temporal(config: RunConfig) -> int:
     magnitude = np.abs(eval_biphoton_wavepacket(spec))
     k = factorability_check(magnitude)
     t = spec.time_grid()
-    # Format each distinct value once: equal bits give equal strings.
-    keys, inverse = np.unique(magnitude.view(np.uint64).ravel(), return_inverse=True)
-    text = (",".join(["%.6e"] * keys.size) % tuple(keys.view(np.float64).tolist())).split(",")
-    rows = [",".join(operator.itemgetter(*row)(text))
-            for row in inverse.reshape(magnitude.shape).tolist()]
-    _write_csv(config, "temporal", "temporal_psi.csv",
-               [f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2", *rows])
+    blocks = np.split(magnitude, range(_BLOCK_ROWS, len(magnitude), _BLOCK_ROWS))
+    _write_csv(config, "temporal", "temporal_psi.csv", itertools.chain(
+        [f"# t_grid_s = {t[0]!r} .. {t[-1]!r} in {t.size} samples; rows are t1, columns t2"],
+        map(_csv_rows, blocks)))
     print(f"schmidt_number = {k:.6f}")
     print(f"schmidt_number_analytic = {analytic_schmidt_number(spec.sigma_plus_hz, spec.sigma_minus_hz):.6f}")
     return 0

@@ -575,7 +575,8 @@ def in_slit_positions(bench: BenchSpec, grid: TransverseGrid, count: int) -> np.
         if last.center_m - last.width_m / 2.0 < y[0] - half or last.center_m + last.width_m / 2.0 > y[-1] + half:
             raise SamplingError(f"slit A ({last.width_m * 1e3:g} mm wide at {last.center_m * 1e3:g} mm) lies "
                                 f"outside the +-{grid.extent_m * 1e3:g} mm grid window")
-        raise SamplingError("slit A is narrower than one grid cell")
+        raise SamplingError(f"no grid cell lies wholly inside slit A: it is {last.width_m * 1e3:g} mm wide, "
+                            f"{last.width_m / grid.spacing_m:.3g} times the {grid.spacing_m * 1e3:.4g} mm grid pitch")
     order = np.argsort(np.abs(grid.positions[inside] - last.center_m), kind="stable")
     chosen = inside[order][:count]
     return np.sort(grid.positions[chosen])

@@ -1,13 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ghostbench.cli import main
+from ghostbench.cli import _csv_rows, _e6_parts, main
 from ghostbench.config import parse_config, to_temporal
 from ghostbench.temporal import eval_biphoton_wavepacket
 
@@ -198,18 +202,88 @@ class TestTemporal:
         assert err.startswith("error: config: [temporal] span_coherence_times: every sample of |Psi| underflows")
         assert out == ""
 
-    @pytest.mark.parametrize("body", ["", "omega_signal_hz = 5\nomega_idler_hz = -5\namplitude = -2.5\n",
-                                      "sigma_minus_hz = 30\n"],
-                             ids=["default", "carriers", "sigma-minus-30"])
-    def test_csv_bytes_match_per_value_format(self, capsys, tmp_path, outdir_config, body):
+    @pytest.mark.parametrize("body, n_points", [
+        ("", 512), ("omega_signal_hz = 5\nomega_idler_hz = -5\namplitude = -2.5\n", 512),
+        ("sigma_minus_hz = 30\n", 512),
+        # Not multiples of the kernel's 64-row block: a short last block, one
+        # block shorter than a whole one, and an odd grid.
+        ("n_points = 130\n", 130), ("n_points = 2\n", 2), ("n_points = 201\nsigma_minus_hz = 30\n", 201)],
+        ids=["default", "carriers", "sigma-minus-30", "n-130", "n-2", "n-201"])
+    def test_csv_bytes_match_per_value_format(self, capsys, tmp_path, outdir_config, body, n_points):
         cfg = outdir_config(f"[temporal]\n{body}")
         assert run_cli(capsys, "temporal", cfg)[0] == 0
         text = (tmp_path / "temporal_psi.csv").read_bytes().decode()
         psi = eval_biphoton_wavepacket(to_temporal(parse_config(Path(cfg).read_text())))
         rows = "".join(",".join(f"{val:.6e}" for val in np.abs(row)) + "\n" for row in psi)
         header = text[:text.index("\n", text.index("# t_grid_s")) + 1]
-        assert psi.shape == (512, 512)
-        assert text == header + rows
+        assert psi.shape == (n_points, n_points)
+        # Line lists, so a failure names the first wrong row rather than
+        # diffing two multi-megabyte strings.
+        assert text.split("\n") == (header + rows).split("\n")
+
+    def test_peak_memory_below_the_whole_csv_route(self, capsys, outdir_config):
+        # 17.36e6 traced bytes is the peak of formatting each distinct value
+        # and joining all 512 rows at once; the row blocks peak at 12.76e6.
+        cfg = outdir_config()
+        run_cli(capsys, "temporal", cfg)
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_cli(capsys, "temporal", cfg)[0] == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 17.36e6
+
+
+# Finite doubles >= 0 over the whole range, and values at or next to a
+# rounding tie of the seventh significant digit.
+near_ties = st.builds(lambda digits, power, step: np.nextafter(float(f"{digits}.5e{power}"), step),
+                      st.integers(10 ** 6, 10 ** 7 - 1), st.integers(-320, 300),
+                      st.sampled_from([0.0, np.inf])) | st.builds(
+                          lambda digits, power: float(f"{digits}.5e{power}"),
+                          st.integers(10 ** 6, 10 ** 7 - 1), st.integers(-320, 300))
+cell_values = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False) | near_ties
+TIES = [9999999.5, 9.9999995e-5, 9.9999995e99, 12345675.0, 12345665.0]
+EDGES = [0.0, 5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+         1e-100, 9.9999999e-100, 1e100, 9.99999949e99, *TIES, *(float(f"1e{k}") for k in range(-300, 301))]
+
+
+def python_rows(block):
+    return "\n".join(",".join("%.6e" % value for value in row) for row in block.tolist())
+
+
+class TestCsvKernel:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 8)), elements=cell_values))
+    def test_bytes_equal_python_format(self, block):
+        assert _csv_rows(block) == python_rows(block)
+
+    @pytest.mark.parametrize("shape", [(1, len(EDGES)), (len(EDGES), 1)], ids=["one-row", "one-column"])
+    def test_edges_of_the_double_range(self, shape):
+        block = np.array(EDGES).reshape(shape)
+        assert _csv_rows(block) == python_rows(block)
+
+    def test_ties_take_the_python_fallback(self):
+        values = np.array(TIES)
+        assert _e6_parts(values)[2].all()
+        # Half-even on the exact ties; the other two doubles lie just below theirs.
+        assert _csv_rows(values[None]) == "1.000000e+07,9.999999e-05,9.999999e+99,1.234568e+07,1.234566e+07"
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        assert not _e6_parts(powers)[2].any()
+
+    @pytest.mark.parametrize("decades", [-1, 1])
+    def test_exponent_a_decade_off_is_moved_back(self, decades):
+        # floor(log10) misses only at rounding distance from a power of ten,
+        # where either decade gives the same string; the decade correction
+        # must also mend a whole decade off.
+        log10 = np.log10
+        block = np.array(EDGES)[None]
+        with mock.patch.object(np, "log10", lambda x: log10(x) + decades):
+            assert _csv_rows(block) == python_rows(block)
 
 
 class TestValidateAndErrors:
@@ -248,11 +322,16 @@ class TestValidateAndErrors:
 
     @pytest.mark.parametrize("command, body, message", [
         ("measure-m1", "[detectors]\nd1_mode = point\nd1_position_mm = 20\n", "point D1 at 0.02 m"),
-        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n", "slit A is narrower than one grid cell"),
+        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.02\n",
+         "no grid cell lies wholly inside slit A: it is 0.02 mm wide, 0.683 times the 0.0293 mm grid pitch"),
+        # 1.37 cells wide, but centred half a cell off a sample, so it straddles two cells.
+        ("klyshko-check", "[signal_arm]\nslit_a_width_mm = 0.04\nslit_a_center_mm = 0.0146484375\n",
+         "no grid cell lies wholly inside slit A: it is 0.04 mm wide, 1.37 times the 0.0293 mm grid pitch"),
         # Wider than five 29 um cells, but outside the window.
         ("klyshko-check", "[signal_arm]\nslit_a_center_mm = 16\n",
          "slit A (0.16 mm wide at 16 mm) lies outside the +-15 mm grid window")],
-        ids=["point-d1-outside-grid", "slit-a-below-one-cell", "slit-a-outside-grid"])
+        ids=["point-d1-outside-grid", "slit-a-below-one-cell", "slit-a-straddles-two-cells",
+             "slit-a-outside-grid"])
     def test_run_time_sampling_limit_exit_3(self, capsys, outdir_config, command, body, message):
         # The third such limit, a scan window outside the grid, is test_numerical_error_exit_3.
         code, out, err = run_cli(capsys, command, outdir_config(body))
