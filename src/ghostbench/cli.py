@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("measure-m1", "coincidence scan with slit B closed to the slit width"),
             ("measure-m2", "coincidence scan with slit B wide open"),
             ("ghost", "sweep idler planes to locate the conditional image"),
-            ("klyshko-check", "compare 2-D conditional patterns with the advanced wave"),
+            ("klyshko-check", "compare measure's conditional patterns with the advanced wave"),
             ("temporal", "evaluate the temporal wavepacket and its Schmidt number"),
             ("validate-config", "parse and validate a configuration file")]:
         p = sub.add_parser(name, help=help_text)

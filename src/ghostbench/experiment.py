@@ -106,11 +106,12 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
 def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """Source amplitude at the crystal plane on a shared grid.
 
-    The amplitude must be exactly symmetric, A == A.T bit for bit: the
-    dense signal arm runs on its rows, as signal-axis lines, in
-    klyshko-check (:func:`klyshko_deviation`) and in the band-limit checks
-    of measure and ghost (:func:`_check_signal_head`), and slit A's and
-    slit B's rows read the source's band through the symmetry too
+    klyshko-check's advanced wave (:func:`klyshko_advanced_wave`) reads
+    it; no command runs an arm on it.  The amplitude must be exactly
+    symmetric, A == A.T bit for bit: the signal head runs on the source's
+    rows, as signal-axis lines, in the band-limit checks of measure, ghost
+    and klyshko-check (:func:`_check_signal_head`), and slit A's and slit
+    B's rows read the source's band through the symmetry too
     (:func:`_rows_from_band`).  ``build_source`` makes A symmetric on one
     grid for both axes; ``test_source.py``'s ``test_exactly_symmetric``
     guards it.  A source term that breaks the symmetry (a pump offset or
@@ -239,6 +240,19 @@ def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: Trans
     for t in range(width):
         at_rows += padded[:, t:t + n] * band[t]
     return at_rows
+
+
+def _slit_a_rows(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
+    """``(rows, at_rows)``: the rows slit A can leave nonzero
+    (:func:`_slit_rows`) and those rows behind the signal arm, idler axis
+    at the crystal, as K A from the source's band (:func:`_rows_from_band`),
+    after the signal head's checks where a signal step cuts a band on the
+    grid (:func:`_check_signal_head`).  measure's coincidences and
+    klyshko-check take slit A's rows here alike."""
+    if _band_limited(arm, grid, wavelength_m):
+        _check_signal_head(band, arm, grid, wavelength_m)
+    rows = _slit_rows(arm, grid, wavelength_m)
+    return rows, _rows_from_band(band, arm_steps(arm, grid, wavelength_m), rows, grid, wavelength_m)
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -424,16 +438,13 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise SamplingError("scan window extends outside the grid window")
     arm, wavelength, idler_wavelength = first.signal_arm, first.source.lambda_signal_m, first.source.lambda_idler_m
     band = source_band(first.source, grid)
-    if _band_limited(arm, grid, wavelength):
-        _check_signal_head(band, arm, grid, wavelength)
+    rows, at_d1 = _slit_a_rows(band, arm, grid, wavelength)
     if _band_route_pays(band, benches, grid):
         lags = _reduced_state_lags(band)
         source, power = (band, lags), _lag_power(lags)
     else:
         source = _spectrum(_dense_from_band(band), 1, overwrite=True)
         power = _summed_power(source)
-    rows = _slit_rows(arm, grid, wavelength)
-    at_d1 = _rows_from_band(band, arm_steps(arm, grid, wavelength), rows, grid, wavelength)
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
@@ -536,20 +547,21 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: Biphoto
 def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
                       backward_offset_m: float = 0.0) -> float | np.ndarray:
     """Max pointwise difference between the peak-normalized conditional
-    pattern of the 2-D propagation and the advanced-wave pattern.
+    pattern that measure computes and the advanced-wave pattern.
 
     ``d1_positions_m`` is one position (a float result) or an array (one
-    deviation each).  One source and one 2-D pass serve all positions: the
-    signal arm on the whole source, the idler arm on the rows it leaves
-    nonzero (:func:`_slit_rows`).  The source is symmetric
-    (:func:`build_bench_state`), so the arm runs on its rows, as
-    signal-axis lines, on a working copy: the advanced wave reads the
-    source as it is.
+    deviation each).  One set of rows serves all positions: slit A's rows
+    as :func:`run_coincidence_scan` takes them (:func:`_slit_a_rows`), then
+    the idler arm on those rows.  The advanced wave reads the dense source
+    (:func:`build_bench_state`), built once after the signal head's
+    checks, through its own BLAS product rather than K A's diagonal sum,
+    so a fault in that sum cannot cancel: the two sides share only the
+    source's band and the steps' transfer functions.
     """
+    rows, at_d1 = _slit_a_rows(source_band(bench.source, grid), bench.signal_arm, grid,
+                               bench.source.lambda_signal_m)
+    at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
     state = build_bench_state(bench, grid)
-    rows = _slit_rows(bench.signal_arm, grid, state.wavelength_s_m)
-    at_d1 = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
-    at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, state.wavelength_i_m)
     deviations = []
     for position in np.atleast_1d(d1_positions_m):
         # D1's row, or zeros when the signal arm leaves that row dark.

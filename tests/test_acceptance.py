@@ -144,7 +144,8 @@ def test_criterion_4_ghost_image_law(grid):
 
 
 def test_criterion_5_klyshko_equivalence(grid):
-    """Advanced-wave and 2-D conditional patterns agree to 1e-6 for at
+    """Advanced-wave and conditional patterns, the latter on measure's
+    route (slit A's rows from the source's band), agree to 1e-6 for at
     least five point-D1 positions inside slit A."""
     bench = default_bench(slit_b="open")
     positions = in_slit_positions(bench, grid, 5)

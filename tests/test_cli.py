@@ -356,10 +356,11 @@ class TestWorkCounts:
     build rows of the source, from the band they hold, only where a signal
     step's band limit cuts on the grid, and then only its lit lines, for
     the signal head (the arm's steps before slit A's) to make its checks
-    (``_check_signal_head``).  klyshko-check runs the signal arm on the
-    whole N x N source as its oracle's partner.  A dense pass is an arm's
-    steps (``apply_arm_along``, ``apply_steps_along``) run on the lines of
-    a source the command built, or any pass along an axis of the joint
+    (``_check_signal_head``).  klyshko-check takes slit A's rows as
+    measure does, and builds the N x N source once, after the head's
+    checks, for the advanced wave alone.  A dense pass is an arm's steps
+    (``apply_arm_along``, ``apply_steps_along``) run on the lines of a
+    source the command built, or any pass along an axis of the joint
     amplitude (``apply_arm_to_axis``)."""
 
     @pytest.fixture()
@@ -392,16 +393,16 @@ class TestWorkCounts:
         monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
 
         # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
-        def run(command, extra="", n_points=128):
+        def run(command, extra="", n_points=128, extent_mm=7.5):
             calls.clear()
             head_lines.clear()
             sources.clear()
-            base = f"[grid]\nn_points = {n_points}\nextent_mm = 7.5\n[signal_arm]\nslit_a_width_mm = 0.6\n"
+            base = f"[grid]\nn_points = {n_points}\nextent_mm = {extent_mm}\n[signal_arm]\nslit_a_width_mm = 0.6\n"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert main([command, outdir_config(base + extra)]) == 0
             return {name: calls.count(name) for name in ("build", "signal", "idler")}
-        run.head_lines = head_lines
+        run.calls, run.head_lines = calls, head_lines
         return run
 
     @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
@@ -424,9 +425,20 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):
+        # Slit A's rows come from the band; the one build is the advanced
+        # wave's source, which no arm runs on.
         assert counted("klyshko-check", f"[klyshko]\nn_positions = {n_positions}\n") == \
-            {"build": 1, "signal": 1, "idler": 0}
-        assert counted.head_lines == [128]
+            {"build": 1, "signal": 0, "idler": 0}
+        assert counted.head_lines == []
+
+    def test_band_limited_klyshko_check_runs_the_head_on_the_lit_lines(self, counted):
+        # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%
+        # of its band, so the head makes its checks on the source's 218 lit
+        # lines, as measure's does; the advanced wave's source is built
+        # after them.
+        assert counted("klyshko-check", n_points=1320, extent_mm=15) == {"build": 2, "signal": 1, "idler": 0}
+        assert counted.calls == ["build", "signal", "build"]
+        assert counted.head_lines == [218]
 
 
 class TestLitLineHeadRefusal:

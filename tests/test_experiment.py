@@ -13,8 +13,8 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
 from ghostbench.analysis import PlaneSweep, ghost_image_stats
 from dataclasses import replace
 
-from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_to_axis,
-                                 arm_steps)
+from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_along,
+                                 apply_arm_to_axis, arm_steps)
 from ghostbench.errors import SamplingError
 from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
                                    _reduced_state_lags, _rows_from_band, _slit_rows, build_bench_state,
@@ -210,6 +210,15 @@ class TestKlyshko:
         dev = klyshko_deviation(bench, 0.0, grid, backward_offset_m=1e-3)
         assert dev > 1e-6
 
+    def test_band_limited_head_agrees_machine_exact(self):
+        # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%
+        # of a flat spectrum: the signal head makes its checks on the lit
+        # lines, and the advanced wave's backward step still passes.
+        grid = TransverseGrid(1320, 15e-3)
+        bench = default_bench()
+        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert np.max(klyshko_deviation(bench, in_slit_positions(bench, grid, 5), grid)) < 1e-12
+
     def test_identity_arms_pass_trivially(self, grid):
         bench = BenchSpec(SourceSpec(), ArmSpec((), WAVELENGTH), ArmSpec((), WAVELENGTH),
                           DetectorSpec("point"), DetectorSpec("point"))
@@ -327,16 +336,19 @@ HEAD_BENCHES = {
 
 
 class TestHeadOnRows:
-    """The source is symmetric, so klyshko-check runs the signal arm on its
-    rows, along the idler axis, and takes slit A's rows from the result's
-    columns; they have the bytes of the dense oracle, which runs the arm
-    along the signal axis on a transposed working copy
-    (:func:`apply_arm_to_axis`)."""
+    """klyshko-check takes slit A's rows as measure does, as K A from the
+    source's band, and hands the idler arm the same bytes.  The dense
+    oracle pair agrees bit for bit on its own: the source is symmetric, so
+    the signal arm run on its rows, along the idler axis, gives at slit A's
+    columns the rows of the arm run along the signal axis on a transposed
+    working copy (:func:`apply_arm_to_axis`)."""
 
     # A 3 mm slit A right behind the lens leaves 103 rows lit.
-    @pytest.mark.parametrize("overrides", [*HEAD_BENCHES.values(), {"lens_to_slit_m": 0.0, "slit_a_width_m": 3e-3}],
-                             ids=[*HEAD_BENCHES, "wide-slit-at-lens"])
-    def test_lit_rows_equal_transposed_copy_route(self, grid, monkeypatch, overrides):
+    BENCHES = [*HEAD_BENCHES.values(), {"lens_to_slit_m": 0.0, "slit_a_width_m": 3e-3}]
+    IDS = [*HEAD_BENCHES, "wide-slit-at-lens"]
+
+    @pytest.mark.parametrize("overrides", BENCHES, ids=IDS)
+    def test_klyshko_rows_equal_scan_rows(self, grid, scan_window, monkeypatch, overrides):
         import ghostbench.experiment as experiment
         bench = default_bench(**overrides)
         at_d1, original = [], experiment.apply_arm_along
@@ -348,9 +360,18 @@ class TestHeadOnRows:
         monkeypatch.setattr(experiment, "apply_arm_along", spy)
         rows = _slit_rows(bench.signal_arm, grid, bench.source.lambda_signal_m)
         klyshko_deviation(bench, grid.positions[rows[rows.size // 2]], grid)
-        expected = apply_arm_to_axis(build_bench_state(bench, grid), bench.signal_arm, "signal").amplitudes[rows]
-        assert len(at_d1) == 1
-        assert at_d1[0].shape == expected.shape and at_d1[0].tobytes() == expected.tobytes()
+        run_coincidence_scan(bench, scan_window, grid)
+        assert len(at_d1) == 2 and at_d1[0].shape == (rows.size, grid.n_points)
+        assert at_d1[0].tobytes() == at_d1[1].tobytes()
+
+    @pytest.mark.parametrize("overrides", BENCHES, ids=IDS)
+    def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
+        bench = default_bench(**overrides)
+        state = build_bench_state(bench, grid)
+        rows = _slit_rows(bench.signal_arm, grid, state.wavelength_s_m)
+        on_rows = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
+        expected = apply_arm_to_axis(state, bench.signal_arm, "signal").amplitudes[rows]
+        assert on_rows.shape == expected.shape and on_rows.tobytes() == expected.tobytes()
 
 
 def slit_before_lens(bench):
@@ -702,7 +723,9 @@ class TestPeakMemory:
     transform overwrites.  A lens product into a new array holds 3.  Ghost
     and measure build no N x N array: where a band-limit check runs the
     signal head, they run it on the source's lit lines, in place, so at
-    2048 points over +-15 mm they hold 337 of its 2048 lines."""
+    2048 points over +-15 mm they hold 337 of its 2048 lines.
+    klyshko-check takes slit A's rows as they do and holds one source, the
+    advanced wave's (1.04 arrays at 512 points)."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -717,6 +740,11 @@ class TestPeakMemory:
     @pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
     def test_peak_at_most_two_and_a_half_arrays(self, call):
         assert self.peak(call) <= 2.5 * self.GRID.n_points ** 2 * 16
+
+    def test_klyshko_peak_at_most_one_point_one_arrays(self):
+        # The advanced wave's dense source, and a few rows beside it: slit
+        # A's rows come from the band.
+        assert self.peak(self.CALLS["klyshko"]) <= 1.1 * self.GRID.n_points ** 2 * 16
 
     def test_ghost_peak_at_most_one_and_a_half_arrays(self):
         assert self.peak(self.CALLS["ghost"]) <= 1.5 * self.GRID.n_points ** 2 * 16
