@@ -24,7 +24,7 @@ from .experiment import (BenchSpec, DetectorSpec, ScanResult, ScanWindow,
 from .grid import BiphotonAmplitude, Field1D, SamplingReport, TransverseGrid, sampling_check
 from .source import (SourceSpec, build_biphoton, build_separable, build_source,
                      schmidt_number)
-from .temporal import (TemporalSpec, analytic_schmidt_number,
-                       eval_biphoton_wavepacket, factorability_check)
+from .temporal import (TemporalSpec, analytic_schmidt_number, eval_biphoton_wavepacket,
+                       eval_wavepacket_magnitude, factorability_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

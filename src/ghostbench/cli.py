@@ -21,9 +21,12 @@ from . import __version__
 from .analysis import compute_pattern_stats, ghost_image_stats
 from .config import (RunConfig, parse_config, render_config, to_bench, to_grid,
                      to_plane_sweep, to_scan, to_temporal)
-from .errors import CheckFailureError, ConfigError, GhostBenchError, PatternError
+from .errors import CheckFailureError, ConfigError, GhostBenchError, PatternError, SamplingError
 from .experiment import ScanResult, in_slit_positions, klyshko_deviation, run_coincidence_scan
-from .temporal import analytic_schmidt_number, eval_biphoton_wavepacket, factorability_check
+# eval_biphoton_wavepacket is no longer called here, but perfbench/tracing.py
+# binds the name in this module for its temporal.eval span.
+from .temporal import (analytic_schmidt_number, eval_biphoton_wavepacket,  # noqa: F401
+                       eval_wavepacket_magnitude, factorability_check)
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -220,12 +223,20 @@ def _klyshko_check(config: RunConfig) -> int:
     bench = to_bench(config)
     grid = to_grid(config)
     positions = in_slit_positions(bench, grid, config.klyshko_positions)
+    if positions.size < 2:
+        slit = bench.signal_arm.slits()[-1]
+        raise SamplingError(f"only {positions.size} grid cell lies wholly inside slit A, and the check needs 2: "
+                            f"it is {slit.width_m * 1e3:g} mm wide, {slit.width_m / grid.spacing_m:.3g} times "
+                            f"the {grid.spacing_m * 1e3:.4g} mm grid pitch")
     deviations = klyshko_deviation(bench, positions, grid,
                                    backward_offset_m=config.klyshko_backward_offset_m)
     worst = 0.0
     for pos, dev in zip(positions, deviations):
         worst = max(worst, dev)
         print(f"d1_mm = {pos * 1e3:+.6f}  deviation = {dev:.3e}")
+    if positions.size < config.klyshko_positions:
+        print(f"note = {positions.size} of {config.klyshko_positions} positions checked "
+              f"(slit A holds {positions.size} whole grid cells)")
     print(f"max_deviation = {worst:.3e}")
     print(f"tolerance = {config.klyshko_tolerance:.3e}")
     if worst >= config.klyshko_tolerance:
@@ -240,7 +251,7 @@ def _temporal(config: RunConfig) -> int:
     spec = to_temporal(config)
     # Psi = A0 * diag(carrier_s) @ E @ diag(carrier_i) with E real and the
     # carriers unimodular, so |Psi| = |A0| |E| has Psi's singular values.
-    magnitude = np.abs(eval_biphoton_wavepacket(spec))
+    magnitude = eval_wavepacket_magnitude(spec)
     k = factorability_check(magnitude)
     t = spec.time_grid()
     blocks = np.split(magnitude, range(_BLOCK_ROWS, len(magnitude), _BLOCK_ROWS))

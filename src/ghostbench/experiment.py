@@ -28,7 +28,7 @@ from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _for
                        apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
-from .source import SourceSpec, _dense_from_band, build_source, source_band
+from .source import SourceSpec, _dense_from_band, _live_band, build_source, source_band
 
 # The D2 singles take the band route (:func:`_reduced_state_lags`, and
 # slit B's rows from the source's band) while its cost estimate,
@@ -437,7 +437,7 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise SamplingError("scan window extends outside the grid window")
     arm, wavelength, idler_wavelength = first.signal_arm, first.source.lambda_signal_m, first.source.lambda_idler_m
-    band = source_band(first.source, grid)
+    band = _live_band(source_band(first.source, grid))
     rows, at_d1 = _slit_a_rows(band, arm, grid, wavelength)
     if _band_route_pays(band, benches, grid):
         lags = _reduced_state_lags(band)
@@ -486,7 +486,7 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
         replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
         for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
     wavelength = bench.source.lambda_signal_m
-    band = source_band(bench.source, grid)
+    band = _live_band(source_band(bench.source, grid))
     if _band_limited(bench.signal_arm, grid, wavelength):
         # An offset that moves a slit before the last step changes the head.
         heads = {}
@@ -551,14 +551,15 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
 
     ``d1_positions_m`` is one position (a float result) or an array (one
     deviation each).  One set of rows serves all positions: slit A's rows
-    as :func:`run_coincidence_scan` takes them (:func:`_slit_a_rows`), then
-    the idler arm on those rows.  The advanced wave reads the dense source
-    (:func:`build_bench_state`), built once after the signal head's
-    checks, through its own BLAS product rather than K A's diagonal sum,
-    so a fault in that sum cannot cancel: the two sides share only the
-    source's band and the steps' transfer functions.
+    as :func:`run_coincidence_scan` takes them (:func:`_slit_a_rows`, on
+    the live band), then the idler arm on those rows.  The advanced wave
+    reads the exact dense source (:func:`build_bench_state`), built once
+    after the signal head's checks, through its own BLAS product rather
+    than K A's diagonal sum, so a fault in that sum or in the live band's
+    trim cannot cancel: the two sides share only the source's band and the
+    steps' transfer functions.
     """
-    rows, at_d1 = _slit_a_rows(source_band(bench.source, grid), bench.signal_arm, grid,
+    rows, at_d1 = _slit_a_rows(_live_band(source_band(bench.source, grid)), bench.signal_arm, grid,
                                bench.source.lambda_signal_m)
     at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
     state = build_bench_state(bench, grid)

@@ -24,7 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import BiphotonAmplitude, TransverseGrid
 
 _ENERGY_CONSERVATION_RTOL = 1e-6
-# Entries of a peak-scaled matrix below this are zeros to the Schmidt number.
+# Entries below this times the peak are zeros to the Schmidt number's Gram
+# and to every band pass (:func:`_live_band`): 134 orders of magnitude
+# below one rounding step, and spared the slow arithmetic of subnormals.
 _FLUSH_BELOW = 1e-150
 
 
@@ -209,6 +211,25 @@ def source_band(spec: SourceSpec, grid: TransverseGrid) -> np.ndarray:
         lo, hi = max(0, -d), n - max(0, d)
         band[t, lo:hi] = diagonal(d, lo, hi)
     return band
+
+
+def _live_band(band: np.ndarray) -> np.ndarray:
+    """The live band: ``band`` (:func:`source_band`) with each entry below
+    ``_FLUSH_BELOW`` of its peak set to 0.0, in place, one diagonal at a
+    time, returned as its central slice without the outer diagonal pairs
+    left all zero.  Every band pass of measure, ghost and klyshko-check's
+    K A side reads it (K A, rho's lags, the lit lines, the route rule).
+    The exact band's outer diagonals run down to subnormals (5e-324 at the
+    reference), whose arithmetic is slow, and a dropped entry lies 134
+    orders of magnitude below a rounding step of the peak: 25 diagonals
+    stay 17 at the reference, 49 stay 33 at 2048 points, 49 stay 23 for
+    the separable control."""
+    floor = _FLUSH_BELOW * max(band.max(initial=0.0), -band.min(initial=0.0))
+    for diagonal in band:
+        diagonal[np.abs(diagonal) < floor] = 0.0
+    h = band.shape[0] // 2
+    k = int(np.max(np.abs(np.flatnonzero(band.any(axis=1)) - h), initial=0))
+    return band[h - k:h + k + 1]
 
 
 def _matrix_schmidt_number(matrix: np.ndarray) -> float:

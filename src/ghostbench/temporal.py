@@ -72,15 +72,28 @@ class TemporalSpec:
         return (np.arange(self.n_points) - (self.n_points - 1) / 2.0) * step
 
 
+def _envelope(spec: TemporalSpec) -> np.ndarray:
+    """The real envelope exp(-sigma_plus^2 (t1 + t2)^2 - sigma_minus^2
+    (t1 - t2)^2) on the spec's grid; axis 0 is t1."""
+    t = spec.time_grid()
+    t1, t2 = t[:, None], t[None, :]
+    return np.exp(-spec.sigma_plus_hz ** 2 * (t1 + t2) ** 2 - spec.sigma_minus_hz ** 2 * (t1 - t2) ** 2)
+
+
 def eval_biphoton_wavepacket(spec: TemporalSpec) -> np.ndarray:
     """Pointwise Psi(t1, t2) on the spec's grid; axis 0 is t1."""
     t = spec.time_grid()
-    t1 = t[:, None]
-    t2 = t[None, :]
-    envelope = np.exp(-spec.sigma_plus_hz ** 2 * (t1 + t2) ** 2
-                      - spec.sigma_minus_hz ** 2 * (t1 - t2) ** 2)
-    carrier = np.exp(-1j * spec.omega_s_hz * t1) * np.exp(-1j * spec.omega_i_hz * t2)
-    return spec.amplitude_a0 * envelope * carrier
+    carrier = np.exp(-1j * spec.omega_s_hz * t[:, None]) * np.exp(-1j * spec.omega_i_hz * t[None, :])
+    return spec.amplitude_a0 * _envelope(spec) * carrier
+
+
+def eval_wavepacket_magnitude(spec: TemporalSpec) -> np.ndarray:
+    """|Psi(t1, t2)| = |A0| times the envelope, with no complex array: the
+    carriers are unimodular.  At Omega_s = Omega_i = 0 it equals
+    ``np.abs(eval_biphoton_wavepacket(spec))`` bit for bit."""
+    magnitude = _envelope(spec)
+    magnitude *= abs(spec.amplitude_a0)
+    return magnitude
 
 
 def factorability_check(psi: np.ndarray) -> float:

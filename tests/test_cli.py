@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from ghostbench.cli import _csv_rows, _e6_parts, main
 from ghostbench.config import parse_config, to_temporal
-from ghostbench.temporal import eval_biphoton_wavepacket
+from ghostbench.temporal import eval_wavepacket_magnitude
 
 
 def run_cli(capsys, *argv):
@@ -157,6 +157,23 @@ class TestKlyshko:
                               "backward step of the point source at D1 (")
         assert "propagation over -1.0 m would alias" in err
 
+    def test_one_position_in_slit_a_exit_3(self, capsys, outdir_config):
+        # At 512 points over +-15 mm the 0.16 mm slit A holds one whole cell
+        # of 58.6 um, and one position cannot be compared with another.
+        code, out, err = run_cli(capsys, "klyshko-check", outdir_config("[grid]\nn_points = 512\n"))
+        assert code == 3
+        assert out == ""
+        assert err == ("error: numerical: only 1 grid cell lies wholly inside slit A, and the check needs 2: "
+                       "it is 0.16 mm wide, 2.73 times the 0.05859 mm grid pitch\n")
+
+    def test_fewer_positions_than_asked_are_noted(self, capsys, outdir_config):
+        # At 700 points slit A holds 3 whole cells of 42.9 um; 5 are asked.
+        code, out, _ = run_cli(capsys, "klyshko-check", outdir_config("[grid]\nn_points = 700\n"))
+        assert code == 0
+        assert out.count("d1_mm = ") == 3
+        assert "note = 3 of 5 positions checked (slit A holds 3 whole grid cells)\n" in out
+        assert "result = PASS" in out
+
     def test_corrupted_arm_fails_with_exit_4(self, capsys, tmp_path, outdir_config):
         cfg = outdir_config("[klyshko]\nbackward_offset_mm = 1.0\n")
         code, out, err = run_cli(capsys, "klyshko-check", cfg)
@@ -213,8 +230,8 @@ class TestTemporal:
         cfg = outdir_config(f"[temporal]\n{body}")
         assert run_cli(capsys, "temporal", cfg)[0] == 0
         text = (tmp_path / "temporal_psi.csv").read_bytes().decode()
-        psi = eval_biphoton_wavepacket(to_temporal(parse_config(Path(cfg).read_text())))
-        rows = "".join(",".join(f"{val:.6e}" for val in np.abs(row)) + "\n" for row in psi)
+        psi = eval_wavepacket_magnitude(to_temporal(parse_config(Path(cfg).read_text())))
+        rows = "".join(",".join(f"{val:.6e}" for val in row) + "\n" for row in psi)
         header = text[:text.index("\n", text.index("# t_grid_s")) + 1]
         assert psi.shape == (n_points, n_points)
         # Line lists, so a failure names the first wrong row rather than
@@ -223,7 +240,9 @@ class TestTemporal:
 
     def test_peak_memory_below_the_whole_csv_route(self, capsys, outdir_config):
         # 17.36e6 traced bytes is the peak of formatting each distinct value
-        # and joining all 512 rows at once; the row blocks peak at 12.76e6.
+        # and joining all 512 rows at once; the row blocks peaked at 12.76e6
+        # with the complex Psi, and at 6.60e6 with |Psi| alone (measured),
+        # under four 512 x 512 float arrays (8.39e6).
         cfg = outdir_config()
         run_cli(capsys, "temporal", cfg)
         started = not tracemalloc.is_tracing()
@@ -236,7 +255,7 @@ class TestTemporal:
         finally:
             if started:
                 tracemalloc.stop()
-        assert peak <= 17.36e6
+        assert peak <= 4 * 512 * 512 * 8
 
 
 # Finite doubles >= 0 over the whole range, and values at or next to a

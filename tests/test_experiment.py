@@ -16,10 +16,11 @@ from dataclasses import replace
 from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_along,
                                  apply_arm_to_axis, arm_steps)
 from ghostbench.errors import SamplingError
+import ghostbench.experiment
 from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
-                                   _reduced_state_lags, _rows_from_band, _slit_rows, build_bench_state,
-                                   signal_conditioned_rows)
-from ghostbench.source import source_band
+                                   _open_singles, _reduced_state_lags, _rows_from_band, _slit_rows,
+                                   build_bench_state, signal_conditioned_rows)
+from ghostbench.source import _live_band, source_band
 
 from conftest import dense_scan
 
@@ -531,6 +532,91 @@ class TestSinglesFromBand:
         for e in range(lags.shape[0]):
             assert near(lags[e, :grid.n_points - e], np.diagonal(rho, e), 1e-14)
             assert not lags[e, grid.n_points - e:].any()
+
+
+# Benches for the live band: (bench, grid, exact and live band widths).
+LIVE_BENCHES = {
+    "reference": (lambda: default_bench(), TransverseGrid(1024, 15e-3), 25, 17),
+    "2048-points": (lambda: default_bench(), TransverseGrid(2048, 15e-3), 49, 33),
+    "pump-1mm": (lambda: default_bench(pump_diameter_m=1e-3), TransverseGrid(1024, 15e-3), 25, 17),
+    "separable": (lambda: default_bench(source_kind="separable"), TransverseGrid(1024, 15e-3), 49, 23),
+    "nondegenerate": (lambda: default_bench(signal_wavelength_m=650e-9, idler_wavelength_m=763.5162261625964e-9),
+                      TransverseGrid(1024, 15e-3), 25, 17),
+    "point-d1": (lambda: default_bench(d1_mode="point", d1_position_m=30e-6), TransverseGrid(1024, 15e-3), 25, 17),
+    "correlation-30um": (lambda: default_bench(correlation_width_m=30e-6), TransverseGrid(1024, 15e-3), 55, 39),
+    # As wide as the pump, the source stays above e^-225 of its peak: nothing is trimmed.
+    "correlation-as-wide-as-pump": (lambda: default_bench(pump_diameter_m=1e-3, correlation_width_m=1e-3),
+                                    TransverseGrid(256, 7.5e-3), 511, 511),
+}
+
+
+def same_rows(live, exact):
+    """Rows from the live band against rows from the exact band: the same
+    bits wherever the exact rows reach 1e-120 of their peak, and within
+    1e-140 of it elsewhere.  Below that they may differ: where a whole
+    column of the band lies below the floor (the far tails of a 1 mm pump,
+    or of the separable control's factor) the live rows read 0."""
+    peak = np.abs(exact).max()
+    bright = np.abs(exact) >= 1e-120 * peak
+    return (live[bright].tobytes() == exact[bright].tobytes()
+            and np.all(np.abs(live - exact) <= 1e-140 * peak))
+
+
+class TestLiveBand:
+    """Every band pass reads the live band (:func:`_live_band`): the
+    source's band with the entries below 1e-150 of its peak set to 0 and
+    the outer all-zero diagonals dropped.  What measure and ghost print
+    comes out the same, bit for bit, as from the exact band."""
+
+    WINDOW = ScanWindow(-2e-3, 2e-3, 81)
+
+    @pytest.mark.parametrize("make, grid, exact_width, live_width", LIVE_BENCHES.values(), ids=LIVE_BENCHES.keys())
+    def test_width_and_no_subnormal(self, make, grid, exact_width, live_width):
+        exact = source_band(make().source, grid)
+        live = _live_band(exact.copy())
+        assert (exact.shape[0], live.shape[0]) == (exact_width, live_width)
+        assert np.any(live[0]) and np.any(live[-1])
+        assert not np.any((live != 0.0) & (np.abs(live) < np.finfo(float).tiny))
+        # A central slice of the exact band, with the entries below the floor set to 0.
+        trim = (exact_width - live_width) // 2
+        kept = exact[trim:exact_width - trim]
+        floor = 1e-150 * exact.max()
+        assert live.tobytes() == np.where(kept >= floor, kept, 0.0).tobytes()
+        assert not np.any(exact[:trim] >= floor) and not np.any(exact[exact_width - trim:] >= floor)
+
+    @pytest.mark.parametrize("make, grid", [v[:2] for v in LIVE_BENCHES.values()], ids=LIVE_BENCHES.keys())
+    def test_rows_from_the_live_band(self, make, grid):
+        bench = make()
+        arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
+        exact = source_band(bench.source, grid)
+        steps = arm_steps(arm, grid, wavelength)
+        for rows in (_slit_rows(arm, grid, wavelength), np.arange(grid.n_points // 2 - 20, grid.n_points // 2 + 20)):
+            assert same_rows(_rows_from_band(_live_band(exact.copy()), steps, rows, grid, wavelength),
+                             _rows_from_band(exact, steps, rows, grid, wavelength))
+
+    @pytest.mark.parametrize("make, grid", [v[:2] for v in LIVE_BENCHES.values()], ids=LIVE_BENCHES.keys())
+    def test_scan_and_conditioned_rows_as_from_the_exact_band(self, make, grid, monkeypatch):
+        bench = make()
+        benches = [bench, replace(bench, idler_arm=default_bench(slit_b="open").idler_arm)]
+        offsets = (0.0, 0.3e-3)
+        live = run_coincidence_scan(benches, self.WINDOW, grid), signal_conditioned_rows(benches[1], grid, offsets)
+        monkeypatch.setattr(ghostbench.experiment, "_live_band", lambda band: band)
+        exact = run_coincidence_scan(benches, self.WINDOW, grid), signal_conditioned_rows(benches[1], grid, offsets)
+        for got, want in zip(live[0], exact[0]):
+            assert got.coincidence.tobytes() == want.coincidence.tobytes()
+            assert got.singles_d2.tobytes() == want.singles_d2.tobytes()
+        for (rows, weights, amps), (want_rows, want_weights, want_amps) in zip(live[1], exact[1]):
+            assert rows.tobytes() == want_rows.tobytes() and weights.tobytes() == want_weights.tobytes()
+            assert same_rows(amps, want_amps)
+
+    @pytest.mark.parametrize("make, grid", [v[:2] for v in LIVE_BENCHES.values()], ids=LIVE_BENCHES.keys())
+    def test_open_singles_from_the_live_lags(self, make, grid):
+        bench = make()
+        exact = source_band(bench.source, grid)
+        transfer = _step(grid, bench.source.lambda_idler_m, 0.5)[0]
+        lags, live_lags = _reduced_state_lags(exact), _reduced_state_lags(_live_band(exact.copy()))
+        assert _open_singles(live_lags, transfer).tobytes() == _open_singles(lags, transfer).tobytes()
+        assert _lag_power(live_lags).tobytes() == _lag_power(lags).tobytes()
 
 
 # Propagating the source 1.0 m at a 29.3 um pitch over +-3.75 mm loses far
