@@ -9,9 +9,8 @@ uncertainty products.
 
 __version__ = "0.1.0"
 
-from .analysis import (GhostImageStats, PatternStats, PlaneSweep, SincFit,
-                       compute_pattern_stats, first_zero, fit_sinc2, fwhm,
-                       ghost_image_stats, thin_lens_predict)
+from .analysis import (GhostImageStats, PatternStats, PlaneSweep, SincFit, compute_pattern_stats,
+                       fit_sinc2, ghost_image_stats, thin_lens_predict)
 from .config import default_bench
 from .elements import (ArmSpec, FreeSpace, Open, OpticalElement, Slit, ThinLens,
                        apply_arm, apply_arm_to_axis, reverse_arm)
@@ -21,9 +20,8 @@ from .errors import (CheckFailureError, ConfigError, FitConvergenceError,
 from .experiment import (BenchSpec, DetectorSpec, ScanResult, ScanWindow,
                          conditional_field, in_slit_positions, klyshko_advanced_wave,
                          klyshko_deviation, propagate_bench, run_coincidence_scan)
-from .grid import BiphotonAmplitude, Field1D, SamplingReport, TransverseGrid, sampling_check
-from .source import (SourceSpec, build_biphoton, build_separable, build_source,
-                     schmidt_number)
+from .grid import BiphotonAmplitude, Field1D, TransverseGrid
+from .source import SourceSpec, build_source, schmidt_number
 from .temporal import (TemporalSpec, analytic_schmidt_number, eval_biphoton_wavepacket,
                        eval_wavepacket_magnitude, factorability_check)
 

@@ -9,7 +9,6 @@ product is therefore simply FWHM_measured / FWHM_reference.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,8 +24,6 @@ from .grid import TransverseGrid
 FLATNESS_RATIO = 1.05
 # A pattern sample below this fraction of the peak counts as a zero.
 FIRST_ZERO_FRACTION = 1e-3
-# Normalized fit residual above which a sinc^2 fit is flagged as poor.
-POOR_FIT_RESIDUAL = 0.05
 # Widths on the log grid that seeds the sinc^2 fit.
 _SEED_WIDTHS = 128
 
@@ -49,18 +46,6 @@ class SincFit:
     center_m: float
     peak: float
     residual: float
-
-    @property
-    def poor_fit(self) -> bool:
-        return self.residual > POOR_FIT_RESIDUAL
-
-
-def _channel(scan: ScanResult, channel: str) -> np.ndarray:
-    if channel == "coincidence":
-        return scan.coincidence
-    if channel == "singles":
-        return scan.singles_d2
-    raise ValueError(f"channel must be 'coincidence' or 'singles', got {channel!r}")
 
 
 def profile_fwhm(positions_m: np.ndarray, values: np.ndarray) -> float:
@@ -92,11 +77,6 @@ def profile_fwhm(positions_m: np.ndarray, values: np.ndarray) -> float:
     return float(y_right - y_left)
 
 
-def fwhm(scan: ScanResult, channel: str = "coincidence") -> float:
-    """FWHM of a scan channel; see :func:`profile_fwhm` for failure modes."""
-    return profile_fwhm(scan.positions_m, _channel(scan, channel))
-
-
 def profile_first_zero(positions_m: np.ndarray, values: np.ndarray) -> Optional[float]:
     """Distance from the peak to the nearest deep minimum, if one exists.
 
@@ -118,10 +98,6 @@ def profile_first_zero(positions_m: np.ndarray, values: np.ndarray) -> Optional[
             if best is None or dist < best:
                 best = float(dist)
     return best
-
-
-def first_zero(scan: ScanResult, channel: str = "coincidence") -> Optional[float]:
-    return profile_first_zero(scan.positions_m, _channel(scan, channel))
 
 
 @dataclass
@@ -188,9 +164,9 @@ def least_squares(fun, x0, jac, bounds, x_scale, xtol, ftol, gtol, max_nfev) -> 
             mu, nu = mu * nu, 2.0 * nu
 
 
-def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
-              channel: str = "coincidence") -> SincFit:
-    """Least-squares fit of peak * sinc^2(pi w (y - y0) / (lambda L)).
+def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float) -> SincFit:
+    """Least-squares fit of peak * sinc^2(pi w (y - y0) / (lambda L)) to the
+    scan's coincidences.
 
     Sinc^2 fits have lobe-aliased local minima in w.  The peak enters
     linearly, so its best value for a given (y0, w) is closed form; the
@@ -199,8 +175,7 @@ def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
     point once in (peak, y0, w) with the analytic Jacobian.  Raises
     :class:`FitConvergenceError` when the refine does not converge.
     """
-    y = scan.positions_m
-    v = _channel(scan, channel)
+    y, v = scan.positions_m, scan.coincidence
     vmax = float(v.max())
     vmin = float(v.min())
     if vmax <= 0 or (vmin > 0 and vmax / vmin < FLATNESS_RATIO):
@@ -247,26 +222,24 @@ def fit_sinc2(scan: ScanResult, wavelength_m: float, slit_to_detector_m: float,
                    residual=residual)
 
 
-def compute_pattern_stats(scan: ScanResult, channel: str = "coincidence",
-                          wavelength_m: Optional[float] = None,
+def compute_pattern_stats(scan: ScanResult, *, wavelength_m: Optional[float] = None,
                           slit_to_detector_m: Optional[float] = None,
                           reference: Optional[PatternStats] = None) -> PatternStats:
-    """Assemble :class:`PatternStats` for one scan channel.
+    """Assemble :class:`PatternStats` for the scan's coincidences.
 
     The sinc^2 fit is attempted only when the geometry is supplied and
     the slit-to-detector distance is positive (the model divides by it);
     fit failure leaves the optional fields empty rather than failing the
     whole analysis (the first-zero fallback remains available).
     """
-    y = scan.positions_m
-    v = _channel(scan, channel)
+    y, v = scan.positions_m, scan.coincidence
     width = profile_fwhm(y, v)
     peak_pos = float(y[np.argmax(v)])
     zero = profile_first_zero(y, v)
     fit_width = fit_residual = None
     if wavelength_m is not None and slit_to_detector_m is not None and slit_to_detector_m > 0:
         try:
-            fit = fit_sinc2(scan, wavelength_m, slit_to_detector_m, channel)
+            fit = fit_sinc2(scan, wavelength_m, slit_to_detector_m)
             fit_width, fit_residual = fit.width_m, fit.residual
         except FitConvergenceError:
             pass
@@ -313,6 +286,7 @@ class GhostImageStats:
     magnification: float
     planes_m: np.ndarray
     fwhm_by_plane_m: np.ndarray
+    # The narrowest plane is the sweep's first or last, so the focus may lie outside it.
     focus_at_edge: bool
 
 
@@ -344,7 +318,8 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
 
     Sweeps the idler observation plane, measures the FWHM of the
     D1-conditioned intensity profile at each plane, and reports the plane
-    of minimum width.  The magnification is estimated by displacing slit A
+    of minimum width, flagged ``focus_at_edge`` when it is the sweep's
+    first or last.  The magnification is estimated by displacing slit A
     by ``magnification_offset_m`` and reading the image centroid shift at
     the best plane.  :class:`PatternError` is raised when no swept plane
     resolves an image, and when either image has no finite centroid at the
@@ -355,7 +330,7 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
         raise ValueError("ghost-image sweep requires slit B open")
     if not bench.signal_arm.slits():
         raise ValueError("ghost-image sweep requires a slit in the signal arm")
-    wavelength = bench.idler_arm.wavelength_m
+    wavelength = bench.source.lambda_idler_m
     (_, weights, rows), (_, w_off, rows_off) = signal_conditioned_rows(
         bench, grid, slit_a_offsets_m=(0.0, magnification_offset_m))
     planes = sweep.planes()
@@ -376,9 +351,6 @@ def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,
                            f"+-{grid.extent_m * 1e3:g} mm grid window")
     i_best = int(np.argmin(widths))
     focus_at_edge = i_best in (0, planes.size - 1)
-    if focus_at_edge:
-        warnings.warn("conditional width is monotone over the sweep; the focus lies outside it",
-                      stacklevel=2)
     best_plane = float(planes[i_best])
 
     shifted = next(_image_profiles(w_off, rows_off, grid, wavelength, [best_plane]))

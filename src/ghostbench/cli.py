@@ -180,17 +180,17 @@ def _measure(config: RunConfig, which: str) -> int:
                     slit_to_detector_m=config.screen_to_d2_m)
 
     if which == "m1":
-        stats_m1 = compute_pattern_stats(scan_m1, "coincidence", **fit_args)
+        stats_m1 = compute_pattern_stats(scan_m1, **fit_args)
         _write_csv(config, "measure-m1", "measure_m1.csv", _scan_lines(scan_m1))
         _print_stats(stats_m1, reference_fwhm_m=stats_m1.fwhm_m)
         return 0
 
     # measure-m2 prints only M1's FWHM, so M1 is not fitted.
-    stats_m1 = compute_pattern_stats(scan_m1, "coincidence")
+    stats_m1 = compute_pattern_stats(scan_m1)
     scan_m2 = scans[1]
     _write_csv(config, "measure-m2", "measure_m2.csv", _scan_lines(scan_m2))
     try:
-        stats_m2 = compute_pattern_stats(scan_m2, "coincidence", reference=stats_m1, **fit_args)
+        stats_m2 = compute_pattern_stats(scan_m2, reference=stats_m1, **fit_args)
     except PatternError as exc:
         # Separable sources spread the conditional pattern beyond the scan
         # window; report the product as a lower bound instead of failing.

@@ -60,9 +60,9 @@ class RunConfig:
     slit_b_center_m: float = _key("idler_arm", "slit_b_center_mm", 0.0)
     screen_to_d2_m: float = _key("idler_arm", "screen_to_d2_mm", 500e-3)
     d1_mode: str = _key("detectors", "d1_mode", "bucket")
-    d1_position_m: float = _key("detectors", "d1_position_mm", 0.0)
+    d1_position_m: float = _key("detectors", "d1_position_mm", DetectorSpec.position_m)
     d1_aperture_m: float = _key("detectors", "d1_aperture_um", DetectorSpec.aperture_diameter_m)
-    d2_mode: str = _key("detectors", "d2_mode", "point")
+    d2_mode: str = _key("detectors", "d2_mode", DetectorSpec.mode)
     d2_aperture_m: float = _key("detectors", "d2_aperture_um", DetectorSpec.aperture_diameter_m)
     scan_y_min_m: float = _key("scan", "y_min_mm", -4e-3)
     scan_y_max_m: float = _key("scan", "y_max_mm", 4e-3)
@@ -192,15 +192,14 @@ def to_source(config: RunConfig) -> SourceSpec:
 
 # A bench arm's distances run forward from the crystal; FreeSpace itself
 # keeps accepting negative ones, which reverse_arm needs.
-def _arm(wavelength_m: float, *elements) -> ArmSpec:
+def _arm(*elements) -> ArmSpec:
     if any(isinstance(el, FreeSpace) and el.distance_m < 0 for el in elements):
         raise ValueError("arm distances must be nonnegative")
-    return ArmSpec(elements, wavelength_m)
+    return ArmSpec(elements)
 
 
 def _signal_arm(config: RunConfig) -> ArmSpec:
-    return _arm(config.signal_wavelength_m,
-                FreeSpace(config.crystal_to_lens_m),
+    return _arm(FreeSpace(config.crystal_to_lens_m),
                 ThinLens(config.lens_focal_m, config.lens_aperture_m),
                 FreeSpace(config.lens_to_slit_m),
                 Slit(config.slit_a_width_m, config.slit_a_center_m))
@@ -210,13 +209,12 @@ def _idler_arm(config: RunConfig, slit_b: str) -> ArmSpec:
     if slit_b not in ("slit", "open"):
         raise ValueError(f"slit B must be 'slit' or 'open', got {slit_b!r}")
     screen = Slit(config.slit_b_width_m, config.slit_b_center_m) if slit_b == "slit" else Open()
-    return _arm(config.idler_wavelength_m,
-                FreeSpace(config.crystal_to_screen_m), screen, FreeSpace(config.screen_to_d2_m))
+    return _arm(FreeSpace(config.crystal_to_screen_m), screen, FreeSpace(config.screen_to_d2_m))
 
 
 def _detectors(config: RunConfig) -> tuple[DetectorSpec, DetectorSpec]:
     return (DetectorSpec(config.d1_mode, config.d1_aperture_m, config.d1_position_m),
-            DetectorSpec(config.d2_mode, config.d2_aperture_m, 0.0))
+            DetectorSpec(config.d2_mode, config.d2_aperture_m))
 
 
 def to_bench(config: RunConfig, slit_b: str | None = None) -> BenchSpec:

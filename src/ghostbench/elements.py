@@ -84,15 +84,16 @@ OpticalElement = Union[FreeSpace, ThinLens, Slit, Open]
 
 @dataclass(frozen=True)
 class ArmSpec:
-    """Ordered optical path from the crystal plane to a detector plane."""
+    """Ordered optical path from the crystal plane to a detector plane.
+
+    Geometry only: every pass takes the wavelength from the field it moves
+    or from the bench's source.
+    """
 
     elements: tuple
-    wavelength_m: float
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        if not (self.wavelength_m > 0):
-            raise ValueError("arm wavelength must be positive")
 
     def slits(self) -> list:
         return [el for el in self.elements if isinstance(el, Slit)]
@@ -369,7 +370,7 @@ def reverse_arm(arm: ArmSpec) -> ArmSpec:
             rev.append(ThinLens(-element.focal_m, element.aperture_diameter_m))
         else:
             rev.append(element)
-    return ArmSpec(tuple(rev), arm.wavelength_m)
+    return ArmSpec(tuple(rev))
 
 
 _AXES = {"signal": 0, "idler": 1}

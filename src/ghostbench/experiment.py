@@ -103,23 +103,6 @@ def propagate_bench(joint: BiphotonAmplitude, bench: BenchSpec) -> BiphotonAmpli
     return joint
 
 
-def build_bench_state(bench: BenchSpec, grid: TransverseGrid) -> BiphotonAmplitude:
-    """Source amplitude at the crystal plane on a shared grid.
-
-    klyshko-check's advanced wave (:func:`klyshko_advanced_wave`) reads
-    it; no command runs an arm on it.  The amplitude must be exactly
-    symmetric, A == A.T bit for bit: the signal head runs on the source's
-    rows, as signal-axis lines, in the band-limit checks of measure, ghost
-    and klyshko-check (:func:`_check_signal_head`), and slit A's and slit
-    B's rows read the source's band through the symmetry too
-    (:func:`_rows_from_band`).  ``build_source`` makes A symmetric on one
-    grid for both axes; ``test_source.py``'s ``test_exactly_symmetric``
-    guards it.  A source term that breaks the symmetry (a pump offset or
-    tilt, unequal grids) must first give the signal arm its own lines.
-    """
-    return build_source(bench.source, grid, grid)
-
-
 def _d1_weights(bench: BenchSpec, grid: TransverseGrid) -> np.ndarray:
     """Detection weights on the signal axis for the configured D1.
 
@@ -196,7 +179,7 @@ def _check_signal_head(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wav
     held as its band (:func:`source_band`); callers run it where a signal
     step cuts a band on the grid (:func:`_band_limited`).
 
-    The source is symmetric (:func:`build_bench_state`), so the head runs
+    The source is symmetric (:func:`build_source`), so the head runs
     on its rows (:func:`apply_steps_along`), in place, and on the lit
     lines alone (:func:`_lit_lines`), each check counting the dark lines'
     bound ``unseen``; nothing goes back to space at slit A.  Should any
@@ -510,7 +493,7 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: Biphoto
     """Conditional idler field at the D2 plane via the unfolded picture.
 
     ``state`` is the bench's source at the crystal plane
-    (:func:`build_bench_state`).  A point source at D1 is propagated
+    (:func:`build_source`).  A point source at D1 is propagated
     backward through the signal arm (reversed element order, negated
     distances, conjugate lens phase).  The crystal reflects it as a
     phase-conjugating mirror weighted by the source kernel,
@@ -529,18 +512,18 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: Biphoto
     grid = state.grid_s
     psi = np.zeros(grid.n_points, dtype=np.complex128)
     psi[grid.index_of(d1_position_m)] = 1.0 / grid.spacing_m
-    back = Field1D(grid, psi, bench.signal_arm.wavelength_m)
+    back = Field1D(grid, psi, bench.source.lambda_signal_m)
     try:
         back = apply_arm(back, reverse_arm(bench.signal_arm))
         if backward_offset_m != 0.0:
-            back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),), back.wavelength_m))
+            back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),)))
     except SamplingError as exc:
         # A one-cell delta fills the whole spectrum, so this step can alias where the 2-D route does not.
         raise SamplingError(f"advanced-wave oracle, backward step of the point source at D1 "
                             f"({d1_position_m * 1e3:+.6f} mm): {exc}") from exc
 
     g = (np.conj(back.amplitudes) @ state.amplitudes) * grid.spacing_m
-    idler = Field1D(grid, g, bench.idler_arm.wavelength_m)
+    idler = Field1D(grid, g, bench.source.lambda_idler_m)
     return apply_arm(idler, bench.idler_arm)
 
 
@@ -553,7 +536,7 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     deviation each).  One set of rows serves all positions: slit A's rows
     as :func:`run_coincidence_scan` takes them (:func:`_slit_a_rows`, on
     the live band), then the idler arm on those rows.  The advanced wave
-    reads the exact dense source (:func:`build_bench_state`), built once
+    reads the exact dense source (:func:`build_source`), built once
     after the signal head's checks, through its own BLAS product rather
     than K A's diagonal sum, so a fault in that sum or in the live band's
     trim cannot cancel: the two sides share only the source's band and the
@@ -562,7 +545,7 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     rows, at_d1 = _slit_a_rows(_live_band(source_band(bench.source, grid)), bench.signal_arm, grid,
                                bench.source.lambda_signal_m)
     at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
-    state = build_bench_state(bench, grid)
+    state = build_source(bench.source, grid)
     deviations = []
     for position in np.atleast_1d(d1_positions_m):
         # D1's row, or zeros when the signal arm leaves that row dark.

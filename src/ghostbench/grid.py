@@ -86,40 +86,6 @@ class TransverseGrid:
 
 
 @dataclass(frozen=True)
-class SamplingReport:
-    """Diagnostic from :func:`sampling_check`.
-
-    ``adequate`` is True when the quadratic propagation phase of the
-    transfer function advances by less than pi between adjacent frequency
-    samples everywhere on the grid; ``max_distance_m`` is the largest
-    |distance| for which that holds.
-    """
-
-    adequate: bool
-    max_phase_step_rad: float
-    max_distance_m: float
-
-
-def sampling_check(grid: TransverseGrid, wavelength_m: float, distance_m: float) -> SamplingReport:
-    """Check whether a propagation distance is alias-free on this grid.
-
-    The angular-spectrum transfer function exp(-i pi lambda z f^2) is
-    sampled at df = 1/window; its largest per-sample phase increment sits
-    at the Nyquist frequency and equals pi * lambda * |z| / (spacing *
-    window).  Distances of either sign are allowed (backward propagation
-    is used by the advanced-wave oracle).  This is a diagnostic only;
-    callers decide whether to fail.
-    """
-    if not (wavelength_m > 0):
-        raise ValueError(f"wavelength_m must be positive, got {wavelength_m}")
-    max_distance = grid.spacing_m * grid.window_m / wavelength_m
-    step = np.pi * wavelength_m * abs(distance_m) / (grid.spacing_m * grid.window_m)
-    return SamplingReport(adequate=step < np.pi or distance_m == 0.0,
-                          max_phase_step_rad=float(step),
-                          max_distance_m=float(max_distance))
-
-
-@dataclass(frozen=True)
 class Field1D:
     """Complex optical amplitude over a :class:`TransverseGrid`."""
 
@@ -143,9 +109,6 @@ class Field1D:
         """Squared L2 norm, sum |a_k|^2 * spacing."""
         return float(np.sum(self.intensity) * self.grid.spacing_m)
 
-    def norm(self) -> float:
-        return float(np.sqrt(self.power()))
-
 
 @dataclass(frozen=True)
 class BiphotonAmplitude:
@@ -168,15 +131,3 @@ class BiphotonAmplitude:
         if not (self.wavelength_s_m > 0 and self.wavelength_i_m > 0):
             raise ValueError("wavelengths must be positive")
         object.__setattr__(self, "amplitudes", amps)
-
-    def joint_norm(self) -> float:
-        """sqrt( sum |A|^2 * dy_s * dy_i )."""
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)
-                             * self.grid_s.spacing_m * self.grid_i.spacing_m))
-
-    def normalized(self) -> "BiphotonAmplitude":
-        n = self.joint_norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero-norm amplitude")
-        return BiphotonAmplitude(self.grid_s, self.grid_i, self.amplitudes / n,
-                                 self.wavelength_s_m, self.wavelength_i_m)

@@ -108,51 +108,32 @@ def _unit_tables(spec: SourceSpec, grid: TransverseGrid):
 
 
 def _unit_slices(spec: SourceSpec, grid: TransverseGrid):
-    """:func:`_peak_slices`, each normalized on its own: the separable
-    source's two factors."""
+    """:func:`_peak_slices`, each normalized on its own: the two factors of
+    the separable control A = f(y_s) g(y_i), with f = g.  Each carries one
+    down-converted beam's transverse coherence width, so the control has
+    the entangled beams' divergence at the detectors and no correlation."""
     f, g = _peak_slices(spec, grid)
     f *= 1.0 / float(np.sqrt(np.sum(f ** 2) * grid.spacing_m))
     g *= 1.0 / float(np.sqrt(np.sum(g ** 2) * grid.spacing_m))
     return f, g
 
 
-def _require_matching_grids(grid_s: TransverseGrid, grid_i: TransverseGrid):
-    if grid_s.n_points != grid_i.n_points or grid_s.extent_m != grid_i.extent_m:
-        raise ValueError("signal and idler grids must have identical count and extent")
+def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
+    """The source of either kind on one grid for both axes: its nonzero
+    diagonals (:func:`source_band`) written into the real part of a zeroed
+    N x N complex array, at unit joint norm.
 
-
-def build_biphoton(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """Entangled double-Gaussian joint amplitude, normalized to unit norm.
-
-    A[i, j] = pump[i + j] * corr[i - j + N - 1] (:func:`_tables`), with
-    the normalization folded into the pump table (:func:`_unit_tables`);
-    A is exactly symmetric.
+    The amplitude is exactly symmetric, A == A.T bit for bit (:func:`_tables`,
+    and f = g for the separable control, :func:`_unit_slices`): the signal
+    head runs on the source's rows, as signal-axis lines, in the band-limit
+    checks of measure, ghost and klyshko-check (``experiment._check_signal_head``),
+    and slit A's and slit B's rows read the source's band through the
+    symmetry too (``experiment._rows_from_band``).
+    ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A source
+    term that breaks the symmetry (a pump offset or tilt, unequal grids)
+    must first give the signal arm its own lines.
     """
-    if spec.kind != "entangled":
-        raise ValueError(f"build_biphoton requires kind='entangled', got {spec.kind!r}")
-    return build_source(spec, grid_s, grid_i)
-
-
-def build_separable(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """Separable control state A = f(y_s) g(y_i) with unit joint norm.
-
-    f and g are the normalized conditional profiles of the entangled
-    source (the slices through its peak, :func:`_peak_slices`), each
-    normalized on its own, so f = g and A is exactly symmetric.  Each
-    factor carries the transverse coherence width of one
-    down-converted beam, so the control reproduces the entangled beams'
-    divergence at the detectors while carrying no correlations at all.
-    """
-    if spec.kind != "separable":
-        raise ValueError(f"build_separable requires kind='separable', got {spec.kind!r}")
-    return build_source(spec, grid_s, grid_i)
-
-
-def build_source(spec: SourceSpec, grid_s: TransverseGrid, grid_i: TransverseGrid) -> BiphotonAmplitude:
-    """The source of either kind: its nonzero diagonals (:func:`source_band`)
-    written into the real part of a zeroed N x N complex array."""
-    _require_matching_grids(grid_s, grid_i)
-    return BiphotonAmplitude(grid_s, grid_i, _dense_from_band(source_band(spec, grid_s)),
+    return BiphotonAmplitude(grid, grid, _dense_from_band(source_band(spec, grid)),
                              spec.lambda_signal_m, spec.lambda_idler_m)
 
 

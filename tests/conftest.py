@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from ghostbench import (ArmSpec, FreeSpace, ScanWindow, Slit, ThinLens, apply_arm, apply_arm_to_axis,
-                        default_bench, propagate_bench, run_coincidence_scan)
+                        build_source, default_bench, propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
 from ghostbench.elements import (BAND_LIMIT_LOSS_TOLERANCE, _lens_phase, _propagate_array, _step,
                                  aperture_transmission, band_limit_cycles_per_m)
 from ghostbench.errors import SamplingError
-from ghostbench.experiment import _d1_weights, _sample_profile, build_bench_state
+from ghostbench.experiment import _d1_weights, _sample_profile
 
 WAVELENGTH = 702.2e-9
 
@@ -42,12 +42,12 @@ def gaussian_field(grid, waist_m, wavelength_m=WAVELENGTH, center_m=0.0):
 
 def through(field, *elements):
     """A Field1D sent through an arm made of the given elements."""
-    return apply_arm(field, ArmSpec(elements, field.wavelength_m))
+    return apply_arm(field, ArmSpec(elements))
 
 
 def along(joint, axis, *elements):
     """A joint amplitude with the given elements applied along one axis."""
-    return apply_arm_to_axis(joint, ArmSpec(elements, joint.wavelength_s_m), axis)
+    return apply_arm_to_axis(joint, ArmSpec(elements), axis)
 
 
 def dense_scan(bench, window, grid):
@@ -57,7 +57,7 @@ def dense_scan(bench, window, grid):
     read off the whole array; the singles take the idler arm alone.  D2
     reads both profiles as the scan does (point or bucket).
     """
-    state = build_bench_state(bench, grid)
+    state = build_source(bench.source, grid)
     joint = propagate_bench(state, bench).amplitudes
     coincidence = np.sum(_d1_weights(bench, grid)[:, None] * np.abs(joint) ** 2, axis=0) * grid.spacing_m
     idler_only = apply_arm_to_axis(state, bench.idler_arm, "idler").amplitudes

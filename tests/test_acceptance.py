@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from ghostbench import (ArmSpec, BenchSpec, Field1D, FreeSpace, PlaneSweep, Slit,
-                        TemporalSpec, ThinLens, TransverseGrid, conditional_field,
+                        TemporalSpec, ThinLens, TransverseGrid, build_source, conditional_field,
                         default_bench, eval_biphoton_wavepacket, factorability_check,
                         ghost_image_stats, in_slit_positions, klyshko_deviation,
                         propagate_bench, run_coincidence_scan)
 from ghostbench.analysis import compute_pattern_stats, profile_fwhm
-from ghostbench.experiment import build_bench_state
 from conftest import gaussian_field, through
 
 WAVELENGTH = 702.2e-9
@@ -47,9 +46,9 @@ def stats_m2(scan_m2, stats_m1):
 def conditional_spot_at_screen_b(bench, grid):
     """FWHM of the idler intensity at screen B (slit B open) given a point
     D1 at the centre of slit A: the spot that lights slit B."""
-    to_screen = ArmSpec((FreeSpace(CRYSTAL_TO_SCREEN),), bench.idler_arm.wavelength_m)
+    to_screen = ArmSpec((FreeSpace(CRYSTAL_TO_SCREEN),))
     bench = BenchSpec(bench.source, bench.signal_arm, to_screen, bench.d1, bench.d2)
-    joint = propagate_bench(build_bench_state(bench, grid), bench)
+    joint = propagate_bench(build_source(bench.source, grid), bench)
     return profile_fwhm(grid.positions, conditional_field(joint, 0.0).intensity)
 
 
@@ -164,7 +163,7 @@ def test_criterion_6_entanglement_necessity(stats_m1):
 
     def conditional_fwhm(kind):
         bench = default_bench(slit_b="open", correlation_width_m=30e-6, source_kind=kind)
-        joint = propagate_bench(build_bench_state(bench, fine), bench)
+        joint = propagate_bench(build_source(bench.source, fine), bench)
         profile = conditional_field(joint, 0.0).intensity
         return profile_fwhm(fine.positions, profile)
 

@@ -7,8 +7,7 @@ from ghostbench import (FitConvergenceError, FlatPatternError, ImageAtInfinityEr
                         ScanResult, WindowTooSmallError, default_bench,
                         ghost_image_stats, run_coincidence_scan, thin_lens_predict)
 from ghostbench import analysis
-from ghostbench.analysis import (POOR_FIT_RESIDUAL, compute_pattern_stats, fit_sinc2,
-                                 fwhm, first_zero, profile_first_zero, profile_fwhm)
+from ghostbench.analysis import compute_pattern_stats, fit_sinc2, profile_first_zero, profile_fwhm
 from ghostbench.config import parse_config, to_bench, to_grid, to_scan
 
 WAVELENGTH = 702.2e-9
@@ -61,11 +60,6 @@ class TestFwhm:
         with pytest.raises(WindowTooSmallError):
             profile_fwhm(y, v)
 
-    def test_scan_channel_selection(self, scan_m2):
-        assert fwhm(scan_m2, "coincidence") > 0
-        with pytest.raises(ValueError):
-            fwhm(scan_m2, "darks")
-
 
 class TestFirstZero:
     def test_exact_sinc2(self):
@@ -78,7 +72,8 @@ class TestFirstZero:
         assert profile_first_zero(y, np.exp(-(y / 1e-3) ** 2)) is None
 
     def test_scan_wrapper(self, scan_m2):
-        assert first_zero(scan_m2) is None or first_zero(scan_m2) > 0
+        zero = profile_first_zero(scan_m2.positions_m, scan_m2.coincidence)
+        assert zero is None or zero > 0
 
 
 class TestFitSinc2:
@@ -89,14 +84,13 @@ class TestFitSinc2:
         fit = fit_sinc2(synthetic_scan(v, y), WAVELENGTH, 0.5)
         assert fit.width_m == pytest.approx(width, rel=1e-3)
         assert fit.residual < 1e-6
-        assert not fit.poor_fit
 
     def test_gaussian_flags_poor_fit(self):
         y = np.linspace(-4e-3, 4e-3, 161)
         v = np.exp(-(y / 1.2e-3) ** 2)
         fit = fit_sinc2(synthetic_scan(v, y), WAVELENGTH, 0.5)
-        assert fit.residual > POOR_FIT_RESIDUAL
-        assert fit.poor_fit
+        # The printed residual says that a Gaussian is no sinc^2.
+        assert fit.residual > 0.05
 
     def test_flat_pattern_rejected(self):
         y = np.linspace(-4e-3, 4e-3, 161)
@@ -355,6 +349,7 @@ class TestGhostImageStats:
 
     def test_best_plane_near_thin_lens_prediction(self, ghost_stats):
         assert abs(ghost_stats.best_plane_m - 0.745) <= 0.010
+        assert not ghost_stats.focus_at_edge
 
     def test_image_width_matches_slit(self, ghost_stats):
         assert ghost_stats.fwhm_m == pytest.approx(0.16e-3, rel=0.10)
@@ -376,14 +371,13 @@ class TestGhostImageStats:
         # Without entanglement the conditional profile shows no image
         # plane: its width stays far above the slit everywhere.
         bench = default_bench(slit_b="open", source_kind="separable")
-        with pytest.warns(UserWarning):
-            stats = ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 7), grid, 0.5e-3)
+        stats = ghost_image_stats(bench, PlaneSweep(0.6, 0.9, 7), grid, 0.5e-3)
+        assert stats.focus_at_edge
         assert np.all(stats.fwhm_by_plane_m > 0.8e-3)
 
-    def test_monotone_sweep_warns(self, grid):
-        with pytest.warns(UserWarning):
-            ghost_image_stats(default_bench(slit_b="open"),
-                              PlaneSweep(0.60, 0.68, 5), grid, 0.5e-3)
+    def test_monotone_sweep_flags_the_edge(self, grid):
+        stats = ghost_image_stats(default_bench(slit_b="open"), PlaneSweep(0.60, 0.68, 5), grid, 0.5e-3)
+        assert stats.focus_at_edge and stats.best_plane_m == 0.68
 
     @pytest.mark.parametrize("detector", [
         dict(d1_mode="point", d1_position_m=0.03e-3),

@@ -107,13 +107,15 @@ class TestGhost:
     @pytest.mark.parametrize("sweep, note", [
         ("", False),
         # The reference focus (~740 mm) lies beyond this sweep's last plane.
-        ("[ghost]\nplane_min_mm = 600\nplane_max_mm = 680\nsteps = 5\n", True)],
-        ids=["reference-sweep", "sweep-ends-before-focus"])
+        ("[ghost]\nplane_min_mm = 600\nplane_max_mm = 680\nsteps = 5\n", True),
+        ("[ghost]\nplane_min_mm = 600\nplane_max_mm = 700\nsteps = 11\n", True)],
+        ids=["reference-sweep", "sweep-ends-before-focus", "sweep-ends-at-700-mm"])
     def test_focus_at_sweep_edge_noted(self, capsys, outdir_config, sweep, note):
+        # The note is the one report: a warning would raise here, and stderr stays empty.
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code, out, _ = run_cli(capsys, "ghost", outdir_config(sweep))
-        assert code == 0
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "ghost", outdir_config(sweep))
+        assert code == 0 and err == ""
         assert ("note = focus at sweep edge" in out.splitlines()) == note
 
     def test_zero_slit_offset_exit_2(self, capsys, outdir_config):
@@ -417,9 +419,7 @@ class TestWorkCounts:
             head_lines.clear()
             sources.clear()
             base = f"[grid]\nn_points = {n_points}\nextent_mm = {extent_mm}\n[signal_arm]\nslit_a_width_mm = 0.6\n"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert main([command, outdir_config(base + extra)]) == 0
+            assert main([command, outdir_config(base + extra)]) == 0
             return {name: calls.count(name) for name in ("build", "signal", "idler")}
         run.calls, run.head_lines = calls, head_lines
         return run
@@ -474,11 +474,9 @@ class TestLitLineHeadRefusal:
         import ghostbench.experiment as experiment
         cfg = outdir_config("[grid]\nn_points = 129\nextent_mm = 2\n[source]\npump_diameter_mm = 1\n"
                             f"correlation_width_um = {correlation_um}\n[scan]\ny_min_mm = -1.5\ny_max_mm = 1.5\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lit = run_cli(capsys, command, cfg)
-            monkeypatch.setattr(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0))
-            every_line = run_cli(capsys, command, cfg)
+        lit = run_cli(capsys, command, cfg)
+        monkeypatch.setattr(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0))
+        every_line = run_cli(capsys, command, cfg)
         assert lit == every_line
         assert lit[0] == code
         if code == 3:
@@ -506,9 +504,7 @@ class TestFitCounts:
 
         def run(command, extra=""):
             calls.clear()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert main([command, outdir_config(extra)]) == 0
+            assert main([command, outdir_config(extra)]) == 0
             return {name: calls.count(name) for name in ("fit", "refine")}
         return run
 

@@ -8,12 +8,11 @@ import scipy.fft
 
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
-                        default_bench, reverse_arm, run_coincidence_scan)
+                        build_source, default_bench, reverse_arm, run_coincidence_scan)
 from ghostbench import elements
 from ghostbench.elements import (_THREADED_FFT_SAMPLES, _propagate_array, _spectrum, _summed_power, _transform,
                                  aperture_transmission, apply_arm_along, apply_steps_along, apply_steps_transpose,
                                  arm_steps)
-from ghostbench.experiment import build_bench_state
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
                       reference_transpose, through)
@@ -40,10 +39,6 @@ class TestElementValidation:
     def test_slit_width_positive(self):
         with pytest.raises(ValueError):
             Slit(0.0)
-
-    def test_arm_wavelength_positive(self):
-        with pytest.raises(ValueError):
-            ArmSpec((Open(),), 0.0)
 
 
 class TestFreeSpace:
@@ -234,8 +229,7 @@ class TestApplyToAxis:
 
 class TestReverseArm:
     def test_reversal(self):
-        arm = ArmSpec((FreeSpace(0.255), ThinLens(0.5, 25e-3), FreeSpace(1.0), Slit(0.16e-3)),
-                      WAVELENGTH)
+        arm = ArmSpec((FreeSpace(0.255), ThinLens(0.5, 25e-3), FreeSpace(1.0), Slit(0.16e-3)))
         rev = reverse_arm(arm)
         assert isinstance(rev.elements[0], Slit)
         assert rev.elements[1] == FreeSpace(-1.0)
@@ -244,7 +238,7 @@ class TestReverseArm:
 
     def test_backward_arm_undoes_forward_phase(self, grid):
         field = gaussian_field(grid, 1e-3)
-        arm = ArmSpec((FreeSpace(0.255), ThinLens(0.5), FreeSpace(0.5)), WAVELENGTH)
+        arm = ArmSpec((FreeSpace(0.255), ThinLens(0.5), FreeSpace(0.5)))
         roundtrip = apply_arm(apply_arm(field, arm), reverse_arm(arm))
         assert np.max(np.abs(roundtrip.amplitudes - field.amplitudes)) < 1e-10
 
@@ -310,7 +304,7 @@ class TestKernelOracle:
         amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field), "row": field[3]}[layout]
         before = amps.copy()
         arm = ArmSpec((FreeSpace(0.01), ThinLens(0.5, 1.5e-3), Slit(1e-3, 1e-4), Open(), FreeSpace(-0.1),
-                       Slit(2e-3)), WAVELENGTH)
+                       Slit(2e-3)))
         expected = reference_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
         got = apply_arm_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
         assert np.array_equal(got, expected)
@@ -323,6 +317,7 @@ class Mirror:
 
 # Every arm the config builds: the reference signal arm, the idler arm
 # with slit B in and open, and the signal arm with either step at zero.
+# The reference source is degenerate, so every one runs at WAVELENGTH.
 CONFIG_ARMS = {
     "signal": default_bench().signal_arm,
     "idler-slit": default_bench().idler_arm,
@@ -339,7 +334,7 @@ class TestArmSteps:
     def test_groups_a_mixed_arm(self, grid):
         lens, slit = ThinLens(0.5, 4e-3), Slit(1e-3, 1e-4)
         arm = ArmSpec((Slit(2e-3), ThinLens(0.3), FreeSpace(0.0), Open(), FreeSpace(0.1), lens, slit,
-                       FreeSpace(0.0), FreeSpace(-0.2)), WAVELENGTH)
+                       FreeSpace(0.0), FreeSpace(-0.2)))
         steps = arm_steps(arm, grid, WAVELENGTH)
         # The leading slit and lens act before any step; the zero steps and
         # Open are gone; the lens next to the slit is one product, in order.
@@ -351,11 +346,11 @@ class TestArmSteps:
         assert steps[2][1] is None
 
     def test_identity_arms_have_no_steps(self, grid):
-        assert arm_steps(ArmSpec((), WAVELENGTH), grid, WAVELENGTH) == []
-        assert arm_steps(ArmSpec((Open(), FreeSpace(0.0)), WAVELENGTH), grid, WAVELENGTH) == []
+        assert arm_steps(ArmSpec(()), grid, WAVELENGTH) == []
+        assert arm_steps(ArmSpec((Open(), FreeSpace(0.0))), grid, WAVELENGTH) == []
 
     def test_unknown_element_raises(self, grid):
-        arm = ArmSpec((FreeSpace(0.1), Mirror()), WAVELENGTH)
+        arm = ArmSpec((FreeSpace(0.1), Mirror()))
         with pytest.raises(TypeError, match="unknown optical element"):
             apply_arm_along(np.ones(grid.n_points, dtype=complex), arm, 0, grid, WAVELENGTH)
         with pytest.raises(TypeError, match="unknown optical element"):
@@ -372,9 +367,8 @@ class TestArmSteps:
 
     @pytest.mark.parametrize("name", CONFIG_ARMS)
     def test_config_arms_equal_the_element_reference(self, grid, name):
-        arm = CONFIG_ARMS[name]
-        wavelength = arm.wavelength_m
-        source = build_bench_state(default_bench(), grid).amplitudes
+        arm, wavelength = CONFIG_ARMS[name], WAVELENGTH
+        source = build_source(default_bench().source, grid).amplitudes
         for axis in (0, 1):
             expected = reference_along(source, arm, axis, grid, wavelength)
             assert apply_arm_along(source, arm, axis, grid, wavelength).tobytes() == expected.tobytes()
@@ -389,8 +383,8 @@ class TestArmSteps:
     def test_in_place_pass_has_the_bytes_of_the_copying_pass(self, grid, name):
         # As the signal head's checks run the steps on a block of the source's rows.
         arm = CONFIG_ARMS[name]
-        steps, wavelength = arm_steps(arm, grid, arm.wavelength_m), arm.wavelength_m
-        source = build_bench_state(default_bench(), grid).amplitudes
+        steps, wavelength = arm_steps(arm, grid, WAVELENGTH), WAVELENGTH
+        source = build_source(default_bench().source, grid).amplitudes
         before = source.copy()
         expected = apply_steps_along(source, steps, 1, grid, wavelength)
         assert np.array_equal(source, before)

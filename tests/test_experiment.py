@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,10 +6,10 @@ import pytest
 
 import ghostbench.elements
 from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanWindow, Slit, SourceSpec,
-                        ThinLens, TransverseGrid, build_biphoton, build_source, conditional_field, default_bench,
+                        ThinLens, TransverseGrid, build_source, conditional_field, default_bench,
                         in_slit_positions, klyshko_advanced_wave, klyshko_deviation,
                         propagate_bench, run_coincidence_scan)
-from ghostbench.analysis import PlaneSweep, ghost_image_stats
+from ghostbench.analysis import PlaneSweep, ghost_image_stats, profile_first_zero, profile_fwhm
 from dataclasses import replace
 
 from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_along,
@@ -19,7 +18,7 @@ from ghostbench.errors import SamplingError
 import ghostbench.experiment
 from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
                                    _open_singles, _reduced_state_lags, _rows_from_band, _slit_rows,
-                                   build_bench_state, signal_conditioned_rows)
+                                   signal_conditioned_rows)
 from ghostbench.source import _live_band, source_band
 
 from conftest import dense_scan
@@ -59,20 +58,20 @@ class TestBenchDefaults:
 
 class TestPropagateBench:
     def test_empty_arms_identity(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
-        bench = BenchSpec(SourceSpec(), ArmSpec((), WAVELENGTH), ArmSpec((), WAVELENGTH),
+        joint = build_source(SourceSpec(), grid)
+        bench = BenchSpec(SourceSpec(), ArmSpec(()), ArmSpec(()),
                           DetectorSpec(), DetectorSpec())
         out = propagate_bench(joint, bench)
         assert np.array_equal(out.amplitudes, joint.amplitudes)
 
     def test_separable_stays_separable(self, grid):
         from ghostbench import schmidt_number
-        joint = build_source(SourceSpec(kind="separable"), grid, grid)
+        joint = build_source(SourceSpec(kind="separable"), grid)
         out = propagate_bench(joint, default_bench())
         assert schmidt_number(out) == pytest.approx(1.0, abs=1e-6)
 
     def test_slit_a_restricts_signal_rows(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
+        joint = build_source(SourceSpec(), grid)
         out = propagate_bench(joint, default_bench(slit_b="open"))
         inside = aperture_transmission(grid, 0.16e-3, 0.0) > 0
         power_out = np.sum(np.abs(out.amplitudes[~inside, :]) ** 2)
@@ -93,7 +92,7 @@ class TestCoincidenceRate:
     def test_point_point_samples_intensity(self, grid):
         bench = default_bench(d1_mode="point")
         scan = run_coincidence_scan(bench, ScanWindow(-grid.spacing_m, grid.spacing_m, 3), grid)
-        out = propagate_bench(build_biphoton(bench.source, grid, grid), bench)
+        out = propagate_bench(build_source(bench.source, grid), bench)
         i0 = grid.index_of(0.0)
         assert scan.coincidence[1] == pytest.approx(
             np.abs(out.amplitudes[i0, i0]) ** 2, rel=1e-12)
@@ -119,16 +118,14 @@ class TestRunCoincidenceScan:
             run_coincidence_scan(default_bench(), ScanWindow(-20e-3, 20e-3, 11), grid)
 
     def test_measurement_one_regression(self, scan_m1):
-        from ghostbench.analysis import fwhm
         # Frozen from this implementation: the slit-B diffraction pattern,
         # apodized by the pump-limited conditional illumination.
-        assert fwhm(scan_m1) == pytest.approx(2.125e-3, rel=0.01)
+        assert profile_fwhm(scan_m1.positions_m, scan_m1.coincidence) == pytest.approx(2.125e-3, rel=0.01)
 
     def test_measurement_two_regression(self, scan_m2, scan_m1):
-        from ghostbench.analysis import fwhm
-        width_m2 = fwhm(scan_m2)
+        width_m2 = profile_fwhm(scan_m2.positions_m, scan_m2.coincidence)
         assert width_m2 == pytest.approx(1.216e-3, rel=0.01)
-        assert width_m2 < fwhm(scan_m1)
+        assert width_m2 < profile_fwhm(scan_m1.positions_m, scan_m1.coincidence)
 
     def test_measurement_two_singles_flat(self, scan_m2):
         sel = np.abs(scan_m2.positions_m) <= 2e-3
@@ -145,10 +142,9 @@ class TestRunCoincidenceScan:
         assert np.max(np.abs(coin - sing)) < 1e-10
 
     def test_point_d1_pattern_has_deep_zeros(self, grid, scan_window):
-        from ghostbench.analysis import first_zero
         bench = default_bench(d1_mode="point")
         scan = run_coincidence_scan(bench, scan_window, grid)
-        zero = first_zero(scan)
+        zero = profile_first_zero(scan.positions_m, scan.coincidence)
         assert zero is not None
         # Pump-limited apodization pushes the first zero beyond the bare
         # Fraunhofer value lambda L / w = 2.194 mm; frozen honest value.
@@ -173,19 +169,19 @@ class TestRunCoincidenceScan:
 
 class TestConditionalField:
     def test_separable_slice_independent_of_condition(self, grid):
-        joint = build_source(SourceSpec(kind="separable"), grid, grid)
+        joint = build_source(SourceSpec(kind="separable"), grid)
         out = propagate_bench(joint, default_bench(slit_b="open"))
         a = conditional_field(out, 0.0).intensity
         b = conditional_field(out, 29.3e-6).intensity
         assert np.max(np.abs(a / a.max() - b / b.max())) < 1e-10
 
     def test_outside_window_rejected(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
+        joint = build_source(SourceSpec(), grid)
         with pytest.raises(ValueError):
             conditional_field(joint, 20e-3)
 
     def test_zero_row_gives_zero_field(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
+        joint = build_source(SourceSpec(), grid)
         out = propagate_bench(joint, default_bench(slit_b="open"))
         # Far outside the slit-A band the rows are exactly zeroed.
         field = conditional_field(out, 10e-3)
@@ -221,7 +217,7 @@ class TestKlyshko:
         assert np.max(klyshko_deviation(bench, in_slit_positions(bench, grid, 5), grid)) < 1e-12
 
     def test_identity_arms_pass_trivially(self, grid):
-        bench = BenchSpec(SourceSpec(), ArmSpec((), WAVELENGTH), ArmSpec((), WAVELENGTH),
+        bench = BenchSpec(SourceSpec(), ArmSpec(()), ArmSpec(()),
                           DetectorSpec("point"), DetectorSpec("point"))
         assert klyshko_deviation(bench, 0.0, grid) < 1e-12
 
@@ -245,9 +241,9 @@ class TestKlyshko:
 
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
         bench = default_bench(slit_b="open")
-        field = klyshko_advanced_wave(bench, 0.0, build_bench_state(bench, grid))
+        field = klyshko_advanced_wave(bench, 0.0, build_source(bench.source, grid))
         assert field.grid is grid
-        assert field.wavelength_m == bench.idler_arm.wavelength_m
+        assert field.wavelength_m == bench.source.lambda_idler_m
 
 
 # Benches on which the row-sparse scan must reproduce the dense route.
@@ -309,7 +305,7 @@ class TestRowSparseEqualsDense:
         bench = default_bench(slit_b="open", d1_mode="point", d1_position_m=30e-6)
         offsets = (0.0, 0.5e-3)
         shared = signal_conditioned_rows(bench, grid, slit_a_offsets_m=offsets)
-        state = build_bench_state(bench, grid)
+        state = build_source(bench.source, grid)
         for offset, (rows, weights, amps) in zip(offsets, shared):
             alone = signal_conditioned_rows(bench, grid, slit_a_offsets_m=(offset,))[0]
             assert all(np.array_equal(a, b) for a, b in zip((rows, weights, amps), alone))
@@ -368,7 +364,7 @@ class TestHeadOnRows:
     @pytest.mark.parametrize("overrides", BENCHES, ids=IDS)
     def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
         bench = default_bench(**overrides)
-        state = build_bench_state(bench, grid)
+        state = build_source(bench.source, grid)
         rows = _slit_rows(bench.signal_arm, grid, state.wavelength_s_m)
         on_rows = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
         expected = apply_arm_to_axis(state, bench.signal_arm, "signal").amplitudes[rows]
@@ -390,7 +386,7 @@ def without_signal_slit(bench):
 def dense_signal_rows(bench, grid, rows):
     """Rows of the joint amplitude after the signal arm, by the dense route
     (:func:`propagate_bench`'s signal half)."""
-    return apply_arm_to_axis(build_bench_state(bench, grid), bench.signal_arm, "signal").amplitudes[rows]
+    return apply_arm_to_axis(build_source(bench.source, grid), bench.signal_arm, "signal").amplitudes[rows]
 
 
 def near(got, expected, rtol=1e-13):
@@ -521,12 +517,12 @@ class TestSinglesFromBand:
     def test_lag_power_is_the_summed_power_of_the_idler_spectrum(self, grid, overrides):
         bench = default_bench(**overrides)
         power = _lag_power(_reduced_state_lags(source_band(bench.source, grid)))
-        assert near(power, _summed_power(_spectrum(build_bench_state(bench, grid).amplitudes, 1)), 1e-13)
+        assert near(power, _summed_power(_spectrum(build_source(bench.source, grid).amplitudes, 1)), 1e-13)
 
     def test_reduced_state_lags_are_the_diagonals_of_rho(self, grid):
         bench = default_bench(source_kind="separable")
         band = source_band(bench.source, grid)
-        amps = build_bench_state(bench, grid).amplitudes.real
+        amps = build_source(bench.source, grid).amplitudes.real
         rho = amps.T @ amps
         lags = _reduced_state_lags(band)
         for e in range(lags.shape[0]):
@@ -626,7 +622,7 @@ SMALL_WINDOW = ScanWindow(-1e-3, 1e-3, 11)
 
 
 def _aliasing_bench(signal_elements, idler_elements):
-    return BenchSpec(SourceSpec(), ArmSpec(signal_elements, WAVELENGTH), ArmSpec(idler_elements, WAVELENGTH),
+    return BenchSpec(SourceSpec(), ArmSpec(signal_elements), ArmSpec(idler_elements),
                      DetectorSpec("point"), DetectorSpec("point"))
 
 
@@ -635,7 +631,7 @@ class TestBandLimitChecksKept:
 
     def dense_message(self, bench):
         with pytest.raises(SamplingError) as dense:
-            propagate_bench(build_bench_state(bench, SMALL_GRID), bench)
+            propagate_bench(build_source(bench.source, SMALL_GRID), bench)
         return str(dense.value)
 
     def test_signal_arm_aliasing_raises_as_dense(self):
@@ -660,7 +656,7 @@ class TestBandLimitChecksKept:
         message = self.dense_message(bench)
         assert "32.0%" in message
         with pytest.raises(SamplingError) as singles:
-            apply_arm_to_axis(build_bench_state(bench, SMALL_GRID), bench.idler_arm, "idler")
+            apply_arm_to_axis(build_source(bench.source, SMALL_GRID), bench.idler_arm, "idler")
         assert str(singles.value) != message
         with pytest.raises(SamplingError) as scan:
             run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
@@ -689,7 +685,7 @@ class TestBandLimitChecksKept:
         # the singles' 1.0 m step behind the 60 um slit B aliases, checked on
         # the rows of slit B's R x R factor.
         bench = _aliasing_bench((Slit(0.16e-3, 1e-3),), (Slit(60e-6, -1e-3), FreeSpace(1.0)))
-        state = build_bench_state(bench, SMALL_GRID)
+        state = build_source(bench.source, SMALL_GRID)
         propagate_bench(state, bench)
         with pytest.raises(SamplingError) as dense:
             apply_arm_to_axis(state, bench.idler_arm, "idler")
@@ -705,10 +701,10 @@ class TestBandLimitChecksKept:
         # signal momenta near 0, whose narrow idler spectrum passes both.
         grid = TransverseGrid(128, 2e-3)
         bench = BenchSpec(SourceSpec(pump_diameter_m=1e-3, correlation_width_m=100e-6),
-                          ArmSpec((FreeSpace(0.5), ThinLens(0.5), FreeSpace(0.5), Slit(0.1e-3)), WAVELENGTH),
-                          ArmSpec((FreeSpace(0.8), Open(), FreeSpace(1.2)), WAVELENGTH),
+                          ArmSpec((FreeSpace(0.5), ThinLens(0.5), FreeSpace(0.5), Slit(0.1e-3))),
+                          ArmSpec((FreeSpace(0.8), Open(), FreeSpace(1.2))),
                           DetectorSpec("point"), DetectorSpec("point"))
-        state = build_bench_state(bench, grid)
+        state = build_source(bench.source, grid)
         propagate_bench(state, bench)
         with pytest.raises(SamplingError) as dense:
             apply_arm_to_axis(state, bench.idler_arm, "idler")
@@ -864,17 +860,15 @@ class TestPeakMemory:
         assert self.peak(self.CALLS[name], grid) <= 0.25 * grid.n_points ** 2 * 16
 
     def peak(self, call, grid=GRID):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            call(grid)  # warm-up: cached grid arrays and FFT plans
-            started = not tracemalloc.is_tracing()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                call(grid)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                if started:
-                    tracemalloc.stop()
+        call(grid)  # warm-up: cached grid arrays and FFT plans
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call(grid)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
         return peak

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ghostbench import BiphotonAmplitude, Field1D, TransverseGrid, sampling_check
+from ghostbench import BiphotonAmplitude, Field1D, TransverseGrid
+from ghostbench.elements import band_limit_cycles_per_m
 
 WAVELENGTH = 702.2e-9
 
@@ -57,38 +58,33 @@ class TestMakeGrid:
 
 
 class TestSamplingCheck:
+    """The alias-free rule that the steps run: a step cuts its band only
+    where ``band_limit_cycles_per_m`` falls below Nyquist, which is past
+    |z| = window * pitch / lambda; a cut step then runs unless it would
+    lose over 5% of the power (test_elements.py, test_properties.py)."""
+
     def test_bench_distance_is_adequate(self):
-        report = sampling_check(TransverseGrid(1024, 15e-3), WAVELENGTH, 0.5)
-        assert report.adequate
-        assert report.max_phase_step_rad < np.pi
-        assert report.max_distance_m == pytest.approx(1.2517, rel=1e-3)
+        grid = TransverseGrid(1024, 15e-3)
+        assert band_limit_cycles_per_m(grid, WAVELENGTH, 0.5) > grid.nyquist_cycles_per_m
 
     def test_zero_distance_trivially_adequate(self):
-        report = sampling_check(TransverseGrid(64, 15e-3), WAVELENGTH, 0.0)
-        assert report.adequate
-        assert report.max_phase_step_rad == 0.0
+        assert band_limit_cycles_per_m(TransverseGrid(64, 15e-3), WAVELENGTH, 0.0) == 1.0 / WAVELENGTH
 
     def test_long_distance_on_fine_grid_aliases(self):
-        report = sampling_check(TransverseGrid(1024, 15e-3), WAVELENGTH, 2.0)
-        assert not report.adequate
-        assert report.max_phase_step_rad > np.pi
+        grid = TransverseGrid(1024, 15e-3)
+        assert band_limit_cycles_per_m(grid, WAVELENGTH, 2.0) < grid.nyquist_cycles_per_m
 
     def test_coarse_grid_has_longer_alias_free_range(self):
         # Coarser sampling lowers the Nyquist frequency, so the transfer-
         # function chirp stays slow out to much longer distances.
-        report = sampling_check(TransverseGrid(64, 15e-3), WAVELENGTH, 2.0)
-        assert report.max_distance_m == pytest.approx(20.03, rel=1e-3)
-        assert report.adequate
+        for n, reach in ((1024, 1.2517), (64, 20.03)):
+            grid = TransverseGrid(n, 15e-3)
+            assert band_limit_cycles_per_m(grid, WAVELENGTH, reach * (1 - 1e-3)) > grid.nyquist_cycles_per_m
+            assert band_limit_cycles_per_m(grid, WAVELENGTH, reach * (1 + 1e-3)) < grid.nyquist_cycles_per_m
 
     def test_sign_symmetric(self):
         g = TransverseGrid(1024, 15e-3)
-        fwd = sampling_check(g, WAVELENGTH, 0.7)
-        bwd = sampling_check(g, WAVELENGTH, -0.7)
-        assert fwd.max_phase_step_rad == bwd.max_phase_step_rad
-
-    def test_rejects_bad_wavelength(self):
-        with pytest.raises(ValueError):
-            sampling_check(TransverseGrid(64, 1e-3), 0.0, 1.0)
+        assert band_limit_cycles_per_m(g, WAVELENGTH, 0.7) == band_limit_cycles_per_m(g, WAVELENGTH, -0.7)
 
 
 class TestField1D:
@@ -113,16 +109,3 @@ class TestBiphotonAmplitude:
         g = TransverseGrid(32, 1e-3)
         with pytest.raises(ValueError):
             BiphotonAmplitude(g, g, np.ones((32, 31)), WAVELENGTH, WAVELENGTH)
-
-    def test_norm_and_normalized(self):
-        g = TransverseGrid(32, 1e-3)
-        joint = BiphotonAmplitude(g, g, np.full((32, 32), 2.0 + 0j), WAVELENGTH, WAVELENGTH)
-        expected = np.sqrt(np.sum(4.0 * np.ones((32, 32))) * g.spacing_m ** 2)
-        assert joint.joint_norm() == pytest.approx(expected)
-        assert joint.normalized().joint_norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_norm_rejected(self):
-        g = TransverseGrid(32, 1e-3)
-        joint = BiphotonAmplitude(g, g, np.zeros((32, 32)), WAVELENGTH, WAVELENGTH)
-        with pytest.raises(ValueError):
-            joint.normalized()

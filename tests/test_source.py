@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ghostbench import SourceSpec, TransverseGrid, build_biphoton, build_separable, build_source, schmidt_number
+from ghostbench import SourceSpec, TransverseGrid, build_source, schmidt_number
 from ghostbench.source import _peak_slices, _tables, source_band
 
 PUMP_RADIUS = 1.5e-3
@@ -52,29 +52,25 @@ class TestSourceSpec:
             SourceSpec(kind="classical")
 
 
+def joint_norm(joint):
+    """sqrt(sum |A|^2 dy_s dy_i)."""
+    return np.sqrt(np.sum(np.abs(joint.amplitudes) ** 2) * joint.grid_s.spacing_m * joint.grid_i.spacing_m)
+
+
 class TestBuildBiphoton:
     def test_unit_norm(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
-        assert joint.joint_norm() == pytest.approx(1.0, abs=1e-12)
+        assert joint_norm(build_source(SourceSpec(), grid)) == pytest.approx(1.0, abs=1e-12)
 
     def test_exchange_symmetry_exact(self, grid):
-        joint = build_biphoton(SourceSpec(), grid, grid)
+        joint = build_source(SourceSpec(), grid)
         assert np.array_equal(joint.amplitudes, joint.amplitudes.T)
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError):
-            build_biphoton(SourceSpec(), TransverseGrid(256, 15e-3), TransverseGrid(256, 10e-3))
-
-    def test_kind_must_be_entangled(self, grid):
-        with pytest.raises(ValueError):
-            build_biphoton(SourceSpec(kind="separable"), grid, grid)
 
     def test_marginal_width_oracle(self, grid):
         # Intensity marginal of the double Gaussian has standard deviation
         # sqrt(w_p^2 + sigma_c^2 / 4) / 2: the pump envelope broadened by
         # the correlation width.
         spec = SourceSpec()
-        joint = build_biphoton(spec, grid, grid)
+        joint = build_source(spec, grid)
         marginal = np.sum(np.abs(joint.amplitudes) ** 2, axis=0) * grid.spacing_m
         y = grid.positions
         std = np.sqrt(np.sum(marginal * y ** 2) / np.sum(marginal))
@@ -88,7 +84,7 @@ class TestBuildBiphoton:
         # grid band, and reads the width off the sum-marginal FWHM (second
         # moments are polluted by the broad difference tails).
         spec = SourceSpec(correlation_width_m=30e-6)
-        joint = build_biphoton(spec, grid, grid)
+        joint = build_source(spec, grid)
         spectrum_power = np.abs(np.fft.fft2(joint.amplitudes)) ** 2
         f = grid.frequencies
         df = 1.0 / grid.window_m
@@ -130,7 +126,7 @@ class TestSchmidtNumber:
         # pitch in test_converged_mode_count_matches_closed_form); frozen
         # as a regression baseline.
         spec = SourceSpec()
-        k = schmidt_number(build_biphoton(spec, grid, grid))
+        k = schmidt_number(build_source(spec, grid))
         assert k > 10
         mu = ((2 * PUMP_RADIUS - spec.correlation_width_m)
               / (2 * PUMP_RADIUS + spec.correlation_width_m)) ** 2
@@ -143,7 +139,7 @@ class TestSchmidtNumber:
         from ghostbench import analytic_schmidt_number
         spec = SourceSpec()
         fine = TransverseGrid(2048, 6e-3)
-        k = schmidt_number(build_biphoton(spec, fine, fine))
+        k = schmidt_number(build_source(spec, fine))
         closed = analytic_schmidt_number(1.0 / (2 * PUMP_RADIUS), 1.0 / spec.correlation_width_m)
         assert closed == pytest.approx(115.38678205, abs=1e-8)
         assert k == pytest.approx(closed, rel=1e-9)
@@ -152,7 +148,7 @@ class TestSchmidtNumber:
         # sigma_c equal to the pump diameter balances the sum and
         # difference exponents: exp(-a(u+v)^2 - a(u-v)^2) factorizes.
         spec = SourceSpec(pump_diameter_m=3e-3, correlation_width_m=3e-3)
-        k = schmidt_number(build_biphoton(spec, grid, grid))
+        k = schmidt_number(build_source(spec, grid))
         assert k == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_matrix_rejected(self, grid):
@@ -165,16 +161,12 @@ class TestSchmidtNumber:
 
 class TestBuildSeparable:
     def test_schmidt_number_is_one(self, grid):
-        joint = build_separable(SourceSpec(kind="separable"), grid, grid)
+        joint = build_source(SourceSpec(kind="separable"), grid)
         assert schmidt_number(joint) == pytest.approx(1.0, abs=1e-9)
-        assert joint.joint_norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_kind_must_be_separable(self, grid):
-        with pytest.raises(ValueError):
-            build_separable(SourceSpec(), grid, grid)
+        assert joint_norm(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_intensity_is_product_of_marginals(self, grid):
-        joint = build_separable(SourceSpec(kind="separable"), grid, grid)
+        joint = build_source(SourceSpec(kind="separable"), grid)
         intensity = np.abs(joint.amplitudes) ** 2
         dy = grid.spacing_m
         p_signal = intensity.sum(axis=1) * dy
@@ -183,8 +175,8 @@ class TestBuildSeparable:
         assert np.max(np.abs(product - intensity)) < 1e-10 * intensity.max()
 
     def test_build_source_dispatch(self, grid):
-        assert schmidt_number(build_source(SourceSpec(kind="separable"), grid, grid)) == pytest.approx(1.0, abs=1e-9)
-        assert schmidt_number(build_source(SourceSpec(), grid, grid)) > 10
+        assert schmidt_number(build_source(SourceSpec(kind="separable"), grid)) == pytest.approx(1.0, abs=1e-9)
+        assert schmidt_number(build_source(SourceSpec(), grid)) > 10
 
 
 # The grids of the byte checks; the first, with the separable kind, is
@@ -222,7 +214,7 @@ class TestBuildBytes:
             f = f * (1.0 / float(np.sqrt(np.sum(f ** 2) * dy)))
             g = g * (1.0 / float(np.sqrt(np.sum(g ** 2) * dy)))
             expected = np.outer(f, g)
-        built = build_source(spec, grid, grid).amplitudes
+        built = build_source(spec, grid).amplitudes
         assert built.dtype == np.complex128 and built.flags.c_contiguous
         assert built.tobytes() == expected.astype(np.complex128).tobytes()
 
@@ -246,7 +238,7 @@ class TestBuildBytes:
         grid = TransverseGrid(n_points, extent_m)
         for kind in ("entangled", "separable"):
             spec = SourceSpec(kind=kind, **spec_args)
-            built = build_source(spec, grid, grid).amplitudes
+            built = build_source(spec, grid).amplitudes
             c = n_points // 2
             assert not np.any(built.imag)
             direct = double_gaussian(spec, grid)
@@ -261,7 +253,7 @@ class TestBuildBytes:
         # The signal head runs on the source's rows, which this makes its
         # signal-axis lines.
         grid = TransverseGrid(n_points, extent_m)
-        amps = build_source(SourceSpec(kind=kind, **spec_args), grid, grid).amplitudes
+        amps = build_source(SourceSpec(kind=kind, **spec_args), grid).amplitudes
         assert amps.tobytes() == np.ascontiguousarray(amps.T).tobytes()
 
 
@@ -296,7 +288,7 @@ class TestSourceBand:
     def test_equals_build_source_on_the_band_and_zero_off_it(self, spec_args, n_points, extent_m):
         spec = SourceSpec(**spec_args)
         grid = TransverseGrid(n_points, extent_m)
-        built = build_source(spec, grid, grid).amplitudes
+        built = build_source(spec, grid).amplitudes
         band = source_band(spec, grid)
         assert band.shape[1] == n_points and band.shape[0] % 2 == 1
         assert not np.any(built.imag)
