@@ -24,6 +24,8 @@ from .grid import TransverseGrid
 FLATNESS_RATIO = 1.05
 # A pattern sample below this fraction of the peak counts as a zero.
 FIRST_ZERO_FRACTION = 1e-3
+# Samples this close to the peak value, relative, tie for the peak position.
+PEAK_TIE = 1e-12
 # Widths on the log grid that seeds the sinc^2 fit.
 _SEED_WIDTHS = 128
 
@@ -227,14 +229,17 @@ def compute_pattern_stats(scan: ScanResult, *, wavelength_m: Optional[float] = N
                           reference: Optional[PatternStats] = None) -> PatternStats:
     """Assemble :class:`PatternStats` for the scan's coincidences.
 
-    The sinc^2 fit is attempted only when the geometry is supplied and
+    The peak position is the lowest position among the samples within
+    ``PEAK_TIE`` of the peak value, relative, so two samples that tie but
+    for rounding report the same position whichever rounds higher.  The
+    sinc^2 fit is attempted only when the geometry is supplied and
     the slit-to-detector distance is positive (the model divides by it);
     fit failure leaves the optional fields empty rather than failing the
     whole analysis (the first-zero fallback remains available).
     """
     y, v = scan.positions_m, scan.coincidence
     width = profile_fwhm(y, v)
-    peak_pos = float(y[np.argmax(v)])
+    peak_pos = float(np.min(y[v >= v.max() * (1.0 - PEAK_TIE)]))
     zero = profile_first_zero(y, v)
     fit_width = fit_residual = None
     if wavelength_m is not None and slit_to_detector_m is not None and slit_to_detector_m > 0:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
@@ -39,6 +40,10 @@ BAND_LIMIT_LOSS_TOLERANCE = 0.05
 # worker count.
 _THREADED_FFT_SAMPLES = 2 ** 18
 _FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# A head's checks walk its lines in blocks of this many
+# (:func:`_check_skewed_head`): 2 MB of complex lines at 2048 points.
+_HEAD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -215,21 +220,6 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
             f"use a coarser grid, a smaller window, or a shorter distance")
 
 
-def _forward(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
-             distance_m: float, overwrite: bool = False, unseen: float = 0.0):
-    """Forward half of a free-space step: ``(spectrum, transfer)``.
-
-    The spectrum runs along the last axis and has passed the step's
-    band-limit check, with ``unseen`` (:func:`_refuse_aliasing`);
-    :func:`_inverse` completes the step.
-    """
-    spectrum = _spectrum(amps, axis, overwrite)
-    transfer, keep = _step(grid, wavelength_m, distance_m)
-    if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m, unseen)
-    return spectrum, transfer
-
-
 def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True) -> np.ndarray:
     """Inverse half of a free-space step, along the last axis; ``spectrum``
     is overwritten only when ``overwrite`` is set."""
@@ -241,18 +231,21 @@ def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True)
 
 
 def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
-                     distance_m: float, overwrite: bool = False, unseen: float = 0.0) -> np.ndarray:
+                     distance_m: float, overwrite: bool = False) -> np.ndarray:
     """Band-limited angular-spectrum propagation along one array axis.
 
     The transforms run along the last, contiguous axis of a working copy,
     and the result is a view with the axis back in place, so the next
-    step along the same axis needs no second copy.  ``amps`` is modified
-    only when ``overwrite`` is set; ``unseen`` goes to the band-limit
-    check (:func:`_refuse_aliasing`).
+    step along the same axis needs no second copy.  The spectrum passes
+    the step's band-limit check (:func:`_refuse_aliasing`) before the
+    inverse half.  ``amps`` is modified only when ``overwrite`` is set.
     """
     if distance_m == 0.0:
         return amps if overwrite else amps.copy()
-    spectrum, transfer = _forward(amps, axis, grid, wavelength_m, distance_m, overwrite, unseen)
+    spectrum = _spectrum(amps, axis, overwrite)
+    transfer, keep = _step(grid, wavelength_m, distance_m)
+    if not keep.all():
+        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
     return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
@@ -288,22 +281,20 @@ def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
 
 
 def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
-                      wavelength_m: float, overwrite: bool = False, unseen: float = 0.0) -> np.ndarray:
+                      wavelength_m: float, overwrite: bool = False) -> np.ndarray:
     """Act with an arm's steps (:func:`arm_steps`), in order, along one
     array axis; the other axes are untouched.
 
     Each step overwrites the arm's own complex intermediate; ``amps`` is
     overwritten too only when ``overwrite`` is set (it must then be
-    complex128).  ``amps`` may be a block of a larger batch's lines: every
-    band-limit check then counts ``unseen`` for the lines left out
-    (:func:`_refuse_aliasing`).
+    complex128).
     """
     owned = overwrite
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
     for distance, factor in steps:
         if distance != 0.0:
-            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned, unseen), True
+            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned), True
         if factor is None:
             continue
         if owned:
@@ -346,6 +337,96 @@ def apply_steps_transpose(lines: np.ndarray, steps: list, grid: TransverseGrid,
             spectrum = _transform(np.fft.fft, lines, lines)
             lines = _inverse(spectrum, _step(grid, wavelength_m, distance)[0])
     return lines
+
+
+def _skewed_lines(coef: np.ndarray, n: int) -> np.ndarray:
+    """Lines of N cells, complex, held as band coefficients
+    (:func:`_check_skewed_head`): ``coef[i, k]`` at position (k - h) mod N.
+    Coefficients that meet at one position are summed, as at most one of
+    a band's is nonzero there."""
+    rows, width = coef.shape
+    padded = np.zeros((rows, -(-width // n) * n), dtype=np.complex128)
+    padded[:, :width] = coef
+    return np.roll(padded.reshape(rows, -1, n).sum(axis=1), -(width // 2), axis=1)
+
+
+def _skewed_power(coef: np.ndarray, n: int) -> np.ndarray:
+    """The summed power, sum over lines of |fft(line)|^2, of lines held as
+    band coefficients (:func:`_check_skewed_head`), from the at most
+    2h + 1 rows of R in coef = QR: they have coef's Gram, so the same
+    summed power, and as Q is unitary each sample rounds at the level of
+    the amplitudes.  The DFT of the Gram's lag sums would round at eps
+    times the total power on every sample, far above a band edge's."""
+    lines = _skewed_lines(np.linalg.qr(coef, mode="r"), n)
+    return _summed_power(_transform(np.fft.fft, lines, lines))
+
+
+def _check_skewed_head(coef: np.ndarray, first: int, steps: list, grid: TransverseGrid, wavelength_m: float,
+                       unseen: float = 0.0):
+    """Make the band-limit checks of a head, an arm's ``steps`` but the
+    last and the last step's forward half (:func:`arm_steps`), on lines
+    in the skewed frame: line r = ``first`` + i holds ``coef[i, k]`` at
+    position (k - h) mod N, 2h + 1 = ``coef.shape[1]``, 0 elsewhere, and
+    its position m stands for cell (r + m) mod N.
+
+    The skew shifts each line circularly, which commutes with every
+    free-space step and keeps its |spectrum|^2, all a check reads; a lens,
+    stop or slit acts as factor[(r + m) mod N], a sliding view of the
+    factor joined to itself.  The lines are walked in blocks of
+    ``_HEAD_BLOCK``, a leading factor folded into each block's
+    coefficients.  The first free-space step is one BLAS product of a
+    block's coefficients with the Toeplitz matrix of the step's kernel
+    ifft(transfer), real and interleaved for real coefficients; where
+    that step cuts its band, its check is decided first, from the QR
+    factor of all the lines' coefficients (:func:`_skewed_power`), at
+    O(R (2h + 1) min(R, 2h + 1)) for R lines.  Each later check's
+    power is summed over the blocks and decided, in step order, after
+    the last; the head ends at its last check.  Every check counts
+    ``unseen``, the bound on the power of lines left out
+    (:func:`_refuse_aliasing`).
+    """
+    n, width = grid.n_points, coef.shape[1]
+    lead = None
+    if steps[0][0] == 0.0:
+        lead, steps = steps[0][1], steps[1:]
+
+    def block(start):
+        # A copy: a band's transposed view would make every product gather its block.
+        part = np.ascontiguousarray(coef[start:start + _HEAD_BLOCK])
+        if lead is not None:
+            cells = first + start - width // 2 + np.arange(len(part))[:, None] + np.arange(width)
+            part = part * lead.take(cells, mode="wrap")
+        return part
+
+    starts = range(0, len(coef), _HEAD_BLOCK)
+    transfers = [_step(grid, wavelength_m, distance) for distance, _ in steps]
+    cuts = [k for k, (_, keep) in enumerate(transfers) if not keep.all()]
+    if cuts and cuts[0] == 0:
+        power = _skewed_power(np.concatenate([block(start) for start in starts]), n)
+        _refuse_aliasing(power, transfers[0][1], grid, wavelength_m, steps[0][0], unseen)
+    powers = {k: np.zeros(n) for k in cuts if k}
+    if not powers:
+        return
+    u = np.fft.ifft(transfers[0][0])
+    kernel = sliding_window_view(np.concatenate((u, u[:-1])), n)[(width // 2 - np.arange(width)) % n]
+    skewed = [None if factor is None else sliding_window_view(np.concatenate((factor, factor[:-1])), n)
+              for _, factor in steps]
+    for start in starts:
+        part = block(start)
+        rows = slice(first + start, first + start + len(part))
+        lines = part @ kernel if np.iscomplexobj(part) else (part @ kernel.view(np.float64)).view(np.complex128)
+        for k in range(cuts[-1] + 1):
+            if k:
+                spectrum = _transform(np.fft.fft, lines, lines)
+                if k in powers:
+                    powers[k] += _summed_power(spectrum)
+                if k == cuts[-1]:
+                    break
+                lines = _inverse(spectrum, transfers[k][0])
+            if skewed[k] is not None:
+                lines *= skewed[k][rows]
+    for k, power in powers.items():
+        _refuse_aliasing(power, transfers[k][1], grid, wavelength_m, steps[k][0], unseen)
 
 
 def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:

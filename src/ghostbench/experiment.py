@@ -23,9 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _forward, _inverse, _refuse_aliasing,
-                       _spectrum, _step, _summed_power, aperture_transmission, apply_arm, apply_arm_along,
-                       apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
+from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse,
+                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
+                       apply_arm_along, apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps,
+                       reverse_arm)
 from .errors import SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, _dense_from_band, _live_band, build_source, source_band
@@ -42,13 +43,15 @@ _BAND_ROUTE_COST = 6.0
 # (:func:`_lit_lines`).  It is set from the 5% tolerance the checks
 # decide, not from rounding: the dark lines' bound moves a check's loss
 # fraction by about this much times the source's power over the power
-# reaching the step.  So the head runs again on every line (the block's
-# lines plus N in all) only where a step refuses, or where its loss lies
-# that close below the tolerance ([4.9%, 5%] on the default arm).  A 0.3 mm
-# lens stop, which clips most of the beam, still passes on the block (loss
-# 4.0e-3, bound 2.0e-2 of what reaches the step).  At 2048 points over
-# +-15 mm the block is 337 of 2048 lines (3 for the separable control), for
-# a loss of 2.3e-4; a bound at rounding level, 1e-13, keeps 762.
+# reaching the step.  So the head runs again on every line (the lit lines
+# plus N in all, each pass one block of lines at a time) only where a step
+# refuses, or where its loss lies that close below the tolerance ([4.9%, 5%]
+# on the default arm); a refusal by the first step is read off the band
+# coefficients on either pass.  A 0.3 mm lens stop, which clips most of the
+# beam, still passes on the lit lines (loss 4.0e-3, bound 2.0e-2 of what
+# reaches the step).  At 2048 points over +-15 mm they are 337 of 2048
+# lines (3 for the separable control), for a loss of 2.3e-4; a bound at
+# rounding level, 1e-13, keeps 762.
 _DARK_POWER = BAND_LIMIT_LOSS_TOLERANCE / 50
 
 
@@ -155,10 +158,11 @@ def _lit_lines(band: np.ndarray):
 
     Every step of the signal head (a band-limited transfer, a lens, a stop
     or a slit) has |factor| <= 1, and a line of squared norm p has summed
-    spectral power N p; so at every band-limit check the lines left out
-    add at most ``unseen`` = N sum_dropped p to both the lost and the total
-    power.  Each tail is summed from its dim end, so neither is swamped by
-    the rounding of the whole.
+    spectral power N p, in the skewed frame the head runs in as in space
+    (:func:`_check_skewed_head`); so at every band-limit check the lines
+    left out add at most ``unseen`` = N sum_dropped p to both the lost and
+    the total power.  Each tail is summed from its dim end, so neither is
+    swamped by the rounding of the whole.
     """
     n = band.shape[1]
     power = np.einsum("tj,tj->j", band, band)
@@ -179,8 +183,10 @@ def _check_signal_head(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wav
     held as its band (:func:`source_band`); callers run it where a signal
     step cuts a band on the grid (:func:`_band_limited`).
 
-    The source is symmetric (:func:`build_source`), so the head runs
-    on its rows (:func:`apply_steps_along`), in place, and on the lit
+    The source is symmetric (:func:`build_source`), so the head runs on
+    its rows, in the skewed frame, from their band coefficients
+    A[r, r + k - h] = band[k, r] (:func:`_check_skewed_head`: one BLAS
+    product for the first step, then blocks of lines), and on the lit
     lines alone (:func:`_lit_lines`), each check counting the dark lines'
     bound ``unseen``; nothing goes back to space at slit A.  Should any
     check not pass with that bound, undecided or refused, the head runs
@@ -188,16 +194,11 @@ def _check_signal_head(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wav
     as on the whole source.
     """
     steps = arm_steps(arm, grid, wavelength_m)
-
-    def head(lo=0, hi=None, unseen=0.0):
-        lines = apply_steps_along(_dense_from_band(band, lo, hi), steps[:-1], 1, grid, wavelength_m,
-                                  overwrite=True, unseen=unseen)
-        _forward(lines, 1, grid, wavelength_m, steps[-1][0], overwrite=True, unseen=unseen)
-
+    lo, hi, unseen = _lit_lines(band)
     try:
-        head(*_lit_lines(band))
+        _check_skewed_head(band[:, lo:hi].T, lo, steps, grid, wavelength_m, unseen)
     except SamplingError:
-        head()
+        _check_skewed_head(band.T, 0, steps, grid, wavelength_m)
 
 
 def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid,

@@ -98,13 +98,21 @@ def _peak_slices(spec: SourceSpec, grid: TransverseGrid):
 
 
 def _unit_tables(spec: SourceSpec, grid: TransverseGrid):
-    """:func:`_tables` of the entangled source with its unit-norm factor
-    folded into the pump table.  The sum of |A|^2 is taken over the views
-    of the squared tables, so no N x N temporary is made."""
+    """``(pump, corr, h)``: :func:`_tables` of the entangled source, its
+    unit-norm factor folded into the pump table, and the largest |i - j|
+    at which it can be nonzero, where corr underflows to 0.0 (12 cells for
+    13 um at the reference pitch).  The sum of |A|^2 is taken in O(N h)
+    over the band's 2h + 1 diagonals, diagonal d as corr[N - 1 + d]^2
+    times the sum of pump^2 over its entries."""
     n, dy = grid.n_points, grid.spacing_m
     pump, corr = _tables(spec, grid)
-    pump *= 1.0 / float(np.sqrt(np.einsum("ij,ij->", *_views(pump ** 2, corr ** 2, n)) * dy * dy))
-    return pump, corr
+    h = int(np.max(np.abs(np.flatnonzero(corr) - (n - 1)), initial=0))
+    squared = pump ** 2
+    # Diagonals d and -d read pump[2j + |d|] for their N - |d| cells j: entries |d|, |d| + 2, ..., 2N - 2 - |d|.
+    sums = np.array([np.sum(squared[d:2 * n - 1 - d:2]) for d in range(h + 1)])
+    sums = np.concatenate((sums[:0:-1], sums))
+    pump *= 1.0 / float(np.sqrt(np.sum(corr[n - 1 - h:n + h] ** 2 * sums) * dy * dy))
+    return pump, corr, h
 
 
 def _unit_slices(spec: SourceSpec, grid: TransverseGrid):
@@ -137,52 +145,40 @@ def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
                              spec.lambda_signal_m, spec.lambda_idler_m)
 
 
-def _dense_from_band(band: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Rows ``lo`` ... ``hi`` - 1 (all N by default) of the N x N complex
-    source whose nonzero diagonals are ``band`` (:func:`source_band`),
-    written into the real part of a zeroed (hi - lo) x N array."""
+def _dense_from_band(band: np.ndarray) -> np.ndarray:
+    """The N x N complex source whose nonzero diagonals are ``band``
+    (:func:`source_band`), written into the real part of a zeroed array."""
     width, n = band.shape
-    h, hi = width // 2, n if hi is None else hi
-    amps = np.zeros((hi - lo, n), dtype=np.complex128)
-    flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + (d - lo) * N]
+    h = width // 2
+    amps = np.zeros((n, n), dtype=np.complex128)
+    flat = amps.reshape(-1).real  # A[j + d, j] is flat[j * (N + 1) + d * N]
     for t, diagonal in enumerate(band):
         d = t - h
-        first, last = max(0, lo - d), min(n, hi - d)  # the j with 0 <= j < N and lo <= j + d < hi
+        first, last = max(0, -d), min(n, n - d)  # the j with 0 <= j, j + d < N
         if first < last:
-            flat[first * (n + 1) + (d - lo) * n::n + 1][:last - first] = diagonal[first:last]
+            flat[first * (n + 1) + d * n::n + 1][:last - first] = diagonal[first:last]
     return amps
-
-
-def _band_half(spec: SourceSpec, grid: TransverseGrid) -> int:
-    """The largest |i - j| at which the source can be nonzero.
-
-    Entangled, it is where the correlation table underflows to 0.0 (12
-    cells for 13 um at the reference pitch); separable, the span of the
-    cells where the factor through the peak is nonzero.
-    """
-    n = grid.n_points
-    if spec.kind == "separable":
-        lit = np.flatnonzero(_peak_slices(spec, grid)[0])  # never empty: the peak cell is 1
-        return int(lit[-1] - lit[0])
-    return int(np.max(np.abs(np.flatnonzero(_tables(spec, grid)[1]) - (n - 1)), initial=0))
 
 
 def source_band(spec: SourceSpec, grid: TransverseGrid) -> np.ndarray:
     """The source's nonzero diagonals: the real (2h + 1) x N array
     ``band[t, j] = A[j + t - h, j]``, 0 where j + t - h leaves the grid.
 
-    Off its 2h + 1 central diagonals (:func:`_band_half`) the source is
-    exactly 0.0, so ``band`` holds every nonzero entry of the source;
-    :func:`build_source` writes it into the dense array.
+    Off its 2h + 1 central diagonals the source is exactly 0.0 (entangled,
+    :func:`_unit_tables`; separable, h is the span of the cells where its
+    factor is nonzero), so ``band`` holds every nonzero entry of the
+    source; :func:`build_source` writes it into the dense array.
     """
-    n, h = grid.n_points, _band_half(spec, grid)
+    n = grid.n_points
     if spec.kind == "separable":
         f, g = _unit_slices(spec, grid)
+        lit = np.flatnonzero(f)  # never empty: the peak cell
+        h = int(lit[-1] - lit[0])
 
         def diagonal(d, lo, hi):
             return f[lo + d:hi + d] * g[lo:hi]
     else:
-        pump, corr = _unit_tables(spec, grid)
+        pump, corr, h = _unit_tables(spec, grid)
 
         def diagonal(d, lo, hi):  # pump[i + j] * corr[i - j + N - 1] at i = j + d
             return pump[2 * lo + d:2 * hi + d - 1:2] * corr[n - 1 + d]

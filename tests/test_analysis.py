@@ -306,6 +306,19 @@ class TestUncertaintyProduct:
 
 
 class TestComputePatternStats:
+    @pytest.mark.parametrize("moved", [0, 1])
+    @pytest.mark.parametrize("direction", [-np.inf, np.inf])
+    def test_peak_tie_reports_the_lowest_position(self, moved, direction):
+        # Two samples, at -0.05 mm and +0.05 mm either side of a dip, that
+        # tie but for rounding: moving either by one ulp, up or down,
+        # leaves the printed position at the lower one.
+        y = np.linspace(-0.2e-3, 0.2e-3, 9)
+        v = np.exp(-((np.abs(y) - 0.05e-3) / 0.1e-3) ** 2)
+        assert v[3] == v[5] == 1.0 and v[4] < 1.0
+        v[[3, 5][moved]] = np.nextafter(1.0, direction)
+        stats = compute_pattern_stats(synthetic_scan(v, y))
+        assert f"{stats.peak_position_m * 1e3:.6f}" == "-0.050000"
+
     def test_fields_populated_for_m1(self, scan_m1):
         stats = compute_pattern_stats(scan_m1, wavelength_m=WAVELENGTH, slit_to_detector_m=0.5)
         assert stats.fwhm_m > 0

@@ -374,12 +374,14 @@ class TestWorkCounts:
     idler pass.  measure and ghost take slit A's rows from the source's
     band and one backward kernel per row, and measure takes the D2
     singles from the band too, through the idler's reduced state; so they
-    build rows of the source, from the band they hold, only where a signal
-    step's band limit cuts on the grid, and then only its lit lines, for
-    the signal head (the arm's steps before slit A's) to make its checks
-    (``_check_signal_head``).  klyshko-check takes slit A's rows as
-    measure does, and builds the N x N source once, after the head's
-    checks, for the advanced wave alone.  A dense pass is an arm's steps
+    build lines of the source, from the band they hold, only where a
+    signal step's band limit cuts on the grid, and then only its lit
+    lines, for the signal head (the arm's steps before slit A's) to make
+    its checks (``_check_signal_head``): each such head counts as one
+    build and one signal pass (``_check_skewed_head``), on the lines
+    counted.  klyshko-check takes slit A's rows as measure does, and
+    builds the N x N source once, after the head's checks, for the
+    advanced wave alone.  A dense pass is an arm's steps
     (``apply_arm_along``, ``apply_steps_along``) run on the lines of a
     source the command built, or any pass along an axis of the joint
     amplitude (``apply_arm_to_axis``)."""
@@ -407,7 +409,15 @@ class TestWorkCounts:
                 return original(amps, *args, **kwargs)
             return wrapper
 
+        def head(original):
+            def wrapper(coef, *args, **kwargs):
+                calls.extend(("build", "signal"))
+                head_lines.append(len(coef))
+                return original(coef, *args, **kwargs)
+            return wrapper
+
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
+        monkeypatch.setattr(experiment, "_check_skewed_head", head(experiment._check_skewed_head))
         monkeypatch.setattr(experiment, "_dense_from_band", counting(experiment._dense_from_band, "build"))
         monkeypatch.setattr(experiment, "apply_arm_along", signal_pass(experiment.apply_arm_along))
         monkeypatch.setattr(experiment, "apply_steps_along", signal_pass(experiment.apply_steps_along))

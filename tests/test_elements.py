@@ -10,9 +10,9 @@ from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
                         build_source, default_bench, reverse_arm, run_coincidence_scan)
 from ghostbench import elements
-from ghostbench.elements import (_THREADED_FFT_SAMPLES, _propagate_array, _spectrum, _summed_power, _transform,
-                                 aperture_transmission, apply_arm_along, apply_steps_along, apply_steps_transpose,
-                                 arm_steps)
+from ghostbench.elements import (_THREADED_FFT_SAMPLES, _check_skewed_head, _propagate_array, _spectrum,
+                                 _summed_power, _transform, aperture_transmission, apply_arm_along, apply_steps_along,
+                                 apply_steps_transpose, arm_steps)
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
                       reference_transpose, through)
@@ -397,12 +397,15 @@ class TestArmSteps:
         # power but rounding.  Lines left out that may carry 6% as much
         # again push that step's loss over the 5% tolerance; 4% do not.
         grid = TransverseGrid(128, 2e-3)
-        line = gaussian_field(grid, 0.6e-3).amplitudes[None, :]
+        # One line of the skewed frame: its last N of 2N - 1 band
+        # coefficients sit at positions 0 ... N - 1.
+        coef = np.zeros((1, 2 * grid.n_points - 1), dtype=np.complex128)
+        coef[0, grid.n_points - 1:] = gaussian_field(grid, 0.6e-3).amplitudes
         steps = [(0.1, None), (1.0, None)]
-        total = grid.n_points * float(np.sum(np.abs(line) ** 2))  # its summed spectral power
-        apply_steps_along(line, steps, 1, grid, WAVELENGTH, unseen=0.04 * total)
+        total = grid.n_points * float(np.sum(np.abs(coef) ** 2))  # its summed spectral power
+        _check_skewed_head(coef, 0, steps, grid, WAVELENGTH, unseen=0.04 * total)
         with pytest.raises(SamplingError, match="propagation over 1.0 m"):
-            apply_steps_along(line, steps, 1, grid, WAVELENGTH, unseen=0.06 * total)
+            _check_skewed_head(coef, 0, steps, grid, WAVELENGTH, unseen=0.06 * total)
 
 
 class TestSummedPower:

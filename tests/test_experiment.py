@@ -726,14 +726,14 @@ class TestLitLineHead:
 
     @pytest.fixture()
     def heads(self, monkeypatch):
-        """The number of lines of each array the signal head runs on."""
+        """The number of lines of each pass the signal head runs on."""
         import ghostbench.experiment as experiment
-        lines, original = [], experiment.apply_steps_along
+        lines, original = [], experiment._check_skewed_head
 
-        def spy(amps, *args, **kwargs):
-            lines.append(len(amps))
-            return original(amps, *args, **kwargs)
-        monkeypatch.setattr(experiment, "apply_steps_along", spy)
+        def spy(coef, *args, **kwargs):
+            lines.append(len(coef))
+            return original(coef, *args, **kwargs)
+        monkeypatch.setattr(experiment, "_check_skewed_head", spy)
         return lines
 
     def band_and_head(self, overrides):
@@ -804,8 +804,8 @@ class TestPeakMemory:
     the signal arm's one intermediate, which every lens, slit and forward
     transform overwrites.  A lens product into a new array holds 3.  Ghost
     and measure build no N x N array: where a band-limit check runs the
-    signal head, they run it on the source's lit lines, in place, so at
-    2048 points over +-15 mm they hold 337 of its 2048 lines.
+    signal head, they run it on the source's lit lines, 337 of 2048 at
+    2048 points over +-15 mm, one block of 64 lines at a time.
     klyshko-check takes slit A's rows as they do and holds one source, the
     advanced wave's (1.04 arrays at 512 points)."""
 

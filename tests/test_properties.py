@@ -10,7 +10,7 @@ stops.  The band-limit properties draw longer steps on their own.
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, reject, seed, settings, strategies as st
+from hypothesis import example, given, reject, seed, settings, strategies as st
 
 import ghostbench.elements
 import ghostbench.experiment
@@ -23,9 +23,10 @@ from ghostbench.config import RunConfig
 from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
 from ghostbench.elements import apply_arm_along
 from ghostbench.experiment import _check_signal_head, _gram_rows, _lit_lines
-from ghostbench.source import source_band
+from ghostbench.source import _live_band, source_band
 
-from conftest import dense_scan
+import conftest
+from conftest import dense_scan, element_factor, numpy_propagate_array
 
 GRID = TransverseGrid(128, 2e-3)
 SIGNAL, IDLER = 650e-9, 763.5162261625964e-9
@@ -221,3 +222,53 @@ def test_lit_lines_bracket_the_full_heads_loss(pump, correlation, kind, before, 
     for (lost, total), (full_lost, full_total) in zip(lit, full):
         assert lost * full_total <= full_lost * (total + unseen) * (1.0 + ROUNDING)
         assert full_lost * total <= (lost + unseen) * full_total * (1.0 + ROUNDING)
+
+
+def _dense_head_losses(source, arm):
+    """``(lost, total)`` of each band-limit check of the signal head by the
+    dense route: element by element on the rows of the full source, each
+    free-space step by :func:`conftest.numpy_propagate_array`, its check
+    read off the spectrum of the rows it starts from."""
+    amps = build_source(source, GRID).amplitudes
+    losses = []
+    for element in arm.elements:
+        if isinstance(element, FreeSpace) and element.distance_m != 0.0:
+            keep = np.abs(GRID.frequencies) <= band_limit_cycles_per_m(GRID, SIGNAL, element.distance_m)
+            if not keep.all():
+                power = np.sum(np.abs(np.fft.fft(amps, axis=1)) ** 2, axis=0)
+                losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
+            with mock.patch.object(conftest, "BAND_LIMIT_LOSS_TOLERANCE", np.inf):
+                amps = numpy_propagate_array(amps, 1, GRID, SIGNAL, element.distance_m)
+        elif isinstance(element, (ThinLens, Slit)):
+            amps = amps * element_factor(element, GRID, SIGNAL)
+    return losses
+
+
+lenses_and_slits = st.one_of(unstopped_lens, st.builds(ThinLens, focals, st.floats(0.5e-3, 3e-3)), slits)
+head_steps = st.tuples(free_space | band_limited_free_space, st.lists(lenses_and_slits, max_size=1))
+
+
+@properties
+@given(st.floats(0.2e-3, 1e-3), st.floats(20e-6, 200e-6), st.sampled_from(["entangled", "separable"]),
+       st.lists(lenses_and_slits, max_size=2), st.lists(head_steps, min_size=1, max_size=3), slits)
+@example(0.5e-3, 50e-6, "entangled", [ThinLens(0.3, 1e-3)], [(FreeSpace(0.5), [ThinLens(0.5)]),
+                                                              (FreeSpace(0.3), [])], Slit(0.2e-3))
+@example(0.5e-3, 50e-6, "separable", [Slit(1e-3, 0.2e-3)], [(FreeSpace(0.1), [ThinLens(-0.4)]),
+                                                             (FreeSpace(-0.6), [Slit(0.5e-3)])], Slit(0.2e-3))
+def test_head_checks_equal_the_dense_route(pump, correlation, kind, leading, steps, slit_a):
+    # The head in the skewed frame, on the live band as measure and ghost
+    # hold it (a leading factor folded into each block's band
+    # coefficients, the first step one product, a first-step check from
+    # their QR factor, the rest in blocks), sees at each check the
+    # power the dense route sees, to rounding.
+    source = SourceSpec(pump_diameter_m=pump, correlation_width_m=correlation, lambda_pump_m=351.1e-9,
+                        lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
+    arm = ArmSpec(leading + [element for step, behind in steps for element in (step, *behind)] + [slit_a])
+    expected = _dense_head_losses(source, arm)
+    if not expected:
+        reject()  # no step cuts its band: the head makes no check
+    got = _head_losses(_live_band(source_band(source, GRID)), arm, lambda band: (0, band.shape[1], 0.0))
+    assert len(got) == len(expected)
+    for (lost, total), (dense_lost, dense_total) in zip(got, expected):
+        assert abs(lost - dense_lost) <= 1e-12 * dense_total
+        assert abs(total - dense_total) <= 1e-12 * dense_total

@@ -25,6 +25,18 @@ def table_source(pump, corr):
     return pump[np.add.outer(i, i)] * corr[np.subtract.outer(i, i) + n - 1]
 
 
+def band_norm2(pump, corr):
+    """The squared norm of the source :func:`table_source` reads, summed as
+    the build sums it, over its nonzero diagonals: diagonal d, read off the
+    Hankel view pump^2[i + j], summed, times corr[N - 1 + d]^2, for the
+    |d| <= h at which corr is nonzero."""
+    n = (pump.size + 1) // 2
+    h = int(np.max(np.abs(np.flatnonzero(corr) - (n - 1)), initial=0))
+    hankel = sliding_window_view(pump ** 2, n)
+    sums = np.array([np.sum(np.diagonal(hankel, -d)) for d in range(-h, h + 1)])
+    return np.sum(corr[n - 1 - h:n + h] ** 2 * sums)
+
+
 class TestSourceSpec:
     def test_defaults_valid(self):
         spec = SourceSpec()
@@ -200,12 +212,10 @@ class TestBuildBytes:
         grid = TransverseGrid(n_points, extent_m)
         dy = grid.spacing_m
         if kind == "entangled":
-            # The norm is summed over the views of the squared tables and
-            # folded into the pump table.
+            # The norm is summed over the band's nonzero diagonals
+            # (:func:`band_norm2`) and folded into the pump table.
             pump, corr = _tables(spec, grid)
-            norm2 = np.einsum("ij,ij->", sliding_window_view(pump ** 2, n_points),
-                              sliding_window_view(corr ** 2, n_points)[:, ::-1])
-            expected = table_source(pump * (1.0 / float(np.sqrt(norm2 * dy * dy))), corr)
+            expected = table_source(pump * (1.0 / float(np.sqrt(band_norm2(pump, corr) * dy * dy))), corr)
         else:
             amps = table_source(*_tables(spec, grid))
             peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
@@ -217,6 +227,16 @@ class TestBuildBytes:
         built = build_source(spec, grid).amplitudes
         assert built.dtype == np.complex128 and built.flags.c_contiguous
         assert built.tobytes() == expected.astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("spec_args, n_points, extent_m",
+                             [*BYTE_BENCHES, ({}, 2048, 15e-3), ({}, 4096, 30e-3)])
+    def test_band_norm_equals_the_full_sum(self, spec_args, n_points, extent_m):
+        # Off the band every term of the N x N sum is exactly 0.0, so the
+        # two sums differ by their rounding alone.
+        pump, corr = _tables(SourceSpec(**spec_args), TransverseGrid(n_points, extent_m))
+        full = np.einsum("ij,ij->", sliding_window_view(pump ** 2, n_points),
+                         sliding_window_view(corr ** 2, n_points)[:, ::-1])
+        assert band_norm2(pump, corr) == pytest.approx(full, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
     def test_separable_factors_are_the_slices_through_the_peak(self, spec_args, n_points, extent_m):
