@@ -17,9 +17,6 @@ edge falls between samples.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,14 +29,6 @@ from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 # Fraction of spectral energy the band limit may remove before the
 # propagation step is considered aliased and refused.
 BAND_LIMIT_LOSS_TOLERANCE = 0.05
-
-# Transforms are split by lines over every CPU the process may use once a
-# batch holds this many samples; below it the threads' start-up costs more
-# than they save (measured crossover on a 2-core host: 2^17 samples break
-# even).  Each line is transformed alone, so the bytes do not depend on the
-# worker count.
-_THREADED_FFT_SAMPLES = 2 ** 18
-_FFT_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # A head's checks walk its lines in blocks of this many
 # (:func:`_check_skewed_head`): 2 MB of complex lines at 2048 points.
@@ -136,39 +125,6 @@ def band_limit_cycles_per_m(grid: TransverseGrid, wavelength_m: float, distance_
     return min(grid.window_m / chirp, 1.0 / wavelength_m)
 
 
-@functools.cache
-def _pool() -> ThreadPoolExecutor:
-    """The threads that take all but the first share of a split transform."""
-    return ThreadPoolExecutor(_FFT_WORKERS - 1, thread_name_prefix="ghostbench-fft")
-
-
-# A forked child has none of its parent's threads: it starts a pool of its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _transform(transform, lines: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-    """``transform`` (``np.fft.fft`` or ``ifft``) of each line along the
-    last axis of ``lines`` into ``out``, which may be ``lines``, or into a
-    new array.  A batch of ``_THREADED_FFT_SAMPLES`` or more is split by
-    lines over ``_FFT_WORKERS`` threads (numpy's pocketfft releases the
-    GIL); both arrays are then C-contiguous complex128, as every caller
-    passes them."""
-    if out is None:
-        out = np.empty_like(lines)
-    n = lines.shape[-1]
-    workers = min(_FFT_WORKERS, lines.size // n) if lines.size >= _THREADED_FFT_SAMPLES else 1
-    if workers == 1:
-        return transform(lines, out=out)
-    rows, dest = lines.reshape(-1, n), out.reshape(-1, n)
-    cuts = [rows.shape[0] * k // workers for k in range(workers + 1)]
-    shares = [_pool().submit(transform, rows[a:b], out=dest[a:b]) for a, b in zip(cuts[1:-1], cuts[2:])]
-    transform(rows[:cuts[1]], out=dest[:cuts[1]])
-    for share in shares:
-        share.result()
-    return out
-
-
 def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
     """Transform along ``axis``, moved last and made contiguous.
 
@@ -177,7 +133,7 @@ def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarra
     """
     lines = np.ascontiguousarray(np.moveaxis(amps, axis, -1), dtype=np.complex128)
     owned = overwrite or not np.may_share_memory(lines, amps)
-    return _transform(np.fft.fft, lines, lines if owned else None)
+    return np.fft.fft(lines, out=lines if owned else None)
 
 
 def _summed_power(lines: np.ndarray) -> np.ndarray:
@@ -227,7 +183,7 @@ def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True)
         spectrum *= transfer
     else:
         spectrum = spectrum * transfer
-    return _transform(np.fft.ifft, spectrum, spectrum)
+    return np.fft.ifft(spectrum, out=spectrum)
 
 
 def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
@@ -281,15 +237,14 @@ def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
 
 
 def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
-                      wavelength_m: float, overwrite: bool = False) -> np.ndarray:
+                      wavelength_m: float) -> np.ndarray:
     """Act with an arm's steps (:func:`arm_steps`), in order, along one
     array axis; the other axes are untouched.
 
     Each step overwrites the arm's own complex intermediate; ``amps`` is
-    overwritten too only when ``overwrite`` is set (it must then be
-    complex128).
+    left as it was.
     """
-    owned = overwrite
+    owned = False
     shape = [1] * amps.ndim
     shape[axis] = grid.n_points
     for distance, factor in steps:
@@ -334,7 +289,7 @@ def apply_steps_transpose(lines: np.ndarray, steps: list, grid: TransverseGrid,
         if factor is not None:
             lines *= factor
         if distance != 0.0:
-            spectrum = _transform(np.fft.fft, lines, lines)
+            spectrum = np.fft.fft(lines, out=lines)
             lines = _inverse(spectrum, _step(grid, wavelength_m, distance)[0])
     return lines
 
@@ -358,7 +313,7 @@ def _skewed_power(coef: np.ndarray, n: int) -> np.ndarray:
     the amplitudes.  The DFT of the Gram's lag sums would round at eps
     times the total power on every sample, far above a band edge's."""
     lines = _skewed_lines(np.linalg.qr(coef, mode="r"), n)
-    return _summed_power(_transform(np.fft.fft, lines, lines))
+    return _summed_power(np.fft.fft(lines, out=lines))
 
 
 def _check_skewed_head(coef: np.ndarray, first: int, steps: list, grid: TransverseGrid, wavelength_m: float,
@@ -417,7 +372,7 @@ def _check_skewed_head(coef: np.ndarray, first: int, steps: list, grid: Transver
         lines = part @ kernel if np.iscomplexobj(part) else (part @ kernel.view(np.float64)).view(np.complex128)
         for k in range(cuts[-1] + 1):
             if k:
-                spectrum = _transform(np.fft.fft, lines, lines)
+                spectrum = np.fft.fft(lines, out=lines)
                 if k in powers:
                     powers[k] += _summed_power(spectrum)
                 if k == cuts[-1]:

@@ -27,7 +27,7 @@ from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _che
                        _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
                        apply_arm_along, apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps,
                        reverse_arm)
-from .errors import SamplingError
+from .errors import PatternError, SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import SourceSpec, _dense_from_band, _live_band, build_source, source_band
 
@@ -553,7 +553,7 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
         conditional = np.sum(np.abs(at_d2[rows == grid.index_of(position)]) ** 2, axis=0)
         advanced = klyshko_advanced_wave(bench, position, state, backward_offset_m).intensity
         if conditional.max() == 0 or advanced.max() == 0:
-            raise ValueError("conditional pattern vanished; D1 position outside the slit band?")
+            raise PatternError("conditional pattern vanished; D1 position outside the slit band?")
         deviation = np.max(np.abs(conditional / conditional.max() - advanced / advanced.max()))
         deviations.append(float(deviation))
     return deviations[0] if np.ndim(d1_positions_m) == 0 else np.array(deviations)

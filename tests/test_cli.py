@@ -542,22 +542,43 @@ sys.exit(main([sys.argv[2], sys.argv[3]]))
 """
 
 
+def _child_env(blas_threads=None):
+    """The environment of a child that imports ghostbench from this
+    checkout, with its BLAS thread count set when given, else unset."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    return env
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs at least two CPUs")
 def test_output_bytes_do_not_depend_on_the_core_count(tmp_path):
     # One child on one CPU with one BLAS thread, one on every CPU: the
-    # threaded transforms and the BLAS products give the same bytes.
+    # BLAS products give the same bytes.
     config = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n[grid]\nn_points = 1024\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = []
     for cores in ("one", "all"):
-        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        if cores == "one":
-            env["OPENBLAS_NUM_THREADS"] = "1"
         done = subprocess.run([sys.executable, "-c", _CHILD, cores, "measure-m2", config],
-                              env=env, capture_output=True, check=True)
+                              env=_child_env(1 if cores == "one" else None), capture_output=True, check=True)
         outputs.append((done.stdout, (tmp_path / "measure_m2.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, extra", [("klyshko-check", ""), ("measure-m2", "[grid]\nn_points = 2048\n")])
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, command, extra):
+    # Each transform runs on the calling thread, so only BLAS may thread:
+    # the reference klyshko-check and a 2048-point measure-m2, whose signal
+    # head takes one BLAS product per block, print and write the same bytes
+    # on one BLAS thread and on two.
+    config = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n{extra}")
+    outputs = []
+    for threads in (1, 2):
+        done = subprocess.run([sys.executable, "-c", _CHILD, "all", command, config],
+                              env=_child_env(threads), capture_output=True, check=True)
+        outputs.append((done.stdout, {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}))
     assert outputs[0] == outputs[1]
 
 
@@ -567,9 +588,22 @@ def test_a_fresh_process_loads_no_scipy(tmp_path):
     child = ("import sys\nimport ghostbench.cli\nfrom ghostbench.config import parse_config\n"
              "parse_config(open(sys.argv[1]).read())\n"
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", child, config], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, "-c", child, config], env=_child_env(), capture_output=True,
+                          text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_a_fresh_process_starts_no_thread(tmp_path):
+    # Each transform is one numpy call on the calling thread: the command
+    # loads no thread pool, and a 4096-point measure-m2, whose signal head
+    # transforms blocks of 64 x 4096 lines, ends with the main thread alone.
+    config = write_config(tmp_path, f"[output]\ndirectory = {tmp_path}\n[grid]\nn_points = 4096\n")
+    child = ("import sys, threading\nimport ghostbench.cli\n"
+             "print('concurrent.futures' in sys.modules)\n"
+             "code = ghostbench.cli.main(['measure-m2', sys.argv[1]])\n"
+             "print(code, threading.active_count())")
+    done = subprocess.run([sys.executable, "-c", child, config], env=_child_env(), capture_output=True,
+                          text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "0 1"

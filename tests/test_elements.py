@@ -1,5 +1,3 @@
-import multiprocessing
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +7,8 @@ import scipy.fft
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
                         build_source, default_bench, reverse_arm, run_coincidence_scan)
-from ghostbench import elements
-from ghostbench.elements import (_THREADED_FFT_SAMPLES, _check_skewed_head, _propagate_array, _spectrum,
-                                 _summed_power, _transform, aperture_transmission, apply_arm_along, apply_steps_along,
-                                 apply_steps_transpose, arm_steps)
+from ghostbench.elements import (_check_skewed_head, _inverse, _propagate_array, _spectrum, _summed_power,
+                                 aperture_transmission, apply_arm_along, apply_steps_transpose, arm_steps)
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
                       reference_transpose, through)
@@ -379,18 +375,6 @@ class TestArmSteps:
         transposed = apply_steps_transpose(rows.copy(), arm_steps(arm, grid, wavelength), grid, wavelength)
         assert transposed.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("name", CONFIG_ARMS)
-    def test_in_place_pass_has_the_bytes_of_the_copying_pass(self, grid, name):
-        # As the signal head's checks run the steps on a block of the source's rows.
-        arm = CONFIG_ARMS[name]
-        steps, wavelength = arm_steps(arm, grid, WAVELENGTH), WAVELENGTH
-        source = build_source(default_bench().source, grid).amplitudes
-        before = source.copy()
-        expected = apply_steps_along(source, steps, 1, grid, wavelength)
-        assert np.array_equal(source, before)
-        got = apply_steps_along(source, steps, 1, grid, wavelength, overwrite=True)
-        assert got.tobytes() == expected.tobytes() and np.shares_memory(got, source)
-
     def test_unseen_power_counts_in_every_check(self):
         # The 0.1 m step keeps the whole band on this grid; the 1 m step
         # after it keeps a sixth of it, which holds all of a broad beam's
@@ -429,9 +413,9 @@ class TestSummedPower:
 
 
 class TestSplitTransform:
-    """A batch of ``_THREADED_FFT_SAMPLES`` or more is transformed in row
-    shares on several threads; every line gives the bytes of one unsplit
-    ``numpy.fft`` call and of ``scipy.fft``, whatever the share boundaries."""
+    """Batches of lines, as the transforms take them: a few rows, an odd
+    row count and a 3-D batch.  Each transform is one ``numpy.fft`` call
+    on the calling thread."""
 
     SHAPES = {"small": (7, 256), "odd-rows": (513, 512), "batch": (3, 171, 512)}
 
@@ -441,22 +425,11 @@ class TestSplitTransform:
         shape = self.SHAPES[request.param]
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    @pytest.mark.parametrize("workers", ["host", 3])
-    @pytest.mark.parametrize("in_place", [True, False], ids=["in-place", "new"])
-    @pytest.mark.parametrize("transform, oracle", [(np.fft.fft, scipy.fft.fft), (np.fft.ifft, scipy.fft.ifft)],
-                             ids=["fft", "ifft"])
-    def test_same_bytes_as_one_call(self, monkeypatch, lines, workers, in_place, transform, oracle):
-        if workers != "host":
-            monkeypatch.setattr(elements, "_FFT_WORKERS", workers)
-        assert (lines.size >= _THREADED_FFT_SAMPLES) == (lines.shape[0] != 7)
-        expected = transform(lines)
-        assert np.array_equal(expected, oracle(lines))
-        source = lines.copy()
-        got = _transform(transform, source, source if in_place else None)
-        assert np.array_equal(got, expected)
-        assert (got is source) == in_place
-        if not in_place:
-            assert np.array_equal(source, lines)
+    def test_same_bytes_as_scipy_fft(self, lines):
+        # scipy serves here only as an independent FFT: the forward half and
+        # the inverse half with a unit transfer give its bytes.
+        assert np.array_equal(_spectrum(lines, lines.ndim - 1), scipy.fft.fft(lines))
+        assert np.array_equal(_inverse(lines.copy(), np.ones(lines.shape[-1])), scipy.fft.ifft(lines))
 
     @pytest.mark.parametrize("overwrite", [False, True])
     def test_spectrum_overwrites_only_when_asked(self, lines, overwrite):
@@ -468,14 +441,3 @@ class TestSplitTransform:
         assert np.shares_memory(got, amps) == overwrite
         if not overwrite:
             assert np.array_equal(amps, lines)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_split_transform_in_a_forked_child(self, monkeypatch):
-        # The parent's pool threads do not survive a fork; the child must not
-        # wait on them.
-        monkeypatch.setattr(elements, "_FFT_WORKERS", 2)
-        lines = np.random.default_rng(3).standard_normal((513, 512)) + 0j
-        expected = _transform(np.fft.fft, lines, None)
-        with multiprocessing.get_context("fork").Pool(1) as children:
-            got = children.apply_async(_transform, (np.fft.fft, lines, None)).get(timeout=60)
-        assert np.array_equal(got, expected)

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_along,
                                  apply_arm_to_axis, arm_steps)
-from ghostbench.errors import SamplingError
+from ghostbench.errors import PatternError, SamplingError
 import ghostbench.experiment
 from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
                                    _open_singles, _reduced_state_lags, _rows_from_band, _slit_rows,
@@ -238,6 +238,19 @@ class TestKlyshko:
                                                 r"at D1 \([-+]\d\.\d{6} mm\): propagation over -1\.0 m "
                                                 r"would alias 60\.2% of the field energy"):
             klyshko_deviation(bench, positions, grid)
+
+    def test_vanished_pattern_is_a_pattern_error(self):
+        # The idler arm's two slits, 0.23 to 1.77 mm and +-0.069 mm with no
+        # step between them, do not overlap, so every conditional pattern is
+        # exactly 0; the CLI maps the error to exit 3.
+        grid = TransverseGrid(128, 2e-3)
+        source = SourceSpec(pump_diameter_m=1e-3, correlation_width_m=100e-6, lambda_signal_m=650e-9,
+                            lambda_idler_m=763.5162261625964e-9)
+        bench = BenchSpec(source, ArmSpec((FreeSpace(0.0625), Slit(1.953125e-3))),
+                          ArmSpec((Slit(1.5367e-3, 1e-3), Slit(1.3804e-4, 0.0))),
+                          DetectorSpec("point"), DetectorSpec("point"))
+        with pytest.raises(PatternError, match=r"^conditional pattern vanished; D1 position outside the slit band\?$"):
+            klyshko_deviation(bench, in_slit_positions(bench, grid, 3), grid)
 
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
         bench = default_bench(slit_b="open")
