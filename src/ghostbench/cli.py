@@ -10,6 +10,7 @@ sampling error, 4 failed consistency check.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 from collections.abc import Iterable
@@ -60,8 +61,33 @@ def _write_csv(config: RunConfig, command: str, name: str, lines: Iterable[str])
     print(f"csv = {path}")
 
 
-# The digit pairs '00'..'99', each read as the little-endian uint16 of its two bytes.
-_PAIRS = np.array([b"%02d" % i for i in range(100)], dtype="S2").view("<u2")
+# Decimal exponents of the finite doubles: 4.9e-324 up to 1.8e308.
+_EXP_MIN, _EXP_MAX = -324, 308
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(heads, groups, exponents, shifts)`` for :func:`_csv_rows`, each
+    entry the little-endian word of its bytes: 'd.dd' for each k = 100 ...
+    999, a cell's first three digits and its point; '0000' ... '9999'; for
+    each exponent from ``_EXP_MIN`` to ``_EXP_MAX`` its NUL-padded word,
+    'e-05', 'e+00' or 'e+123'; and the bit at which the separator follows
+    that word.  Built with numpy arithmetic on the first call, so that a
+    command writing no ``'%.6e'`` cell never pages in those integer
+    kernels (0.6 MB of resident memory)."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    pairs = (digits[:, None] | digits << 8).ravel()
+    heads = (digits[:, None] | ord(".") << 8 | pairs << 16).ravel()
+    groups = (pairs[:, None] | pairs << 16).ravel()
+    exponents = np.arange(_EXP_MIN, _EXP_MAX + 1)
+    powers = np.abs(exponents)
+    wide = powers >= 100
+    signs = np.where(exponents < 0, ord("-"), ord("+")).astype(np.uint64)
+    places = np.where(wide, digits[powers // 100] | pairs[powers % 100] << 8, pairs[powers % 100])
+    words = ord("e") | signs << np.uint64(8) | places.astype(np.uint64) << np.uint64(16)
+    return heads, groups, words, np.where(wide, 40, 32).astype(np.uint64)
+
+
 # 10^k for |k| <= _POW10_REACH, each the correctly rounded double of 1eK.
 _POW10_REACH = 170
 _POW10 = np.array([float(f"1e{k}") for k in range(-_POW10_REACH, _POW10_REACH + 1)])
@@ -119,31 +145,28 @@ def _csv_rows(block: np.ndarray) -> str:
     """The rows of a 2-D block of finite values >= 0 as ``'%.6e'`` CSV lines,
     joined by newlines without the last one, with the bytes of Python's format.
 
-    Each cell is written as 14 bytes, seven uint16 slots: ``d.``, three digit
-    pairs, ``e`` and the sign, then the exponent and the separator, padded
-    with NUL when the exponent has two digits.  The NULs are then dropped.
+    Each cell is written as 16 bytes from the digit tables: ``d.dd`` and
+    four more digits, two 4-byte words, then the exponent's 8-byte word
+    with the separator shifted in behind it, padded with NUL.  The NULs
+    are then dropped.
     """
+    heads, groups, exponents, shifts = _digit_tables()
     values = block.ravel()
     digits, exponent, tie = _e6_parts(values)
-    lead, rest = np.divmod(digits, 1000000)
-    power = np.abs(exponent)
-    wide = power >= 100
-    sep = np.full(block.shape, ord(","), np.uint16)
+    head, tail = np.divmod(digits, 10000)
+    sep = np.full(block.shape, ord(","), np.uint64)
     sep[:, -1] = ord("\n")
     sep[-1, -1] = 0
     sep = sep.ravel()
-    cells = np.empty((block.size, 7), np.uint16)
-    cells[:, 0] = lead + (ord("0") | ord(".") << 8)
-    cells[:, 1] = _PAIRS[rest // 10000]
-    cells[:, 2] = _PAIRS[rest // 100 % 100]
-    cells[:, 3] = _PAIRS[rest % 100]
-    cells[:, 4] = np.where(exponent < 0, ord("e") | ord("-") << 8, ord("e") | ord("+") << 8)
-    cells[:, 5] = _PAIRS[np.where(wide, power // 10, power)]
-    cells[:, 6] = np.where(wide, (ord("0") + power % 10) | sep << 8, sep)
+    exponent -= _EXP_MIN
+    cells = np.empty((block.size, 4), "<u4")
+    cells[:, 0] = heads[head]
+    cells[:, 1] = groups[tail]
+    cells.view("<u8")[:, 1] = exponents[exponent] | sep << shifts[exponent]
     for i in np.flatnonzero(tie):
         text = ("%.6e" % values[i]).encode() + bytes([sep[i]])
-        cells[i] = np.frombuffer(text.ljust(14, b"\0"), "<u2")
-    return cells.tobytes().replace(b"\0", b"").decode("ascii")
+        cells[i] = np.frombuffer(text.ljust(16, b"\0"), "<u4")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _scan_lines(scan: ScanResult) -> list[str]:

@@ -23,13 +23,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse,
+# apply_arm and build_source are no longer called here, but perfbench/tracing.py
+# binds the names in this module for its elements.field_arm and source.build spans.
+from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse,  # noqa: F401
                        _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
                        apply_arm_along, apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps,
                        reverse_arm)
 from .errors import PatternError, SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
-from .source import SourceSpec, _dense_from_band, _live_band, build_source, source_band
+from .source import (SourceSpec, _dense_from_band, _lines_times_source, _live_band, build_source,  # noqa: F401
+                     source_band)
 
 # The D2 singles take the band route (:func:`_reduced_state_lags`, and
 # slit B's rows from the source's band) while its cost estimate,
@@ -226,17 +229,15 @@ def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: Trans
     return at_rows
 
 
-def _slit_a_rows(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """``(rows, at_rows)``: the rows slit A can leave nonzero
-    (:func:`_slit_rows`) and those rows behind the signal arm, idler axis
-    at the crystal, as K A from the source's band (:func:`_rows_from_band`),
+def _signal_rows(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: TransverseGrid, wavelength_m: float):
+    """Signal rows ``rows`` behind the signal arm, idler axis at the
+    crystal, as K A from the source's band (:func:`_rows_from_band`),
     after the signal head's checks where a signal step cuts a band on the
-    grid (:func:`_check_signal_head`).  measure's coincidences and
-    klyshko-check take slit A's rows here alike."""
+    grid (:func:`_check_signal_head`).  measure takes slit A's rows here
+    (:func:`_slit_rows`), and klyshko-check D1's cells alone."""
     if _band_limited(arm, grid, wavelength_m):
         _check_signal_head(band, arm, grid, wavelength_m)
-    rows = _slit_rows(arm, grid, wavelength_m)
-    return rows, _rows_from_band(band, arm_steps(arm, grid, wavelength_m), rows, grid, wavelength_m)
+    return _rows_from_band(band, arm_steps(arm, grid, wavelength_m), rows, grid, wavelength_m)
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -422,7 +423,8 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise SamplingError("scan window extends outside the grid window")
     arm, wavelength, idler_wavelength = first.signal_arm, first.source.lambda_signal_m, first.source.lambda_idler_m
     band = _live_band(source_band(first.source, grid))
-    rows, at_d1 = _slit_a_rows(band, arm, grid, wavelength)
+    rows = _slit_rows(arm, grid, wavelength)
+    at_d1 = _signal_rows(band, arm, rows, grid, wavelength)
     if _band_route_pays(band, benches, grid):
         lags = _reduced_state_lags(band)
         source, power = (band, lags), _lag_power(lags)
@@ -489,43 +491,48 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     return conditioned
 
 
-def klyshko_advanced_wave(bench: BenchSpec, d1_position_m: float, state: BiphotonAmplitude,
-                          backward_offset_m: float = 0.0) -> Field1D:
-    """Conditional idler field at the D2 plane via the unfolded picture.
+def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
+                          backward_offset_m: float = 0.0) -> np.ndarray:
+    """Conditional idler fields at the D2 plane via the unfolded picture:
+    one row of N cells for each D1 position in ``d1_positions_m``.
 
-    ``state`` is the bench's source at the crystal plane
-    (:func:`build_source`).  A point source at D1 is propagated
-    backward through the signal arm (reversed element order, negated
-    distances, conjugate lens phase).  The crystal reflects it as a
-    phase-conjugating mirror weighted by the source kernel,
+    A point source at each D1 position is propagated backward through the
+    signal arm (reversed element order, negated distances, conjugate lens
+    phase), all positions as one batch, whose band-limit checks read the
+    batch's summed spectrum.  The deltas' spectra have equal magnitude, so
+    the first step loses the fraction one delta would; a refusal names the
+    first position.  The crystal reflects each as a phase-conjugating
+    mirror weighted by the source kernel,
 
         g(y_i) = sum_s A0(y_s, y_i) conj(psi_back(y_s)) dy_s,
 
-    and g then travels forward through the idler arm.  The conjugation is
-    what makes the backward wave retrace the two-photon paths; with it,
-    the result equals the conditional slice of the fully propagated joint
-    amplitude to machine precision.
+    and the g then travel forward through the idler arm, again as one
+    batch.  The conjugation is what makes the backward wave retrace the
+    two-photon paths; with it, the result equals the conditional slice of
+    the fully propagated joint amplitude to machine precision.  The
+    reflection reads the source's closed-form tables, one BLAS product per
+    position (:func:`source._lines_times_source`), not its band, and makes
+    no N x N array.
 
     ``backward_offset_m`` adds extra backward path length; it exists as a
     sensitivity knob so consistency checks can confirm the oracle reacts
     to a corrupted arm.
     """
-    grid = state.grid_s
-    psi = np.zeros(grid.n_points, dtype=np.complex128)
-    psi[grid.index_of(d1_position_m)] = 1.0 / grid.spacing_m
-    back = Field1D(grid, psi, bench.source.lambda_signal_m)
+    positions = np.atleast_1d(d1_positions_m)
+    wavelength = bench.source.lambda_signal_m
+    back = np.zeros((positions.size, grid.n_points), dtype=np.complex128)
+    back[np.arange(positions.size), [grid.index_of(position) for position in positions]] = 1.0 / grid.spacing_m
     try:
-        back = apply_arm(back, reverse_arm(bench.signal_arm))
+        back = apply_arm_along(back, reverse_arm(bench.signal_arm), 1, grid, wavelength)
         if backward_offset_m != 0.0:
-            back = apply_arm(back, ArmSpec((FreeSpace(-backward_offset_m),)))
+            back = apply_arm_along(back, ArmSpec((FreeSpace(-backward_offset_m),)), 1, grid, wavelength)
     except SamplingError as exc:
         # A one-cell delta fills the whole spectrum, so this step can alias where the 2-D route does not.
         raise SamplingError(f"advanced-wave oracle, backward step of the point source at D1 "
-                            f"({d1_position_m * 1e3:+.6f} mm): {exc}") from exc
-
-    g = (np.conj(back.amplitudes) @ state.amplitudes) * grid.spacing_m
-    idler = Field1D(grid, g, bench.source.lambda_idler_m)
-    return apply_arm(idler, bench.idler_arm)
+                            f"({positions[0] * 1e3:+.6f} mm): {exc}") from exc
+    g = _lines_times_source(bench.source, grid, np.conj(back))
+    g *= grid.spacing_m
+    return apply_arm_along(g, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
 
 
 def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
@@ -534,24 +541,25 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     pattern that measure computes and the advanced-wave pattern.
 
     ``d1_positions_m`` is one position (a float result) or an array (one
-    deviation each).  One set of rows serves all positions: slit A's rows
-    as :func:`run_coincidence_scan` takes them (:func:`_slit_a_rows`, on
-    the live band), then the idler arm on those rows.  The advanced wave
-    reads the exact dense source (:func:`build_source`), built once
-    after the signal head's checks, through its own BLAS product rather
-    than K A's diagonal sum, so a fault in that sum or in the live band's
-    trim cannot cancel: the two sides share only the source's band and the
-    steps' transfer functions.
+    deviation each).  The conditional side takes D1's rows as
+    :func:`run_coincidence_scan` takes slit A's (:func:`_signal_rows`: the
+    signal head's checks, then K A from the live band), at D1's cells
+    alone, then the idler arm on those rows.  The advanced wave
+    (:func:`klyshko_advanced_wave`) reads the source's closed-form tables
+    through its own BLAS products rather than K A's diagonal sum, so a
+    fault in that sum or in the live band's trim cannot cancel: the two
+    sides share only the steps' transfer functions.  No N x N array is
+    made.
     """
-    rows, at_d1 = _slit_a_rows(_live_band(source_band(bench.source, grid)), bench.signal_arm, grid,
-                               bench.source.lambda_signal_m)
-    at_d2 = apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
-    state = build_source(bench.source, grid)
+    positions = np.atleast_1d(d1_positions_m)
+    band = _live_band(source_band(bench.source, grid))
+    cells = np.array([grid.index_of(position) for position in positions])
+    # D1's rows, zeros where the signal arm leaves a row dark.
+    at_d1 = _signal_rows(band, bench.signal_arm, cells, grid, bench.source.lambda_signal_m)
+    conditionals = np.abs(apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)) ** 2
+    advanced_waves = np.abs(klyshko_advanced_wave(bench, positions, grid, backward_offset_m)) ** 2
     deviations = []
-    for position in np.atleast_1d(d1_positions_m):
-        # D1's row, or zeros when the signal arm leaves that row dark.
-        conditional = np.sum(np.abs(at_d2[rows == grid.index_of(position)]) ** 2, axis=0)
-        advanced = klyshko_advanced_wave(bench, position, state, backward_offset_m).intensity
+    for conditional, advanced in zip(conditionals, advanced_waves):
         if conditional.max() == 0 or advanced.max() == 0:
             raise PatternError("conditional pattern vanished; D1 position outside the slit band?")
         deviation = np.max(np.abs(conditional / conditional.max() - advanced / advanced.max()))

@@ -28,6 +28,10 @@ _ENERGY_CONSERVATION_RTOL = 1e-6
 # and to every band pass (:func:`_live_band`): 134 orders of magnitude
 # below one rounding step, and spared the slow arithmetic of subnormals.
 _FLUSH_BELOW = 1e-150
+# :func:`_lines_times_source` multiplies the source out this many columns
+# at a time: at most 256 + 2h rows each, 1.3 MB complex at 4096 points
+# over +-30 mm (h = 24).
+_COLUMN_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,41 @@ def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """
     return BiphotonAmplitude(grid, grid, _dense_from_band(source_band(spec, grid)),
                              spec.lambda_signal_m, spec.lambda_idler_m)
+
+
+def _lines_times_source(spec: SourceSpec, grid: TransverseGrid, lines: np.ndarray) -> np.ndarray:
+    """``line @ A`` for each complex line of N cells, A the source of
+    either kind at unit joint norm, read off its closed-form tables: never
+    its band (:func:`source_band`) and never as an N x N array.
+
+    Entangled, A[i, j] = pump[i + j] corr[i - j + N - 1] (:func:`_unit_tables`,
+    :func:`_views`) is 0.0 for |i - j| > h; each block of
+    ``_COLUMN_BLOCK`` columns is multiplied out over the rows within h of
+    it, and each line takes its own BLAS product with it.  Separable,
+    A = f g^T (:func:`_unit_slices`), and the result is (line . f) g.  One
+    product per line, so a line's result does not depend on the lines
+    beside it.  This is the advanced wave's reflection at the crystal
+    (``experiment.klyshko_advanced_wave``).
+    """
+    n = grid.n_points
+    out = np.empty((len(lines), n), dtype=np.complex128)
+    if spec.kind == "separable":
+        f, g = _unit_slices(spec, grid)
+        for line, row in zip(lines, out):
+            np.multiply(line @ f, g, out=row)
+        return out
+    pump, corr, h = _unit_tables(spec, grid)
+    pump_ij, corr_ij = _views(pump, corr, n)
+    # One complex block, its imaginary part left 0.0, for every block of columns.
+    blocks = np.zeros((min(n, _COLUMN_BLOCK + 2 * h), _COLUMN_BLOCK), dtype=np.complex128)
+    for lo in range(0, n, _COLUMN_BLOCK):
+        hi = min(lo + _COLUMN_BLOCK, n)
+        first, last = max(0, lo - h), min(n, hi + h)
+        block = blocks[:last - first, :hi - lo]
+        block.real = pump_ij[first:last, lo:hi] * corr_ij[first:last, lo:hi]
+        for line, row in zip(lines, out):
+            np.matmul(line[first:last], block, out=row[lo:hi])
+    return out
 
 
 def _dense_from_band(band: np.ndarray) -> np.ndarray:

@@ -74,10 +74,21 @@ class TemporalSpec:
 
 def _envelope(spec: TemporalSpec) -> np.ndarray:
     """The real envelope exp(-sigma_plus^2 (t1 + t2)^2 - sigma_minus^2
-    (t1 - t2)^2) on the spec's grid; axis 0 is t1."""
+    (t1 - t2)^2) on the spec's grid; axis 0 is t1.
+
+    Only the first ceil(n / 2) rows are evaluated.  The grid is exactly
+    point-symmetric, t[k] == -t[n-1-k] (:meth:`TemporalSpec.time_grid`),
+    and negating both times negates t1 + t2 and t1 - t2 exactly, so row
+    n - 1 - k is row k reversed, bit for bit.
+    """
     t = spec.time_grid()
-    t1, t2 = t[:, None], t[None, :]
-    return np.exp(-spec.sigma_plus_hz ** 2 * (t1 + t2) ** 2 - spec.sigma_minus_hz ** 2 * (t1 - t2) ** 2)
+    n, half = t.size, (t.size + 1) // 2
+    t1, t2 = t[:half, None], t[None, :]
+    envelope = np.empty((n, n))
+    np.exp(-spec.sigma_plus_hz ** 2 * (t1 + t2) ** 2 - spec.sigma_minus_hz ** 2 * (t1 - t2) ** 2,
+           out=envelope[:half])
+    envelope[half:] = envelope[n - half - 1::-1, ::-1]
+    return envelope
 
 
 def eval_biphoton_wavepacket(spec: TemporalSpec) -> np.ndarray:

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ghostbench.cli import _csv_rows, _e6_parts, main
-from ghostbench.config import parse_config, to_temporal
+from ghostbench.config import RunConfig, parse_config, to_bench, to_grid, to_temporal
+from ghostbench.experiment import in_slit_positions
 from ghostbench.temporal import eval_wavepacket_magnitude
 
 
@@ -379,9 +380,9 @@ class TestWorkCounts:
     lines, for the signal head (the arm's steps before slit A's) to make
     its checks (``_check_signal_head``): each such head counts as one
     build and one signal pass (``_check_skewed_head``), on the lines
-    counted.  klyshko-check takes slit A's rows as measure does, and
-    builds the N x N source once, after the head's checks, for the
-    advanced wave alone.  A dense pass is an arm's steps
+    counted.  klyshko-check takes D1's rows as measure takes slit A's,
+    and its advanced wave reads the source's closed-form tables, so it
+    builds no source either.  A dense pass is an arm's steps
     (``apply_arm_along``, ``apply_steps_along``) run on the lines of a
     source the command built, or any pass along an axis of the joint
     amplitude (``apply_arm_to_axis``)."""
@@ -454,19 +455,34 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):
-        # Slit A's rows come from the band; the one build is the advanced
-        # wave's source, which no arm runs on.
+        # D1's rows come from the band, and the advanced wave reflects at
+        # the source's closed-form tables: no source is built.
         assert counted("klyshko-check", f"[klyshko]\nn_positions = {n_positions}\n") == \
-            {"build": 1, "signal": 0, "idler": 0}
+            {"build": 0, "signal": 0, "idler": 0}
         assert counted.head_lines == []
+
+    def test_klyshko_check_takes_k_a_at_d1_cells_alone(self, counted, monkeypatch):
+        # Slit A passes five cells, and the check reads two of them.
+        import ghostbench.experiment as experiment
+        cells, original = [], experiment._rows_from_band
+
+        def spy(band, steps, rows, *args):
+            cells.append(rows.tolist())
+            return original(band, steps, rows, *args)
+        monkeypatch.setattr(experiment, "_rows_from_band", spy)
+        counted("klyshko-check", "[klyshko]\nn_positions = 2\n")
+        config = RunConfig(n_points=128, extent_m=7.5e-3, slit_a_width_m=0.6e-3, klyshko_positions=2)
+        grid = to_grid(config)
+        d1 = in_slit_positions(to_bench(config), grid, 2)
+        assert cells == [[grid.index_of(position) for position in d1]]
+        assert len(set(cells[0])) == 2
 
     def test_band_limited_klyshko_check_runs_the_head_on_the_lit_lines(self, counted):
         # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%
         # of its band, so the head makes its checks on the source's 218 lit
-        # lines, as measure's does; the advanced wave's source is built
-        # after them.
-        assert counted("klyshko-check", n_points=1320, extent_mm=15) == {"build": 2, "signal": 1, "idler": 0}
-        assert counted.calls == ["build", "signal", "build"]
+        # lines, as measure's does; nothing else is built.
+        assert counted("klyshko-check", n_points=1320, extent_mm=15) == {"build": 1, "signal": 1, "idler": 0}
+        assert counted.calls == ["build", "signal"]
         assert counted.head_lines == [218]
 
 

@@ -253,10 +253,16 @@ class TestKlyshko:
             klyshko_deviation(bench, in_slit_positions(bench, grid, 3), grid)
 
     def test_advanced_wave_field_is_at_d2_plane(self, grid):
+        # One row per D1 position, each the conditional slice of the
+        # joint amplitude propagated through both arms.
         bench = default_bench(slit_b="open")
-        field = klyshko_advanced_wave(bench, 0.0, build_source(bench.source, grid))
-        assert field.grid is grid
-        assert field.wavelength_m == bench.source.lambda_idler_m
+        positions = in_slit_positions(bench, grid, 3)
+        fields = klyshko_advanced_wave(bench, positions, grid)
+        assert fields.shape == (positions.size, grid.n_points)
+        joint = propagate_bench(build_source(bench.source, grid), bench)
+        for position, field in zip(positions, fields):
+            dense = conditional_field(joint, position).amplitudes
+            assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 # Benches on which the row-sparse scan must reproduce the dense route.
@@ -346,8 +352,8 @@ HEAD_BENCHES = {
 
 
 class TestHeadOnRows:
-    """klyshko-check takes slit A's rows as measure does, as K A from the
-    source's band, and hands the idler arm the same bytes.  The dense
+    """klyshko-check takes D1's rows as measure takes slit A's, as K A
+    from the source's band, and hands the idler arm the same bytes.  The dense
     oracle pair agrees bit for bit on its own: the source is symmetric, so
     the signal arm run on its rows, along the idler axis, gives at slit A's
     columns the rows of the arm run along the signal axis on a transposed
@@ -369,10 +375,13 @@ class TestHeadOnRows:
             return original(amps, arm, *args)
         monkeypatch.setattr(experiment, "apply_arm_along", spy)
         rows = _slit_rows(bench.signal_arm, grid, bench.source.lambda_signal_m)
-        klyshko_deviation(bench, grid.positions[rows[rows.size // 2]], grid)
+        # An edge cell, which slit A passes in part, and the middle one.
+        d1 = [0, rows.size // 2]
+        klyshko_deviation(bench, grid.positions[rows[d1]], grid)
         run_coincidence_scan(bench, scan_window, grid)
-        assert len(at_d1) == 2 and at_d1[0].shape == (rows.size, grid.n_points)
-        assert at_d1[0].tobytes() == at_d1[1].tobytes()
+        # klyshko's conditional rows, its advanced wave, then the scan's rows.
+        assert len(at_d1) == 3 and at_d1[-1].shape == (rows.size, grid.n_points)
+        assert at_d1[0].tobytes() == at_d1[-1][d1].tobytes()
 
     @pytest.mark.parametrize("overrides", BENCHES, ids=IDS)
     def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
@@ -664,7 +673,8 @@ class TestBandLimitChecksKept:
         # the rows: the idler step loses 32.0% on slit A's rows, 30.8% on
         # the point D1's row alone and 67.7% on the bare source of the
         # singles.  So the coincidence idler arm must run, and fail, first,
-        # and on every row slit A passes.
+        # and on every row slit A passes; klyshko-check runs it on D1's row
+        # alone, and fails at the same step.
         bench = _aliasing_bench((FreeSpace(0.2), Slit(0.6e-3)), (FreeSpace(1.0),))
         message = self.dense_message(bench)
         assert "32.0%" in message
@@ -675,7 +685,8 @@ class TestBandLimitChecksKept:
             run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
         with pytest.raises(SamplingError) as klyshko:
             klyshko_deviation(bench, 0.0, SMALL_GRID)
-        assert str(scan.value) == str(klyshko.value) == message
+        assert str(scan.value) == message
+        assert str(klyshko.value) == message.replace("32.0%", "30.8%")
 
     def test_last_signal_step_before_slit_a_aliasing_raises_as_dense(self):
         # The 1.0 m step behind the lens is inverted only at slit A's cells;
@@ -819,8 +830,9 @@ class TestPeakMemory:
     and measure build no N x N array: where a band-limit check runs the
     signal head, they run it on the source's lit lines, 337 of 2048 at
     2048 points over +-15 mm, one block of 64 lines at a time.
-    klyshko-check takes slit A's rows as they do and holds one source, the
-    advanced wave's (1.04 arrays at 512 points)."""
+    klyshko-check takes D1's rows from the band, and its advanced wave
+    reads the source's tables a block of 256 columns at a time: it builds
+    no N x N array either."""
 
     GRID = TransverseGrid(512, 15e-3)
     CALLS = {
@@ -837,9 +849,17 @@ class TestPeakMemory:
         assert self.peak(call) <= 2.5 * self.GRID.n_points ** 2 * 16
 
     def test_klyshko_peak_at_most_one_point_one_arrays(self):
-        # The advanced wave's dense source, and a few rows beside it: slit
-        # A's rows come from the band.
+        # D1's rows come from the band, and the advanced wave's from one
+        # block of the source's columns.
         assert self.peak(self.CALLS["klyshko"]) <= 1.1 * self.GRID.n_points ** 2 * 16
+
+    @pytest.mark.parametrize("n_points, extent_m, bound_mib", [(1024, 15e-3, 4), (4096, 30e-3, 32)])
+    def test_klyshko_holds_no_n_by_n_array(self, n_points, extent_m, bound_mib):
+        # One N x N complex array is 16 MiB at 1024 points and 256 MiB at
+        # 4096; the check holds its band, a few rows and one block of
+        # 256 + 2h by 256 complex entries (2.4 and 5.0 MiB measured).
+        grid = TransverseGrid(n_points, extent_m)
+        assert self.peak(self.CALLS["klyshko"], grid) <= bound_mib * 2 ** 20
 
     def test_ghost_peak_at_most_one_and_a_half_arrays(self):
         assert self.peak(self.CALLS["ghost"]) <= 1.5 * self.GRID.n_points ** 2 * 16

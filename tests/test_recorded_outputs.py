@@ -1,7 +1,8 @@
-"""measure and ghost print what the benchmark recorded.
+"""measure, ghost, klyshko-check and temporal print what the benchmark recorded.
 
 Each recorded measure-m1, measure-m2 and ghost operation of the
-``reference`` and ``fine-grid`` workloads runs through the benchmark's own
+``reference`` and ``fine-grid`` workloads, and the ``reference``
+klyshko-check and temporal operations, runs through the benchmark's own
 runner (``perfbench.workloads.run_op``) and is judged by its own check
 (``perfbench.checks.check``) against ``perfbench/expected/*.json``, which
 is read, never written.  So a change that moves a printed value by more
@@ -16,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # (workload, command): every recorded operation of these commands.
 RECORDED_OPS = [("reference", "measure-m1"), ("reference", "measure-m2"), ("reference", "ghost"),
+                ("reference", "klyshko-check"), ("reference", "temporal"),
                 ("fine-grid", "measure-m2"), ("fine-grid", "ghost")]
 
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from ghostbench import (TemporalSpec, analytic_schmidt_number, eval_biphoton_wavepacket,
                         eval_wavepacket_magnitude, factorability_check)
+from ghostbench.temporal import _envelope
 
 
 class TestTemporalSpec:
@@ -26,6 +29,23 @@ class TestTemporalSpec:
 
 
 class TestWavepacket:
+    @pytest.mark.parametrize("n_points", [257, 256, 2], ids=["odd", "even", "two"])
+    def test_envelope_equals_the_full_evaluation(self, n_points):
+        # Only the first ceil(n / 2) rows are evaluated; the rest are mirrored.
+        spec = TemporalSpec(1.3, 7.0, n_points=n_points)
+        t = spec.time_grid()
+        t1, t2 = t[:, None], t[None, :]
+        direct = np.exp(-spec.sigma_plus_hz ** 2 * (t1 + t2) ** 2 - spec.sigma_minus_hz ** 2 * (t1 - t2) ** 2)
+        shapes, exp = [], np.exp
+
+        def spy(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return exp(x, *args, **kwargs)
+        with mock.patch.object(np, "exp", spy):
+            envelope = _envelope(spec)
+        assert shapes == [((n_points + 1) // 2, n_points)]
+        assert envelope.tobytes() == direct.tobytes()
+
     def test_origin_value_is_amplitude(self):
         # Odd point count puts t = 0 on the grid; all exponents vanish there.
         spec = TemporalSpec(1.0, 3.0, omega_s_hz=5.0, omega_i_hz=7.0,
