@@ -30,8 +30,8 @@ from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 # propagation step is considered aliased and refused.
 BAND_LIMIT_LOSS_TOLERANCE = 0.05
 
-# A head's checks walk its lines in blocks of this many
-# (:func:`_check_skewed_head`): 2 MB of complex lines at 2048 points.
+# A head's checks walk the source's lines in blocks of this many
+# (:func:`_walk`): 2 MB of complex lines at 2048 points.
 _HEAD_BLOCK = 64
 
 
@@ -158,22 +158,27 @@ def _step(grid: TransverseGrid, wavelength_m: float, distance_m: float):
 
 
 def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
-                     wavelength_m: float, distance_m: float, unseen: float = 0.0):
+                     wavelength_m: float, distance_m: float, unseen: float = 0.0) -> bool:
     """Raise :class:`SamplingError` if the step's band limit would remove
-    more than ``BAND_LIMIT_LOSS_TOLERANCE`` of ``power`` (per frequency).
+    more than ``BAND_LIMIT_LOSS_TOLERANCE`` of ``power`` (per frequency);
+    return whether the step passes.
 
     ``unseen`` bounds the summed power of lines left out of ``power``: they
     add at most that much to both the lost and the total power, so the
-    step passes only if it would pass with all of it lost.
+    step passes only if it would pass with all of it lost.  Short of that
+    it is left undecided (False), never refused, while lines are left out.
     """
     total = float(np.sum(power))
     lost = float(np.sum(power[~keep]))
-    if total > 0 and (lost + unseen) / total > BAND_LIMIT_LOSS_TOLERANCE:
-        raise SamplingError(
-            f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
-            f"energy (band limit {band_limit_cycles_per_m(grid, wavelength_m, distance_m):.3g} cycles/m, "
-            f"Nyquist {grid.nyquist_cycles_per_m:.3g}); "
-            f"use a coarser grid, a smaller window, or a shorter distance")
+    if not ((lost + unseen) / total > BAND_LIMIT_LOSS_TOLERANCE if total > 0 else unseen > 0):
+        return True
+    if unseen:
+        return False
+    raise SamplingError(
+        f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
+        f"energy (band limit {band_limit_cycles_per_m(grid, wavelength_m, distance_m):.3g} cycles/m, "
+        f"Nyquist {grid.nyquist_cycles_per_m:.3g}); "
+        f"use a coarser grid, a smaller window, or a shorter distance")
 
 
 def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True) -> np.ndarray:
@@ -316,72 +321,127 @@ def _skewed_power(coef: np.ndarray, n: int) -> np.ndarray:
     return _summed_power(np.fft.fft(lines, out=lines))
 
 
-def _check_skewed_head(coef: np.ndarray, first: int, steps: list, grid: TransverseGrid, wavelength_m: float,
-                       unseen: float = 0.0):
+def _walk(n: int, h: int, mirrored: bool, lit: range):
+    """The source's lines as :func:`_check_skewed_head` walks them, as
+    ``(lo, hi, paired)`` blocks of lines lo ... hi - 1, at most
+    ``_HEAD_BLOCK`` each, inside ``lit``, the range of lines outside which
+    the source carries no power: line c = N // 2 alone, then outward.  Where
+    ``mirrored``, line c + m is paired, standing for line c - m too: for
+    every m on an odd grid, and on an even one while line c - m's band of
+    2h + 1 diagonals stays clear of cell 0, whose mirror, cell N, is off
+    the grid.  Past that, and for every m when not ``mirrored``, the lines
+    above and below count alone, a block of each side in turn."""
+    c = n // 2
+    pairs = (c if n % 2 else max(c - h - 1, 0)) if mirrored else 0
+    yield c, c + 1, False
+    top = min(c + 1 + pairs, lit.stop)
+    for lo in range(c + 1, top, _HEAD_BLOCK):
+        yield lo, min(lo + _HEAD_BLOCK, top), True
+    up, down = top, 2 * c + 1 - top  # the next line above, and one past the next below
+    while up < lit.stop or down > lit.start:
+        if up < lit.stop:
+            yield up, min(up + _HEAD_BLOCK, lit.stop), False
+            up += _HEAD_BLOCK
+        if down > lit.start:
+            yield max(down - _HEAD_BLOCK, lit.start), down, False
+            down -= _HEAD_BLOCK
+
+
+def _check_skewed_head(band: np.ndarray, steps: list, grid: TransverseGrid, wavelength_m: float):
     """Make the band-limit checks of a head, an arm's ``steps`` but the
-    last and the last step's forward half (:func:`arm_steps`), on lines
-    in the skewed frame: line r = ``first`` + i holds ``coef[i, k]`` at
-    position (k - h) mod N, 2h + 1 = ``coef.shape[1]``, 0 elsewhere, and
-    its position m stands for cell (r + m) mod N.
+    last and the last step's forward half (:func:`arm_steps`), on the
+    lines of the source held as its band (``source.source_band``), in the
+    skewed frame: line r holds ``band[k, r]`` = A[r, r + k - h] (A is
+    symmetric) at position (k - h) mod N, 2h + 1 = ``band.shape[0]``, 0
+    elsewhere, and its position m stands for cell (r + m) mod N.  Where no
+    step cuts its band on the grid, there is no check to make.
 
     The skew shifts each line circularly, which commutes with every
     free-space step and keeps its |spectrum|^2, all a check reads; a lens,
     stop or slit acts as factor[(r + m) mod N], a sliding view of the
-    factor joined to itself.  The lines are walked in blocks of
-    ``_HEAD_BLOCK``, a leading factor folded into each block's
-    coefficients.  The first free-space step is one BLAS product of a
+    factor joined to itself.  A leading factor is folded into the
+    coefficients.  Where the first step cuts its band, its check is
+    decided first and exactly, from the QR factor of every line's
+    coefficients (:func:`_skewed_power`), at O(N (2h + 1)^2).
+
+    Each later check is decided on a walk over the lines (:func:`_walk`),
+    brightest first, in blocks: the first step is one BLAS product of a
     block's coefficients with the Toeplitz matrix of the step's kernel
-    ifft(transfer), real and interleaved for real coefficients; where
-    that step cuts its band, its check is decided first, from the QR
-    factor of all the lines' coefficients (:func:`_skewed_power`), at
-    O(R (2h + 1) min(R, 2h + 1)) for R lines.  Each later check's
-    power is summed over the blocks and decided, in step order, after
-    the last; the head ends at its last check.  Every check counts
-    ``unseen``, the bound on the power of lines left out
-    (:func:`_refuse_aliasing`).
+    ifft(transfer), real and interleaved for real coefficients, and each
+    check adds the block's summed power.  After each block, every check
+    still pending counts ``unseen``, N times the squared norm of the lines
+    not yet walked, each tail summed from its dim end: every factor has
+    |factor| <= 1 and a line of squared norm p has summed spectral power
+    N p, so they add at most ``unseen`` to both its lost and its total
+    power.  A check passes once (lost + unseen) / total <= 5%, which
+    bounds the loss over all lines (:func:`_refuse_aliasing`); the walk
+    stops when every check has passed.  When the lines run out, unseen is
+    0, and a check refuses as on all N lines, with the same message; so
+    each passes or refuses as the head on all lines does, to the rounding
+    of the sums.
+
+    The source is mirror symmetric, A[2c - i, 2c - j] = A[i, j] for c =
+    N // 2 (``source.build_source``), and each transfer is even in f; so
+    where the leading factor and each factor before the last check are
+    mirror symmetric too, bit for bit (tested in O(N)), line 2c - r leaves
+    the head as the mirror of line r, with its power reversed in
+    frequency.  A check sums the power over the band its step keeps and
+    over the rest, both even in f, so a paired line counts twice.
     """
-    n, width = grid.n_points, coef.shape[1]
-    lead = None
-    if steps[0][0] == 0.0:
-        lead, steps = steps[0][1], steps[1:]
-
-    def block(start):
-        # A copy: a band's transposed view would make every product gather its block.
-        part = np.ascontiguousarray(coef[start:start + _HEAD_BLOCK])
-        if lead is not None:
-            cells = first + start - width // 2 + np.arange(len(part))[:, None] + np.arange(width)
-            part = part * lead.take(cells, mode="wrap")
-        return part
-
-    starts = range(0, len(coef), _HEAD_BLOCK)
+    n, width = grid.n_points, band.shape[0]
+    h, c = width // 2, n // 2
+    lead = steps[0][1] if steps and steps[0][0] == 0.0 else None
+    steps = steps[lead is not None:]
     transfers = [_step(grid, wavelength_m, distance) for distance, _ in steps]
     cuts = [k for k, (_, keep) in enumerate(transfers) if not keep.all()]
+
+    def block(lo, hi):
+        # A copy: a band's transposed view would make every product gather its block.
+        part = np.ascontiguousarray(band.T[lo:hi])
+        if lead is not None:
+            part = part * lead.take(np.arange(lo, hi)[:, None] - h + np.arange(width), mode="wrap")
+        return part
+
     if cuts and cuts[0] == 0:
-        power = _skewed_power(np.concatenate([block(start) for start in starts]), n)
-        _refuse_aliasing(power, transfers[0][1], grid, wavelength_m, steps[0][0], unseen)
+        power = _skewed_power(block(0, n), n)
+        _refuse_aliasing(power, transfers[0][1], grid, wavelength_m, steps[0][0])
     powers = {k: np.zeros(n) for k in cuts if k}
     if not powers:
         return
     u = np.fft.ifft(transfers[0][0])
-    kernel = sliding_window_view(np.concatenate((u, u[:-1])), n)[(width // 2 - np.arange(width)) % n]
+    kernel = sliding_window_view(np.concatenate((u, u[:-1])), n)[(h - np.arange(width)) % n]
     skewed = [None if factor is None else sliding_window_view(np.concatenate((factor, factor[:-1])), n)
               for _, factor in steps]
-    for start in starts:
-        part = block(start)
-        rows = slice(first + start, first + start + len(part))
-        lines = part @ kernel if np.iscomplexobj(part) else (part @ kernel.view(np.float64)).view(np.complex128)
-        for k in range(cuts[-1] + 1):
+    tail = slice(1 - n % 2, None)  # the cells whose mirror lies on the grid
+    mirrored = all(factor is None or np.array_equal(factor[tail], factor[tail][::-1])
+                   for factor in [lead] + [factor for _, factor in steps[:max(powers)]])
+    norms = np.einsum("tj,tj->j", band, band)
+    before = np.concatenate(([0.0], np.cumsum(norms)))  # before[k]: lines 0 ... k - 1
+    after = np.concatenate((np.cumsum(norms[::-1])[::-1], [0.0]))  # after[k]: lines k ... N - 1
+    lit = np.flatnonzero(norms)
+    first, end = c, c  # the walked lines, and those a paired line stands for: first ... end - 1
+    for lo, hi, paired in _walk(n, h, mirrored, range(lit[0], lit[-1] + 1)):
+        part = block(lo, hi)
+        fields = part @ kernel if np.iscomplexobj(part) else (part @ kernel.view(np.float64)).view(np.complex128)
+        last = max(powers)
+        for k in range(last + 1):
             if k:
-                spectrum = np.fft.fft(lines, out=lines)
+                spectrum = np.fft.fft(fields, out=fields)
                 if k in powers:
-                    powers[k] += _summed_power(spectrum)
-                if k == cuts[-1]:
+                    power = _summed_power(spectrum)
+                    powers[k] += 2.0 * power if paired else power
+                if k == last:
                     break
-                lines = _inverse(spectrum, transfers[k][0])
+                fields = _inverse(spectrum, transfers[k][0])
             if skewed[k] is not None:
-                lines *= skewed[k][rows]
-    for k, power in powers.items():
-        _refuse_aliasing(power, transfers[k][1], grid, wavelength_m, steps[k][0], unseen)
+                fields *= skewed[k][lo:hi]
+        first, end = min(first, 2 * c + 1 - hi if paired else lo), max(end, hi)
+        unseen = n * float(before[first] + after[end])
+        for k in list(powers):
+            if _refuse_aliasing(powers[k], transfers[k][1], grid, wavelength_m, steps[k][0], unseen):
+                del powers[k]
+        if not powers:
+            return
 
 
 def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:

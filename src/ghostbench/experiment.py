@@ -25,10 +25,9 @@ import numpy as np
 
 # apply_arm and build_source are no longer called here, but perfbench/tracing.py
 # binds the names in this module for its elements.field_arm and source.build spans.
-from .elements import (BAND_LIMIT_LOSS_TOLERANCE, ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse,  # noqa: F401
-                       _refuse_aliasing, _spectrum, _step, _summed_power, aperture_transmission, apply_arm,
-                       apply_arm_along, apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps,
-                       reverse_arm)
+from .elements import (ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse, _refuse_aliasing,  # noqa: F401
+                       _spectrum, _step, _summed_power, aperture_transmission, apply_arm, apply_arm_along,
+                       apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
 from .errors import PatternError, SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import (SourceSpec, _dense_from_band, _lines_times_source, _live_band, build_source,  # noqa: F401
@@ -40,23 +39,6 @@ from .source import (SourceSpec, _dense_from_band, _lines_times_source, _live_ba
 # slit B, is at most this many times the dense route's N^2 log2 N; beyond
 # it they take the dense source's idler spectrum.
 _BAND_ROUTE_COST = 6.0
-
-# The signal head's band-limit checks run on the source's lines but those
-# outside which it carries at most this fraction of its power
-# (:func:`_lit_lines`).  It is set from the 5% tolerance the checks
-# decide, not from rounding: the dark lines' bound moves a check's loss
-# fraction by about this much times the source's power over the power
-# reaching the step.  So the head runs again on every line (the lit lines
-# plus N in all, each pass one block of lines at a time) only where a step
-# refuses, or where its loss lies that close below the tolerance ([4.9%, 5%]
-# on the default arm); a refusal by the first step is read off the band
-# coefficients on either pass.  A 0.3 mm lens stop, which clips most of the
-# beam, still passes on the lit lines (loss 4.0e-3, bound 2.0e-2 of what
-# reaches the step).  At 2048 points over +-15 mm they are 337 of 2048
-# lines (3 for the separable control), for a loss of 2.3e-4; a bound at
-# rounding level, 1e-13, keeps 762.
-_DARK_POWER = BAND_LIMIT_LOSS_TOLERANCE / 50
-
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -137,71 +119,12 @@ def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
 
 
-def _slit_rows(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> np.ndarray:
-    """The rows the signal arm can leave nonzero: behind slit A, the few
-    rows the slit transmits; all rows without a slit or stop behind the
-    last step (:func:`arm_steps`)."""
-    steps = arm_steps(arm, grid, wavelength_m)
+def _slit_rows(steps: list, grid: TransverseGrid) -> np.ndarray:
+    """The rows the signal arm, held as its ``steps`` (:func:`arm_steps`),
+    can leave nonzero: behind slit A, the few rows the slit transmits; all
+    rows without a slit or stop behind the last step."""
     factor = steps[-1][1] if steps else None
     return np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
-
-
-def _band_limited(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> bool:
-    """Whether a free-space step of the arm cuts a band on the grid, so
-    its band-limit check can fail."""
-    return any(distance != 0.0 and not _step(grid, wavelength_m, distance)[1].all()
-               for distance, _ in arm_steps(arm, grid, wavelength_m))
-
-
-def _lit_lines(band: np.ndarray):
-    """``(lo, hi, unseen)``: the smallest range of the source's lines
-    (rows, by its symmetry) outside which it carries at most
-    ``_DARK_POWER`` of its power, read off its band (:func:`source_band`),
-    which gives each line's squared norm exactly as sum_t band[t, j]^2.
-
-    Every step of the signal head (a band-limited transfer, a lens, a stop
-    or a slit) has |factor| <= 1, and a line of squared norm p has summed
-    spectral power N p, in the skewed frame the head runs in as in space
-    (:func:`_check_skewed_head`); so at every band-limit check the lines
-    left out add at most ``unseen`` = N sum_dropped p to both the lost and
-    the total power.  Each tail is summed from its dim end, so neither is
-    swamped by the rounding of the whole.
-    """
-    n = band.shape[1]
-    power = np.einsum("tj,tj->j", band, band)
-    before = np.concatenate(([0.0], np.cumsum(power)))  # before[k]: the power of lines 0 ... k - 1
-    after = np.concatenate((np.cumsum(power[::-1])[::-1], [0.0]))  # after[k]: lines k ... N - 1
-    budget = _DARK_POWER * after[0]
-    los = np.flatnonzero(before <= budget)
-    # For each lo, the first hi whose tail fits in what lines 0 ... lo - 1 leave of the budget.
-    his = np.maximum(np.searchsorted(-after, before[los] - budget), los)
-    k = int(np.argmin(his - los))
-    lo, hi = int(los[k]), int(his[k])
-    return lo, hi, n * float(before[lo] + after[hi])
-
-
-def _check_signal_head(band: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """Make the band-limit checks of the signal head, the signal arm's
-    steps but the last and the last step's forward half, for the source
-    held as its band (:func:`source_band`); callers run it where a signal
-    step cuts a band on the grid (:func:`_band_limited`).
-
-    The source is symmetric (:func:`build_source`), so the head runs on
-    its rows, in the skewed frame, from their band coefficients
-    A[r, r + k - h] = band[k, r] (:func:`_check_skewed_head`: one BLAS
-    product for the first step, then blocks of lines), and on the lit
-    lines alone (:func:`_lit_lines`), each check counting the dark lines'
-    bound ``unseen``; nothing goes back to space at slit A.  Should any
-    check not pass with that bound, undecided or refused, the head runs
-    again on all N lines, so it passes or refuses, with the same message,
-    as on the whole source.
-    """
-    steps = arm_steps(arm, grid, wavelength_m)
-    lo, hi, unseen = _lit_lines(band)
-    try:
-        _check_skewed_head(band[:, lo:hi].T, lo, steps, grid, wavelength_m, unseen)
-    except SamplingError:
-        _check_skewed_head(band.T, 0, steps, grid, wavelength_m)
 
 
 def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid,
@@ -213,7 +136,7 @@ def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: Trans
     source A is read through its nonzero diagonals ``band``
     (:func:`source_band`).  The product is summed diagonal by diagonal,
     O(R N (2h + 1)), with no BLAS call.  Nothing is checked here: callers
-    first make the signal head's checks (:func:`_check_signal_head`), and
+    first make the signal head's checks (:func:`_check_skewed_head`), and
     the singles check slit B's steps on the idler spectrum's power
     (:func:`_singles_profile`)."""
     width, n = band.shape
@@ -229,15 +152,14 @@ def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: Trans
     return at_rows
 
 
-def _signal_rows(band: np.ndarray, arm: ArmSpec, rows: np.ndarray, grid: TransverseGrid, wavelength_m: float):
-    """Signal rows ``rows`` behind the signal arm, idler axis at the
-    crystal, as K A from the source's band (:func:`_rows_from_band`),
-    after the signal head's checks where a signal step cuts a band on the
-    grid (:func:`_check_signal_head`).  measure takes slit A's rows here
+def _signal_rows(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid, wavelength_m: float):
+    """Signal rows ``rows`` behind the signal arm's ``steps``
+    (:func:`arm_steps`), idler axis at the crystal, as K A from the
+    source's band (:func:`_rows_from_band`), after the signal head's checks
+    (:func:`_check_skewed_head`).  measure takes slit A's rows here
     (:func:`_slit_rows`), and klyshko-check D1's cells alone."""
-    if _band_limited(arm, grid, wavelength_m):
-        _check_signal_head(band, arm, grid, wavelength_m)
-    return _rows_from_band(band, arm_steps(arm, grid, wavelength_m), rows, grid, wavelength_m)
+    _check_skewed_head(band, steps, grid, wavelength_m)
+    return _rows_from_band(band, steps, rows, grid, wavelength_m)
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -294,32 +216,31 @@ def _open_singles(lags: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.einsum("ef,ef->f", kernels, np.fft.fft(lags))).real
 
 
-def _idler_run(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float):
-    """``(steps, run)``: the arm's steps (:func:`arm_steps`) and the number
-    of them, up to the first that has a factor (slit B), that make one
-    spectral pass."""
-    steps = arm_steps(arm, grid, wavelength_m)
-    return steps, next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
+def _idler_run(steps: list) -> int:
+    """The number of an idler arm's ``steps`` (:func:`arm_steps`), up to
+    the first that has a factor (slit B), that make one spectral pass."""
+    return next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
 
 
-def _band_route_pays(band: np.ndarray, benches: list, grid: TransverseGrid) -> bool:
-    """Whether the singles of ``benches`` take the band route: its cost
-    estimate N (2h + 1 + R)^2, R the cells left open by the factor that
-    ends each bench's spectral pass (:func:`_idler_run`), summed, against
-    the dense route's N^2 log2 N (``_BAND_ROUTE_COST``)."""
+def _band_route_pays(band: np.ndarray, idler_steps: list, grid: TransverseGrid) -> bool:
+    """Whether the singles of the idler arms held as ``idler_steps`` (one
+    :func:`arm_steps` each) take the band route: its cost estimate
+    N (2h + 1 + R)^2, R the cells left open by the factor that ends each
+    arm's spectral pass (:func:`_idler_run`), summed, against the dense
+    route's N^2 log2 N (``_BAND_ROUTE_COST``)."""
     cells = 0
-    for bench in benches:
-        steps, run = _idler_run(bench.idler_arm, grid, bench.source.lambda_idler_m)
+    for steps in idler_steps:
+        run = _idler_run(steps)
         if run and steps[run - 1][1] is not None:
             cells += np.count_nonzero(steps[run - 1][1])
     n = grid.n_points
     return (band.shape[0] + cells) ** 2 <= _BAND_ROUTE_COST * n * np.log2(n)
 
 
-def _singles_profile(source, power: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float,
+def _singles_profile(source, power: np.ndarray, steps: list, grid: TransverseGrid, wavelength_m: float,
                      last_reader: bool) -> np.ndarray:
     """D2 singles profile: sum over the signal axis of |A|^2 with the idler
-    arm applied to the source.
+    arm, held as its ``steps`` (:func:`arm_steps`), applied to the source.
 
     The arm's steps up to the first that has a factor are one spectral
     pass (:func:`_idler_run`); each step is checked on ``power``, the
@@ -334,7 +255,7 @@ def _singles_profile(source, power: np.ndarray, arm: ArmSpec, grid: TransverseGr
     (:func:`_band_route_pays`) ``source`` is the source's idler spectrum,
     inverted whole, and overwritten only when ``last_reader`` is set.
     """
-    steps, run = _idler_run(arm, grid, wavelength_m)
+    run = _idler_run(steps)
     transfer = np.ones(grid.n_points, dtype=np.complex128)
     kept = np.ones(grid.n_points, dtype=bool)
     for distance, _ in steps[:run]:
@@ -413,7 +334,9 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     wide as the window makes the dense source's idler spectrum cheaper
     (:func:`_band_route_pays`).  No N x N array is made but there.  Where a
     signal step's band limit cuts on the grid, the signal head makes its
-    checks on the source's lit lines (:func:`_check_signal_head`).
+    checks on a walk over the source's lines, brightest first, that stops
+    once they are decided (:func:`_check_skewed_head`).  Each arm's steps
+    (:func:`arm_steps`) are built once.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
     first = benches[0]
@@ -421,11 +344,13 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise ValueError("benches scanned together may differ only in the idler arm")
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise SamplingError("scan window extends outside the grid window")
-    arm, wavelength, idler_wavelength = first.signal_arm, first.source.lambda_signal_m, first.source.lambda_idler_m
+    wavelength, idler_wavelength = first.source.lambda_signal_m, first.source.lambda_idler_m
     band = _live_band(source_band(first.source, grid))
-    rows = _slit_rows(arm, grid, wavelength)
-    at_d1 = _signal_rows(band, arm, rows, grid, wavelength)
-    if _band_route_pays(band, benches, grid):
+    steps = arm_steps(first.signal_arm, grid, wavelength)
+    rows = _slit_rows(steps, grid)
+    at_d1 = _signal_rows(band, steps, rows, grid, wavelength)
+    idler_steps = [arm_steps(each.idler_arm, grid, idler_wavelength) for each in benches]
+    if _band_route_pays(band, idler_steps, grid):
         lags = _reduced_state_lags(band)
         source, power = (band, lags), _lag_power(lags)
     else:
@@ -434,10 +359,10 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
-    for k, each in enumerate(benches):
-        at_d2 = apply_arm_along(at_d1, each.idler_arm, 1, grid, idler_wavelength)
+    for k, (each, each_steps) in enumerate(zip(benches, idler_steps)):
+        at_d2 = apply_steps_along(at_d1, each_steps, 1, grid, idler_wavelength)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
-        singles_profile = _singles_profile(source, power, each.idler_arm, grid, idler_wavelength,
+        singles_profile = _singles_profile(source, power, each_steps, grid, idler_wavelength,
                                            last_reader=k == len(benches) - 1)
         coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
         singles = _sample_profile(grid, singles_profile, each.d2, positions)
@@ -465,34 +390,34 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     the source's nonzero diagonals (:func:`source_band`) times one
     backward kernel per row D1 weights (:func:`_rows_from_band`), so no
     N x N array is made.  Where a signal step's band limit cuts on the
-    grid, each distinct head makes its checks on the source's lit lines
-    (:func:`_check_signal_head`).
+    grid, each distinct head makes its checks on a walk over the source's
+    lines (:func:`_check_skewed_head`).  Each offset's arm is read into its
+    steps (:func:`arm_steps`) once.
     """
     arms = [replace(bench.signal_arm, elements=tuple(
         replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
         for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
     wavelength = bench.source.lambda_signal_m
     band = _live_band(source_band(bench.source, grid))
-    if _band_limited(bench.signal_arm, grid, wavelength):
-        # An offset that moves a slit before the last step changes the head.
-        heads = {}
-        for arm in arms:
-            head = arm_steps(arm, grid, wavelength)[:-1]
-            heads.setdefault(tuple((d, f if f is None else f.tobytes()) for d, f in head), arm)
-        for arm in heads.values():
-            _check_signal_head(band, arm, grid, wavelength)
+    arm_steps_by_offset = [arm_steps(arm, grid, wavelength) for arm in arms]
+    # An offset that moves a slit before the last step changes the head.
+    heads = {}
+    for steps in arm_steps_by_offset:
+        heads.setdefault(tuple((d, f if f is None else f.tobytes()) for d, f in steps[:-1]), steps)
+    for steps in heads.values():
+        _check_skewed_head(band, steps, grid, wavelength)
     conditioned = []
-    for offset, arm in zip(slit_a_offsets_m, arms):
+    for offset, arm, steps in zip(slit_a_offsets_m, arms, arm_steps_by_offset):
         weights = _d1_weights(replace(bench, signal_arm=arm,
                                       d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
         rows = np.nonzero(weights > 0)[0]
-        at_rows = _rows_from_band(band, arm_steps(arm, grid, wavelength), rows, grid, wavelength)
+        at_rows = _rows_from_band(band, steps, rows, grid, wavelength)
         conditioned.append((rows, weights[rows], at_rows))
     return conditioned
 
 
 def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
-                          backward_offset_m: float = 0.0) -> np.ndarray:
+                          backward_offset_m: float = 0.0, *, idler_steps: list | None = None) -> np.ndarray:
     """Conditional idler fields at the D2 plane via the unfolded picture:
     one row of N cells for each D1 position in ``d1_positions_m``.
 
@@ -516,7 +441,8 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, 
 
     ``backward_offset_m`` adds extra backward path length; it exists as a
     sensitivity knob so consistency checks can confirm the oracle reacts
-    to a corrupted arm.
+    to a corrupted arm.  ``idler_steps`` are the idler arm's steps
+    (:func:`arm_steps`) where the caller holds them already.
     """
     positions = np.atleast_1d(d1_positions_m)
     wavelength = bench.source.lambda_signal_m
@@ -532,7 +458,9 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, 
                             f"({positions[0] * 1e3:+.6f} mm): {exc}") from exc
     g = _lines_times_source(bench.source, grid, np.conj(back))
     g *= grid.spacing_m
-    return apply_arm_along(g, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)
+    if idler_steps is None:
+        idler_steps = arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m)
+    return apply_steps_along(g, idler_steps, 1, grid, bench.source.lambda_idler_m)
 
 
 def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
@@ -549,15 +477,19 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     through its own BLAS products rather than K A's diagonal sum, so a
     fault in that sum or in the live band's trim cannot cancel: the two
     sides share only the steps' transfer functions.  No N x N array is
-    made.
+    made.  The signal and idler arms' steps (:func:`arm_steps`) are built
+    once, and the advanced wave shares the idler's.
     """
     positions = np.atleast_1d(d1_positions_m)
     band = _live_band(source_band(bench.source, grid))
     cells = np.array([grid.index_of(position) for position in positions])
+    wavelength = bench.source.lambda_signal_m
     # D1's rows, zeros where the signal arm leaves a row dark.
-    at_d1 = _signal_rows(band, bench.signal_arm, cells, grid, bench.source.lambda_signal_m)
-    conditionals = np.abs(apply_arm_along(at_d1, bench.idler_arm, 1, grid, bench.source.lambda_idler_m)) ** 2
-    advanced_waves = np.abs(klyshko_advanced_wave(bench, positions, grid, backward_offset_m)) ** 2
+    at_d1 = _signal_rows(band, arm_steps(bench.signal_arm, grid, wavelength), cells, grid, wavelength)
+    idler_steps = arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m)
+    conditionals = np.abs(apply_steps_along(at_d1, idler_steps, 1, grid, bench.source.lambda_idler_m)) ** 2
+    advanced_waves = np.abs(klyshko_advanced_wave(bench, positions, grid, backward_offset_m,
+                                                  idler_steps=idler_steps)) ** 2
     deviations = []
     for conditional, advanced in zip(conditionals, advanced_waves):
         if conditional.max() == 0 or advanced.max() == 0:

@@ -138,12 +138,17 @@ def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     The amplitude is exactly symmetric, A == A.T bit for bit (:func:`_tables`,
     and f = g for the separable control, :func:`_unit_slices`): the signal
     head runs on the source's rows, as signal-axis lines, in the band-limit
-    checks of measure, ghost and klyshko-check (``experiment._check_signal_head``),
+    checks of measure, ghost and klyshko-check (``elements._check_skewed_head``),
     and slit A's and slit B's rows read the source's band through the
-    symmetry too (``experiment._rows_from_band``).
-    ``test_source.py``'s ``test_exactly_symmetric`` guards it.  A source
-    term that breaks the symmetry (a pump offset or tilt, unequal grids)
-    must first give the signal arm its own lines.
+    symmetry too (``experiment._rows_from_band``).  It is exactly mirror
+    symmetric about the zero cell c = N // 2 as well, A[2c - i, 2c - j] ==
+    A[i, j] bit for bit wherever both cells lie on the grid (each table
+    argument is an exact multiple of the pitch, negated by the mirror):
+    the signal head walks line c + m for line c - m too (``elements._walk``).
+    ``test_source.py``'s ``test_exactly_symmetric`` and
+    ``test_exactly_mirror_symmetric`` guard them.  A source term that
+    breaks either (a pump offset or tilt, unequal grids) must first give
+    the signal arm its own lines.
     """
     return BiphotonAmplitude(grid, grid, _dense_from_band(source_band(spec, grid)),
                              spec.lambda_signal_m, spec.lambda_idler_m)
@@ -234,7 +239,7 @@ def _live_band(band: np.ndarray) -> np.ndarray:
     ``_FLUSH_BELOW`` of its peak set to 0.0, in place, one diagonal at a
     time, returned as its central slice without the outer diagonal pairs
     left all zero.  Every band pass of measure, ghost and klyshko-check's
-    K A side reads it (K A, rho's lags, the lit lines, the route rule).
+    K A side reads it (K A, rho's lags, the signal head's walk, the route rule).
     The exact band's outer diagonals run down to subnormals (5e-324 at the
     reference), whose arithmetic is slow, and a dropped entry lies 134
     orders of magnitude below a rounding step of the peak: 25 diagonals

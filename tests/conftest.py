@@ -1,6 +1,10 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import ghostbench.elements
 from ghostbench import (ArmSpec, FreeSpace, ScanWindow, Slit, ThinLens, apply_arm, apply_arm_to_axis,
                         build_source, default_bench, propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
@@ -32,6 +36,40 @@ def scan_m1(grid, scan_window):
 def scan_m2(grid, scan_window):
     """Default Measurement-2 scan (slit B open)."""
     return run_coincidence_scan(default_bench(slit_b="open"), scan_window, grid)
+
+
+def band_limited(arm, grid, wavelength_m):
+    """Whether a free-space step of the arm cuts its band on the grid, so
+    the signal head has a band-limit check to make."""
+    return any(distance != 0.0 and not _step(grid, wavelength_m, distance)[1].all()
+               for distance, _ in ghostbench.elements.arm_steps(arm, grid, wavelength_m))
+
+
+@pytest.fixture()
+def head_walks(monkeypatch):
+    """The number of the source's lines each walk of a signal head
+    transforms (``elements._walk``), one entry per walk."""
+    walks, original = [], ghostbench.elements._walk
+
+    def spy(*args):
+        walks.append(0)
+        for lo, hi, paired in original(*args):
+            walks[-1] += hi - lo
+            yield lo, hi, paired
+    monkeypatch.setattr(ghostbench.elements, "_walk", spy)
+    return walks
+
+
+@contextmanager
+def all_lines_head():
+    """The signal head's walk deciding no check while lines are left out,
+    so it decides each on all N lines: the head run on the whole source."""
+    refuse = ghostbench.elements._refuse_aliasing
+
+    def undecided(power, keep, grid, wavelength_m, distance_m, unseen=0.0):
+        return False if unseen else refuse(power, keep, grid, wavelength_m, distance_m)
+    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", undecided):
+        yield
 
 
 def gaussian_field(grid, waist_m, wavelength_m=WAVELENGTH, center_m=0.0):

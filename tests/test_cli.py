@@ -16,6 +16,8 @@ from ghostbench.config import RunConfig, parse_config, to_bench, to_grid, to_tem
 from ghostbench.experiment import in_slit_positions
 from ghostbench.temporal import eval_wavepacket_magnitude
 
+from conftest import all_lines_head
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -376,11 +378,11 @@ class TestWorkCounts:
     band and one backward kernel per row, and measure takes the D2
     singles from the band too, through the idler's reduced state; so they
     build lines of the source, from the band they hold, only where a
-    signal step's band limit cuts on the grid, and then only its lit
-    lines, for the signal head (the arm's steps before slit A's) to make
-    its checks (``_check_signal_head``): each such head counts as one
-    build and one signal pass (``_check_skewed_head``), on the lines
-    counted.  klyshko-check takes D1's rows as measure takes slit A's,
+    signal step's band limit cuts on the grid, and then only the lines a
+    walk from the brightest outward takes before the signal head (the
+    arm's steps before slit A's) has decided its checks
+    (``_check_skewed_head``): each such walk counts as one build and one
+    signal pass, on the lines counted.  klyshko-check takes D1's rows as measure takes slit A's,
     and its advanced wave reads the source's closed-form tables, so it
     builds no source either.  A dense pass is an arm's steps
     (``apply_arm_along``, ``apply_steps_along``) run on the lines of a
@@ -388,9 +390,9 @@ class TestWorkCounts:
     amplitude (``apply_arm_to_axis``)."""
 
     @pytest.fixture()
-    def counted(self, monkeypatch, outdir_config):
+    def counted(self, monkeypatch, outdir_config, head_walks):
         import ghostbench.experiment as experiment
-        calls, head_lines, sources = [], [], []
+        calls, sources = [], []
 
         def counting(original, name=None):
             def wrapper(*args, **kwargs):
@@ -410,15 +412,7 @@ class TestWorkCounts:
                 return original(amps, *args, **kwargs)
             return wrapper
 
-        def head(original):
-            def wrapper(coef, *args, **kwargs):
-                calls.extend(("build", "signal"))
-                head_lines.append(len(coef))
-                return original(coef, *args, **kwargs)
-            return wrapper
-
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
-        monkeypatch.setattr(experiment, "_check_skewed_head", head(experiment._check_skewed_head))
         monkeypatch.setattr(experiment, "_dense_from_band", counting(experiment._dense_from_band, "build"))
         monkeypatch.setattr(experiment, "apply_arm_along", signal_pass(experiment.apply_arm_along))
         monkeypatch.setattr(experiment, "apply_steps_along", signal_pass(experiment.apply_steps_along))
@@ -427,12 +421,16 @@ class TestWorkCounts:
         # Slit A spans five 117 um cells, so klyshko-check has five D1 positions to choose from.
         def run(command, extra="", n_points=128, extent_mm=7.5):
             calls.clear()
-            head_lines.clear()
+            head_walks.clear()
             sources.clear()
             base = f"[grid]\nn_points = {n_points}\nextent_mm = {extent_mm}\n[signal_arm]\nslit_a_width_mm = 0.6\n"
             assert main([command, outdir_config(base + extra)]) == 0
-            return {name: calls.count(name) for name in ("build", "signal", "idler")}
-        run.calls, run.head_lines = calls, head_lines
+            counts = {name: calls.count(name) for name in ("build", "signal", "idler")}
+            # Each walk of the signal head builds lines of the source and runs the head on them.
+            counts["build"] += len(head_walks)
+            counts["signal"] += len(head_walks)
+            return counts
+        run.calls, run.head_lines = calls, head_walks
         return run
 
     @pytest.mark.parametrize("command, scans", [("measure-m1", 1), ("measure-m2", 2)])
@@ -448,10 +446,11 @@ class TestWorkCounts:
     @pytest.mark.parametrize("command", ["measure-m2", "ghost"])
     def test_band_limited_head_checks_the_lit_lines(self, counted, command):
         # At 384 points over +-7.5 mm the 1 m step before slit A keeps
-        # 1.07e4 of 1.28e4 cycles/m, and passes its check, made on the
-        # source's 127 lit lines alone (all but 1e-3 of its power).
+        # 1.07e4 of 1.28e4 cycles/m, and passes its check on a walk of 65
+        # lines: the brightest, c, then 64 lines c + m, each standing for
+        # its mirror c - m, which leave 7.8e-4 of the source's power unseen.
         assert counted(command, n_points=384) == {"build": 1, "signal": 1, "idler": 0}
-        assert counted.head_lines == [127]
+        assert counted.head_lines == [65]
 
     @pytest.mark.parametrize("n_positions", [2, 5])
     def test_klyshko_check(self, counted, n_positions):
@@ -479,30 +478,54 @@ class TestWorkCounts:
 
     def test_band_limited_klyshko_check_runs_the_head_on_the_lit_lines(self, counted):
         # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%
-        # of its band, so the head makes its checks on the source's 218 lit
-        # lines, as measure's does; nothing else is built.
+        # of its band, so the head makes its checks on a walk of 129 of the
+        # source's lines, as measure's does; nothing else is built.
         assert counted("klyshko-check", n_points=1320, extent_mm=15) == {"build": 1, "signal": 1, "idler": 0}
-        assert counted.calls == ["build", "signal"]
-        assert counted.head_lines == [218]
+        assert counted.calls == []
+        assert counted.head_lines == [129]
+
+    @pytest.mark.parametrize("command, arms", [("measure-m1", 2), ("measure-m2", 3), ("ghost", 2),
+                                               ("klyshko-check", 3)])
+    @pytest.mark.parametrize("band_limited", [False, True])
+    def test_each_arm_read_once(self, counted, monkeypatch, command, arms, band_limited):
+        # One arm_steps per distinct arm: the signal arm and each idler arm
+        # (slit B at its width, and open) for measure; slit A in place and
+        # moved for ghost; the signal, idler and reversed signal arms for
+        # klyshko-check, whose two sides share the idler's.  The
+        # band-limited grids make the signal head run its checks too.
+        import ghostbench.elements as elements
+        import ghostbench.experiment as experiment
+        built, original = [], elements.arm_steps
+
+        def spy(arm, *args):
+            built.append(arm)
+            return original(arm, *args)
+        monkeypatch.setattr(elements, "arm_steps", spy)
+        monkeypatch.setattr(experiment, "arm_steps", spy)
+        grid = {} if not band_limited else {"n_points": 1320, "extent_mm": 15} if command == "klyshko-check" \
+            else {"n_points": 384}
+        counted(command, **grid)
+        assert len(counted.head_lines) == band_limited
+        assert len(built) == len(set(built)) == arms
 
 
 class TestLitLineHeadRefusal:
-    """measure and ghost make the signal head's band-limit checks on the
-    source's lit lines; they pass, or refuse with the exit code and the
-    message, as the head run on all N lines does.  On this 129-point bench
-    a 1 mm correlation leaves every line lit, and the head passes while an
-    idler step refuses (measure) or nothing does (ghost); a 30 um one drops
-    8 lines, and the head itself refuses."""
+    """measure and ghost make the signal head's band-limit checks on a
+    walk over the source's lines that stops once they are decided; they
+    pass, or refuse with the exit code and the message, as the head run on
+    all N lines does.  On this 129-point bench, odd, every line but the
+    brightest pairs with its mirror.  With a 1 mm correlation the head
+    passes while an idler step refuses (measure) or nothing does (ghost);
+    with a 30 um one the head itself refuses."""
 
     @pytest.mark.parametrize("command, correlation_um, code", [
         ("measure-m2", 1000, 3), ("ghost", 1000, 0), ("measure-m2", 30, 3), ("ghost", 30, 3)])
-    def test_same_outcome_as_on_all_lines(self, capsys, monkeypatch, outdir_config, command, correlation_um, code):
-        import ghostbench.experiment as experiment
+    def test_same_outcome_as_on_all_lines(self, capsys, outdir_config, command, correlation_um, code):
         cfg = outdir_config("[grid]\nn_points = 129\nextent_mm = 2\n[source]\npump_diameter_mm = 1\n"
                             f"correlation_width_um = {correlation_um}\n[scan]\ny_min_mm = -1.5\ny_max_mm = 1.5\n")
         lit = run_cli(capsys, command, cfg)
-        monkeypatch.setattr(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0))
-        every_line = run_cli(capsys, command, cfg)
+        with all_lines_head():
+            every_line = run_cli(capsys, command, cfg)
         assert lit == every_line
         assert lit[0] == code
         if code == 3:

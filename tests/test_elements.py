@@ -7,7 +7,7 @@ import scipy.fft
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
                         build_source, default_bench, reverse_arm, run_coincidence_scan)
-from ghostbench.elements import (_check_skewed_head, _inverse, _propagate_array, _spectrum, _summed_power,
+from ghostbench.elements import (_inverse, _propagate_array, _refuse_aliasing, _spectrum, _step, _summed_power,
                                  aperture_transmission, apply_arm_along, apply_steps_transpose, arm_steps)
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
@@ -376,20 +376,26 @@ class TestArmSteps:
         assert transposed.tobytes() == expected.tobytes()
 
     def test_unseen_power_counts_in_every_check(self):
-        # The 0.1 m step keeps the whole band on this grid; the 1 m step
-        # after it keeps a sixth of it, which holds all of a broad beam's
-        # power but rounding.  Lines left out that may carry 6% as much
-        # again push that step's loss over the 5% tolerance; 4% do not.
+        # The 1 m step keeps a sixth of the band on this grid, which holds
+        # all of a broad beam's power but rounding.  Lines left out that may
+        # carry 4% as much again leave its check passed; 6% leave it
+        # undecided, never refused while lines are left out.  With none
+        # left out, a narrow beam that loses over 5% is refused, and lines
+        # that carry no power pass.
         grid = TransverseGrid(128, 2e-3)
-        # One line of the skewed frame: its last N of 2N - 1 band
-        # coefficients sit at positions 0 ... N - 1.
-        coef = np.zeros((1, 2 * grid.n_points - 1), dtype=np.complex128)
-        coef[0, grid.n_points - 1:] = gaussian_field(grid, 0.6e-3).amplitudes
-        steps = [(0.1, None), (1.0, None)]
-        total = grid.n_points * float(np.sum(np.abs(coef) ** 2))  # its summed spectral power
-        _check_skewed_head(coef, 0, steps, grid, WAVELENGTH, unseen=0.04 * total)
+        keep = _step(grid, WAVELENGTH, 1.0)[1]
+        broad = np.abs(np.fft.fft(gaussian_field(grid, 0.6e-3).amplitudes)) ** 2
+        narrow = np.abs(np.fft.fft(gaussian_field(grid, 20e-6).amplitudes)) ** 2
+        dark = np.zeros(grid.n_points)
+        total = float(np.sum(broad))
+
+        def decided(power, unseen=0.0):
+            return _refuse_aliasing(power, keep, grid, WAVELENGTH, 1.0, unseen)
+        assert decided(broad, 0.04 * total) is True and decided(broad, 0.06 * total) is False
+        assert decided(narrow, total) is False and decided(dark, total) is False
+        assert decided(broad) is True and decided(dark) is True
         with pytest.raises(SamplingError, match="propagation over 1.0 m"):
-            _check_skewed_head(coef, 0, steps, grid, WAVELENGTH, unseen=0.06 * total)
+            decided(narrow)
 
 
 class TestSummedPower:

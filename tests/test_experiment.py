@@ -16,12 +16,12 @@ from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_trans
                                  apply_arm_to_axis, arm_steps)
 from ghostbench.errors import PatternError, SamplingError
 import ghostbench.experiment
-from ghostbench.experiment import (_band_limited, _band_route_pays, _check_signal_head, _lag_power, _lit_lines,
-                                   _open_singles, _reduced_state_lags, _rows_from_band, _slit_rows,
-                                   signal_conditioned_rows)
+from ghostbench.elements import _check_skewed_head
+from ghostbench.experiment import (_band_route_pays, _lag_power, _open_singles, _reduced_state_lags, _rows_from_band,
+                                   _slit_rows, signal_conditioned_rows)
 from ghostbench.source import _live_band, source_band
 
-from conftest import dense_scan
+from conftest import all_lines_head, band_limited, dense_scan
 
 WAVELENGTH = 702.2e-9
 
@@ -209,11 +209,11 @@ class TestKlyshko:
 
     def test_band_limited_head_agrees_machine_exact(self):
         # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%
-        # of a flat spectrum: the signal head makes its checks on the lit
-        # lines, and the advanced wave's backward step still passes.
+        # of a flat spectrum: the signal head makes its checks on a walk
+        # over the bright lines, and the advanced wave's backward step still passes.
         grid = TransverseGrid(1320, 15e-3)
         bench = default_bench()
-        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
         assert np.max(klyshko_deviation(bench, in_slit_positions(bench, grid, 5), grid)) < 1e-12
 
     def test_identity_arms_pass_trivially(self, grid):
@@ -367,14 +367,16 @@ class TestHeadOnRows:
     def test_klyshko_rows_equal_scan_rows(self, grid, scan_window, monkeypatch, overrides):
         import ghostbench.experiment as experiment
         bench = default_bench(**overrides)
-        at_d1, original = [], experiment.apply_arm_along
+        at_d1, original = [], experiment.apply_steps_along
+        idler = [distance for distance, _ in arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m)]
 
-        def spy(amps, arm, *args):
-            if arm == bench.idler_arm:
+        def spy(amps, steps, *args):
+            # The whole idler arm, not the singles' steps behind slit B.
+            if [distance for distance, _ in steps] == idler:
                 at_d1.append(amps.copy())
-            return original(amps, arm, *args)
-        monkeypatch.setattr(experiment, "apply_arm_along", spy)
-        rows = _slit_rows(bench.signal_arm, grid, bench.source.lambda_signal_m)
+            return original(amps, steps, *args)
+        monkeypatch.setattr(experiment, "apply_steps_along", spy)
+        rows = _slit_rows(arm_steps(bench.signal_arm, grid, bench.source.lambda_signal_m), grid)
         # An edge cell, which slit A passes in part, and the middle one.
         d1 = [0, rows.size // 2]
         klyshko_deviation(bench, grid.positions[rows[d1]], grid)
@@ -387,7 +389,7 @@ class TestHeadOnRows:
     def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
         bench = default_bench(**overrides)
         state = build_source(bench.source, grid)
-        rows = _slit_rows(bench.signal_arm, grid, state.wavelength_s_m)
+        rows = _slit_rows(arm_steps(bench.signal_arm, grid, state.wavelength_s_m), grid)
         on_rows = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
         expected = apply_arm_to_axis(state, bench.signal_arm, "signal").amplitudes[rows]
         assert on_rows.shape == expected.shape and on_rows.tobytes() == expected.tobytes()
@@ -438,8 +440,8 @@ class TestRowsFromBand:
     def test_rows_match_dense_signal_arm(self, grid, make):
         bench = make()
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
-        rows = _slit_rows(arm, grid, wavelength)
         steps = arm_steps(arm, grid, wavelength)
+        rows = _slit_rows(steps, grid)
         got = _rows_from_band(source_band(bench.source, grid), steps, rows, grid, wavelength)
         assert near(got, dense_signal_rows(bench, grid, rows))
 
@@ -468,13 +470,13 @@ class TestRowsFromBand:
     def test_check_path_rows_match_dense(self, name):
         # At 2048 points over +-15 mm the 1 m step before slit A cuts its
         # band (2.14e4 of 3.41e4 cycles/m) and passes its check, so the
-        # signal head runs on the lit lines for the check and the rows
+        # signal head walks the bright lines for the check and the rows
         # still come from K A.
         grid = TransverseGrid(2048, 15e-3)
         bench = default_bench(slit_b="open")
         if name == "slit-before-lens":
             bench = slit_before_lens(bench)
-        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
         offsets = (0.0, 0.5e-3)
         for offset, (rows, _, amps) in zip(offsets, signal_conditioned_rows(bench, grid, offsets)):
             moved = replace(bench, signal_arm=shifted(bench.signal_arm, offset))
@@ -487,6 +489,11 @@ class TestRowsFromBand:
         coincidence, singles = dense_scan(bench, scan_window, grid)
         assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
         assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
+
+
+def idler_steps(benches, grid):
+    """Each bench's idler arm read into its steps, as a scan reads them."""
+    return [arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m) for bench in benches]
 
 
 # Benches whose D2 singles the band route must give as the dense route does.
@@ -511,7 +518,7 @@ class TestSinglesFromBand:
     @pytest.mark.parametrize("overrides", SINGLES_BENCHES.values(), ids=SINGLES_BENCHES.keys())
     def test_singles_match_dense_route(self, grid, overrides):
         benches = [default_bench(**overrides), default_bench(slit_b="open", **overrides)]
-        assert _band_route_pays(source_band(benches[0].source, grid), benches, grid)
+        assert _band_route_pays(source_band(benches[0].source, grid), idler_steps(benches, grid), grid)
         for bench, scan in zip(benches, run_coincidence_scan(benches, self.WINDOW, grid)):
             assert near(scan.singles_d2, dense_scan(bench, self.WINDOW, grid)[1], 1e-12)
 
@@ -531,7 +538,7 @@ class TestSinglesFromBand:
         grid = TransverseGrid(256, 7.5e-3)
         benches = [default_bench(correlation_width_m=correlation_width_m),
                    default_bench(slit_b="open", correlation_width_m=correlation_width_m)]
-        assert _band_route_pays(source_band(benches[0].source, grid), benches, grid) == banded
+        assert _band_route_pays(source_band(benches[0].source, grid), idler_steps(benches, grid), grid) == banded
         for bench, scan in zip(benches, run_coincidence_scan(benches, self.WINDOW, grid)):
             assert near(scan.singles_d2, dense_scan(bench, self.WINDOW, grid)[1], 1e-12)
 
@@ -608,7 +615,7 @@ class TestLiveBand:
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
         exact = source_band(bench.source, grid)
         steps = arm_steps(arm, grid, wavelength)
-        for rows in (_slit_rows(arm, grid, wavelength), np.arange(grid.n_points // 2 - 20, grid.n_points // 2 + 20)):
+        for rows in (_slit_rows(steps, grid), np.arange(grid.n_points // 2 - 20, grid.n_points // 2 + 20)):
             assert same_rows(_rows_from_band(_live_band(exact.copy()), steps, rows, grid, wavelength),
                              _rows_from_band(exact, steps, rows, grid, wavelength))
 
@@ -739,31 +746,26 @@ class TestBandLimitChecksKept:
 
 
 class TestLitLineHead:
-    """Where a signal step cuts its band, measure and ghost run the signal
-    head on the source's lit lines (:func:`_lit_lines`), each check
-    counting the dark lines' power as a bound, and decide as the head on
-    all N lines does; a check the bound leaves undecided runs that head."""
+    """Where a signal step cuts its band, measure and ghost make the
+    signal head's checks on a walk over the source's lines, brightest
+    first (:func:`_check_skewed_head`): after each block every pending
+    check counts the power of the lines not yet walked as a bound, and
+    the walk stops once the bound decides them all, or when the lines run
+    out; so each check decides as on all N lines."""
 
     FINE = TransverseGrid(2048, 15e-3)
-    BENCHES = {"fine-grid": {}, "separable": {"source_kind": "separable"},
-               "nondegenerate": {"signal_wavelength_m": 650e-9, "idler_wavelength_m": 763.5162261625964e-9}}
-
-    @pytest.fixture()
-    def heads(self, monkeypatch):
-        """The number of lines of each pass the signal head runs on."""
-        import ghostbench.experiment as experiment
-        lines, original = [], experiment._check_skewed_head
-
-        def spy(coef, *args, **kwargs):
-            lines.append(len(coef))
-            return original(coef, *args, **kwargs)
-        monkeypatch.setattr(experiment, "_check_skewed_head", spy)
-        return lines
+    # The lines each walk transforms: line c, then blocks of 64 lines
+    # c + m, each standing for its mirror c - m.  Past +-17 lines the
+    # separable control carries no power, so its walk ends there.
+    BENCHES = {"fine-grid": ({}, 129), "separable": ({"source_kind": "separable"}, 18),
+               "nondegenerate": ({"signal_wavelength_m": 650e-9, "idler_wavelength_m": 763.5162261625964e-9}, 129)}
 
     def band_and_head(self, overrides):
         bench = default_bench(**overrides)
-        assert _band_limited(bench.signal_arm, self.FINE, bench.source.lambda_signal_m)
-        return source_band(bench.source, self.FINE), (bench.signal_arm, self.FINE, bench.source.lambda_signal_m)
+        wavelength = bench.source.lambda_signal_m
+        assert band_limited(bench.signal_arm, self.FINE, wavelength)
+        return source_band(bench.source, self.FINE), (arm_steps(bench.signal_arm, self.FINE, wavelength), self.FINE,
+                                                      wavelength)
 
     @staticmethod
     def outcome(call):
@@ -775,28 +777,39 @@ class TestLitLineHead:
         return None
 
     def full_head(self, band, args):
-        """The signal head's checks with every line lit and none left out."""
-        import ghostbench.experiment as experiment
-        with mock.patch.object(experiment, "_lit_lines", lambda band: (0, band.shape[1], 0.0)):
-            return self.outcome(lambda: _check_signal_head(band, *args))
+        """The signal head's checks decided on all N lines."""
+        with all_lines_head():
+            return self.outcome(lambda: _check_skewed_head(band, *args))
 
-    @pytest.mark.parametrize("overrides", BENCHES.values(), ids=BENCHES.keys())
-    def test_lit_lines_pass_as_the_full_head(self, heads, overrides):
+    @pytest.mark.parametrize("overrides, walked", BENCHES.values(), ids=BENCHES.keys())
+    def test_lit_lines_pass_as_the_full_head(self, head_walks, overrides, walked):
         band, args = self.band_and_head(overrides)
         assert self.full_head(band, args) is None
-        assert self.outcome(lambda: _check_signal_head(band, *args)) is None
-        lo, hi, _ = _lit_lines(band)
-        assert heads == [self.FINE.n_points, hi - lo] and hi - lo < self.FINE.n_points
+        assert self.outcome(lambda: _check_skewed_head(band, *args)) is None
+        # All N lines take 1049 transforms: the 999 lines c + m whose mirror
+        # c - m keeps its 49 diagonals clear of cell 0, paired, and the 49
+        # lines of the 25 outermost steps m each alone, besides line c.
+        assert head_walks == [1049 if walked == 129 else walked, walked]
+
+    def test_at_most_129_lines_at_2048_points(self, head_walks):
+        # The measure-m2 and ghost head of the fine grid, on the live band
+        # they hold: after +-128 lines 1.2% of the source's power is left
+        # unseen, and the 1 m step's check passes.
+        bench = default_bench()
+        wavelength = bench.source.lambda_signal_m
+        _check_skewed_head(_live_band(source_band(bench.source, self.FINE)),
+                           arm_steps(bench.signal_arm, self.FINE, wavelength), self.FINE, wavelength)
+        assert head_walks == [129]
 
     @pytest.mark.parametrize("where", ["just-above", "just-below", "inside-the-bound", "beyond-the-bound"])
-    def test_undecided_check_runs_the_full_head(self, heads, monkeypatch, where):
+    def test_undecided_check_runs_the_full_head(self, head_walks, monkeypatch, where):
         # The tolerance one step of rounding either side of the full head's
-        # loss, or above it by half the dark lines' bound (1e-3 of the
-        # source's power): the bound leaves the check undecided, so the head
-        # runs again on all lines.  Above the loss plus the whole bound the
-        # lit lines decide alone.
+        # loss, or above it by half the bound of the lines left unseen where
+        # the walk stops at 5%: the walk goes on, to the end of the lines
+        # below the loss, one more block inside the bound.  Above the loss
+        # plus the whole bound it stops where it does at 5%.
         band, args = self.band_and_head({})
-        full_checks, lit_checks, refuse = [], [], ghostbench.elements._refuse_aliasing
+        full_checks, walk_checks, refuse = [], [], ghostbench.elements._refuse_aliasing
 
         def record(checks):
             def wrapper(power, keep, grid, wavelength_m, distance_m, unseen=0.0):
@@ -806,20 +819,24 @@ class TestLitLineHead:
             return wrapper
         monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record(full_checks))
         self.full_head(band, args)
-        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record(lit_checks))
-        _check_signal_head(band, *args)
+        monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", record(walk_checks))
+        _check_skewed_head(band, *args)
         monkeypatch.setattr(ghostbench.elements, "_refuse_aliasing", refuse)
-        loss = max(fraction for fraction, _ in full_checks)
-        bound = max(fraction for _, fraction in lit_checks)
-        assert loss + bound / 2 == pytest.approx(7.3e-4, abs=0.05e-4) and loss + bound < 2e-3
+        (loss, _), = full_checks
+        bound = walk_checks[-1][1]
+        assert loss == pytest.approx(2.34e-4, abs=0.01e-4) and bound == pytest.approx(1.22e-2, abs=0.01e-2)
         tolerance = {"just-above": np.nextafter(loss, 1.0), "just-below": np.nextafter(loss, 0.0),
-                     "inside-the-bound": loss + bound / 2, "beyond-the-bound": 2e-3}[where]
+                     "inside-the-bound": loss + bound / 2, "beyond-the-bound": loss + 2 * bound}[where]
         monkeypatch.setattr(ghostbench.elements, "BAND_LIMIT_LOSS_TOLERANCE", tolerance)
         full = self.full_head(band, args)
         assert (full is None) == (where != "just-below")
-        heads.clear()
-        assert self.outcome(lambda: _check_signal_head(band, *args)) == full
-        assert heads == ([337] if where == "beyond-the-bound" else [337, self.FINE.n_points])
+        head_walks.clear()
+        assert self.outcome(lambda: _check_skewed_head(band, *args)) == full
+        walked, = head_walks
+        if where == "just-above":
+            assert 193 < walked < 1049
+        else:
+            assert walked == {"just-below": 1049, "inside-the-bound": 193, "beyond-the-bound": 129}[where]
 
 
 class TestPeakMemory:
@@ -828,8 +845,8 @@ class TestPeakMemory:
     the signal arm's one intermediate, which every lens, slit and forward
     transform overwrites.  A lens product into a new array holds 3.  Ghost
     and measure build no N x N array: where a band-limit check runs the
-    signal head, they run it on the source's lit lines, 337 of 2048 at
-    2048 points over +-15 mm, one block of 64 lines at a time.
+    signal head, they run it on a walk over the source's lines, 129 of
+    2048 at 2048 points over +-15 mm, one block of 64 lines at a time.
     klyshko-check takes D1's rows from the band, and its advanced wave
     reads the source's tables a block of 256 columns at a time: it builds
     no N x N array either."""
@@ -869,7 +886,7 @@ class TestPeakMemory:
         # source: it reads the source's band and holds a few rows.  A
         # quarter of one complex N x N array is half of a real one.
         bench = default_bench(slit_b="open")
-        assert not _band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
+        assert not band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
         assert self.peak(self.CALLS["ghost"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
     def test_scan_without_a_band_limited_head_makes_no_n_by_n_array(self):
@@ -878,18 +895,18 @@ class TestPeakMemory:
         # reduced state's lags, a few lines of N each.  A quarter of one
         # complex N x N array is half of a real one.
         bench = default_bench()
-        assert not _band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
+        assert not band_limited(bench.signal_arm, self.GRID, bench.source.lambda_signal_m)
         for arm in (bench.idler_arm, default_bench(slit_b="open").idler_arm):
-            assert not _band_limited(arm, self.GRID, bench.source.lambda_idler_m)
+            assert not band_limited(arm, self.GRID, bench.source.lambda_idler_m)
         assert self.peak(self.CALLS["scan-m1-m2"]) <= 0.25 * self.GRID.n_points ** 2 * 16
 
     @pytest.mark.parametrize("name", ["scan-m1-m2", "ghost"])
     def test_band_limited_head_holds_under_a_quarter_of_an_array(self, name):
         # The 1 m step before slit A cuts its band at 2048 points, so the
-        # signal head runs, on the source's 337 lit lines.
+        # signal head runs, on a walk of 129 of the source's lines.
         grid = TransverseGrid(2048, 15e-3)
         bench = default_bench()
-        assert _band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert band_limited(bench.signal_arm, grid, bench.source.lambda_signal_m)
         assert self.peak(self.CALLS[name], grid) <= 0.25 * grid.n_points ** 2 * 16
 
     def peak(self, call, grid=GRID):

@@ -21,8 +21,8 @@ from ghostbench import (ArmSpec, BenchSpec, BiphotonAmplitude, DetectorSpec, Fie
                         reverse_arm, run_coincidence_scan)
 from ghostbench.config import RunConfig
 from ghostbench.elements import BAND_LIMIT_LOSS_TOLERANCE, band_limit_cycles_per_m
-from ghostbench.elements import apply_arm_along
-from ghostbench.experiment import _check_signal_head, _gram_rows, _lit_lines
+from ghostbench.elements import _check_skewed_head, apply_arm_along, arm_steps
+from ghostbench.experiment import _gram_rows
 from ghostbench.source import _live_band, source_band
 
 import conftest
@@ -185,62 +185,65 @@ def test_gram_rows_keep_the_summed_intensity_through_any_tail(seed, n_cells, tai
 ROUNDING = 1e-14
 
 
-def _head_losses(band, arm, lit_lines):
-    """``(lost, total)`` of each band-limit check of the signal head
-    (:func:`_check_signal_head`) on the lines ``lit_lines`` gives for
-    ``band``, every check recorded, none refused."""
-    losses = []
-    unseen = lit_lines(band)[2]
+def _head_losses(band, arm, all_lines=False, grid=GRID):
+    """``(lost, total, unseen)`` of each band-limit check of the signal
+    head (:func:`_check_skewed_head`) on ``band``, in step order, as its
+    walk decides it, or on all N lines: none refused."""
+    order, decided, refuse = {}, {}, ghostbench.elements._refuse_aliasing
 
-    def record(power, keep, grid, wavelength_m, distance_m, unseen_arg=0.0):
-        assert unseen_arg == unseen and len(power) == GRID.n_points
-        losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
-    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", record), \
-            mock.patch.object(ghostbench.experiment, "_lit_lines", lit_lines):
-        _check_signal_head(band, arm, GRID, SIGNAL)
-    return losses
+    def record(power, keep, grid_arg, wavelength_m, distance_m, unseen=0.0):
+        assert len(power) == grid.n_points
+        k = order.setdefault(id(keep), len(order))  # each check first comes up in step order
+        passes = not unseen or not all_lines and refuse(power, keep, grid_arg, wavelength_m, distance_m, unseen)
+        if passes:
+            decided[k] = (float(np.sum(power[~keep])), float(np.sum(power)), unseen)
+        return passes
+    with mock.patch.object(ghostbench.elements, "_refuse_aliasing", record):
+        _check_skewed_head(band, arm_steps(arm, grid, SIGNAL), grid, SIGNAL)
+    return [decided[k] for k in range(len(order))]
 
 
 @properties
 @given(st.floats(0.2e-3, 1e-3), st.floats(20e-6, 200e-6), st.sampled_from(["entangled", "separable"]),
        st.lists(elements, max_size=2), band_limited_free_space, st.lists(elements, max_size=2), slits)
 def test_lit_lines_bracket_the_full_heads_loss(pump, correlation, kind, before, step, after, slit_a):
-    # The lines left dark add at most ``unseen`` to both the lost and the
-    # total power of every check, so the full head's loss fraction lies
-    # between lost / (total + unseen) and (lost + unseen) / total of the lit
-    # lines (cross-multiplied, so a check that sees no power still counts).
-    # ``unseen`` can be smaller than one rounding step of the total, so
-    # each side may be off by the rounding of the sums: ``ROUNDING``.
+    # Where the walk decides a check, the lines not yet walked add at most
+    # ``unseen`` to both its lost and its total power, so the full head's
+    # loss fraction lies between lost / (total + unseen) and
+    # (lost + unseen) / total of the walked lines (cross-multiplied, so a
+    # check that sees no power still counts).  ``unseen`` can be smaller
+    # than one rounding step of the total, so each side may be off by the
+    # rounding of the sums: ``ROUNDING``.
     source = SourceSpec(pump_diameter_m=pump, correlation_width_m=correlation, lambda_pump_m=351.1e-9,
                         lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
     arm = ArmSpec(before + [step] + after + [slit_a])
     band = source_band(source, GRID)
-    unseen = _lit_lines(band)[2]
-    lit = _head_losses(band, arm, _lit_lines)
-    full = _head_losses(band, arm, lambda band: (0, band.shape[1], 0.0))
-    assert len(lit) == len(full) >= 1
-    for (lost, total), (full_lost, full_total) in zip(lit, full):
+    walk = _head_losses(band, arm)
+    full = _head_losses(band, arm, all_lines=True)
+    assert len(walk) == len(full) >= 1
+    for (lost, total, unseen), (full_lost, full_total, none) in zip(walk, full):
+        assert none == 0.0
         assert lost * full_total <= full_lost * (total + unseen) * (1.0 + ROUNDING)
         assert full_lost * total <= (lost + unseen) * full_total * (1.0 + ROUNDING)
 
 
-def _dense_head_losses(source, arm):
+def _dense_head_losses(source, arm, grid=GRID):
     """``(lost, total)`` of each band-limit check of the signal head by the
     dense route: element by element on the rows of the full source, each
     free-space step by :func:`conftest.numpy_propagate_array`, its check
     read off the spectrum of the rows it starts from."""
-    amps = build_source(source, GRID).amplitudes
+    amps = build_source(source, grid).amplitudes
     losses = []
     for element in arm.elements:
         if isinstance(element, FreeSpace) and element.distance_m != 0.0:
-            keep = np.abs(GRID.frequencies) <= band_limit_cycles_per_m(GRID, SIGNAL, element.distance_m)
+            keep = np.abs(grid.frequencies) <= band_limit_cycles_per_m(grid, SIGNAL, element.distance_m)
             if not keep.all():
                 power = np.sum(np.abs(np.fft.fft(amps, axis=1)) ** 2, axis=0)
                 losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
             with mock.patch.object(conftest, "BAND_LIMIT_LOSS_TOLERANCE", np.inf):
-                amps = numpy_propagate_array(amps, 1, GRID, SIGNAL, element.distance_m)
+                amps = numpy_propagate_array(amps, 1, grid, SIGNAL, element.distance_m)
         elif isinstance(element, (ThinLens, Slit)):
-            amps = amps * element_factor(element, GRID, SIGNAL)
+            amps = amps * element_factor(element, grid, SIGNAL)
     return losses
 
 
@@ -250,25 +253,34 @@ head_steps = st.tuples(free_space | band_limited_free_space, st.lists(lenses_and
 
 @properties
 @given(st.floats(0.2e-3, 1e-3), st.floats(20e-6, 200e-6), st.sampled_from(["entangled", "separable"]),
-       st.lists(lenses_and_slits, max_size=2), st.lists(head_steps, min_size=1, max_size=3), slits)
+       st.lists(lenses_and_slits, max_size=2), st.lists(head_steps, min_size=1, max_size=3), slits,
+       st.sampled_from([128, 127]))
 @example(0.5e-3, 50e-6, "entangled", [ThinLens(0.3, 1e-3)], [(FreeSpace(0.5), [ThinLens(0.5)]),
-                                                              (FreeSpace(0.3), [])], Slit(0.2e-3))
+                                                              (FreeSpace(0.3), [])], Slit(0.2e-3), 128)
 @example(0.5e-3, 50e-6, "separable", [Slit(1e-3, 0.2e-3)], [(FreeSpace(0.1), [ThinLens(-0.4)]),
-                                                             (FreeSpace(-0.6), [Slit(0.5e-3)])], Slit(0.2e-3))
-def test_head_checks_equal_the_dense_route(pump, correlation, kind, leading, steps, slit_a):
+                                                             (FreeSpace(-0.6), [Slit(0.5e-3)])], Slit(0.2e-3), 128)
+# An odd grid, on which every line pairs with its mirror, and an off-centre
+# slit before the lens, which leaves the walk unpaired.
+@example(0.5e-3, 50e-6, "entangled", [ThinLens(0.3, 1e-3)], [(FreeSpace(0.5), [ThinLens(0.5)]),
+                                                              (FreeSpace(0.3), [])], Slit(0.2e-3), 127)
+@example(0.5e-3, 50e-6, "entangled", [], [(FreeSpace(0.1), [Slit(0.8e-3, 0.3e-3)]), (FreeSpace(0.05), [ThinLens(0.5)]),
+                                          (FreeSpace(0.6), [])], Slit(0.2e-3), 128)
+def test_head_checks_equal_the_dense_route(pump, correlation, kind, leading, steps, slit_a, n_points):
     # The head in the skewed frame, on the live band as measure and ghost
     # hold it (a leading factor folded into each block's band
     # coefficients, the first step one product, a first-step check from
-    # their QR factor, the rest in blocks), sees at each check the
-    # power the dense route sees, to rounding.
+    # their QR factor, the rest in blocks, a line paired with its mirror
+    # where the factors are mirror symmetric), sees at each check on all N
+    # lines the power the dense route sees, to rounding.
+    grid = TransverseGrid(n_points, GRID.extent_m)
     source = SourceSpec(pump_diameter_m=pump, correlation_width_m=correlation, lambda_pump_m=351.1e-9,
                         lambda_signal_m=SIGNAL, lambda_idler_m=IDLER, kind=kind)
     arm = ArmSpec(leading + [element for step, behind in steps for element in (step, *behind)] + [slit_a])
-    expected = _dense_head_losses(source, arm)
+    expected = _dense_head_losses(source, arm, grid)
     if not expected:
         reject()  # no step cuts its band: the head makes no check
-    got = _head_losses(_live_band(source_band(source, GRID)), arm, lambda band: (0, band.shape[1], 0.0))
+    got = _head_losses(_live_band(source_band(source, grid)), arm, all_lines=True, grid=grid)
     assert len(got) == len(expected)
-    for (lost, total), (dense_lost, dense_total) in zip(got, expected):
+    for (lost, total, _), (dense_lost, dense_total) in zip(got, expected):
         assert abs(lost - dense_lost) <= 1e-12 * dense_total
         assert abs(total - dense_total) <= 1e-12 * dense_total

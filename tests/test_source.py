@@ -276,6 +276,19 @@ class TestBuildBytes:
         amps = build_source(SourceSpec(kind=kind, **spec_args), grid).amplitudes
         assert amps.tobytes() == np.ascontiguousarray(amps.T).tobytes()
 
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", [*BYTE_BENCHES, ({}, 1023, 15e-3),
+                                                               ({"correlation_width_m": 100e-6}, 255, 2e-3)])
+    @pytest.mark.parametrize("kind", ["entangled", "separable"])
+    def test_exactly_mirror_symmetric(self, kind, spec_args, n_points, extent_m):
+        # A[2c - i, 2c - j] == A[i, j] on every cell whose mirror about the
+        # zero cell c lies on the grid: all of them for odd N, all but row
+        # and column 0 for even N.  The signal head pairs line c + m with
+        # line c - m by it (``elements._walk``).
+        grid = TransverseGrid(n_points, extent_m)
+        amps = build_source(SourceSpec(kind=kind, **spec_args), grid).amplitudes
+        mirrored = amps[1 - n_points % 2:, 1 - n_points % 2:]
+        assert mirrored.tobytes() == np.ascontiguousarray(mirrored[::-1, ::-1]).tobytes()
+
 
 def from_band(band, n_points):
     """The N x N matrix whose diagonals ``band[t, j] = A[j + t - h, j]`` are."""
