@@ -14,10 +14,10 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import _inverse, _refuse_aliasing, _spectrum, _step, _summed_power
+from .elements import _refuse_aliasing, _step, _summed_power
 from .errors import (FitConvergenceError, FlatPatternError, ImageAtInfinityError, PatternError,
                      WindowTooSmallError)
-from .experiment import BenchSpec, ScanResult, signal_conditioned_rows
+from .experiment import BenchSpec, ScanResult, _axis_profile, signal_conditioned_rows
 from .grid import TransverseGrid
 
 # Patterns whose max/min ratio is below this carry no usable peak.
@@ -303,7 +303,7 @@ def _image_profiles(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseG
     checks, serve every plane; each plane's step is that spectrum times
     its transfer function, transformed back, as a lone step would be.
     """
-    spectrum = _spectrum(row_amps, 1)
+    spectrum = np.fft.fft(row_amps)
     power = None
     for z in planes_m:
         if z == 0.0:
@@ -313,8 +313,8 @@ def _image_profiles(weights: np.ndarray, row_amps: np.ndarray, grid: TransverseG
             if not keep.all():
                 power = _summed_power(spectrum) if power is None else power
                 _refuse_aliasing(power, keep, grid, wavelength_m, z)
-            moved = _inverse(spectrum, transfer, overwrite=False)
-        yield np.sum(weights[:, None] * np.abs(moved) ** 2, axis=0) * grid.spacing_m
+            moved = np.fft.ifft(spectrum * transfer)
+        yield _axis_profile(moved, weights, grid.spacing_m)
 
 
 def ghost_image_stats(bench: BenchSpec, sweep: PlaneSweep, grid: TransverseGrid,

@@ -125,24 +125,13 @@ def band_limit_cycles_per_m(grid: TransverseGrid, wavelength_m: float, distance_
     return min(grid.window_m / chirp, 1.0 / wavelength_m)
 
 
-def _spectrum(amps: np.ndarray, axis: int, overwrite: bool = False) -> np.ndarray:
-    """Transform along ``axis``, moved last and made contiguous.
-
-    ``amps`` is overwritten only when ``overwrite`` is set; a working copy
-    made for the layout is always overwritten.
-    """
-    lines = np.ascontiguousarray(np.moveaxis(amps, axis, -1), dtype=np.complex128)
-    owned = overwrite or not np.may_share_memory(lines, amps)
-    return np.fft.fft(lines, out=lines if owned else None)
-
-
 def _summed_power(lines: np.ndarray) -> np.ndarray:
     """Sum of |x|^2 over every axis but the last, without an N^2 temporary.
 
     The lines are read in one pass, as interleaved (real, imaginary)
     float64 pairs; each column is summed in the same order as the real and
-    imaginary parts summed apart, so the bytes are theirs.  Every caller
-    passes a C-contiguous complex128 array, which is read without a copy.
+    imaginary parts summed apart, so the bytes are theirs.  A C-contiguous
+    complex128 array is read without a copy.
     """
     pairs = np.ascontiguousarray(lines.reshape(-1, lines.shape[-1]), dtype=np.complex128).view(np.float64)
     summed = np.einsum("ij,ij->j", pairs, pairs)
@@ -181,33 +170,10 @@ def _refuse_aliasing(power: np.ndarray, keep: np.ndarray, grid: TransverseGrid,
         f"use a coarser grid, a smaller window, or a shorter distance")
 
 
-def _inverse(spectrum: np.ndarray, transfer: np.ndarray, overwrite: bool = True) -> np.ndarray:
-    """Inverse half of a free-space step, along the last axis; ``spectrum``
-    is overwritten only when ``overwrite`` is set."""
-    if overwrite:
-        spectrum *= transfer
-    else:
-        spectrum = spectrum * transfer
+def _inverse(spectrum: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """Inverse half of a free-space step, along the last axis, over ``spectrum``."""
+    spectrum *= transfer
     return np.fft.ifft(spectrum, out=spectrum)
-
-
-def _propagate_array(amps: np.ndarray, axis: int, grid: TransverseGrid, wavelength_m: float,
-                     distance_m: float, overwrite: bool = False) -> np.ndarray:
-    """Band-limited angular-spectrum propagation along one array axis.
-
-    The transforms run along the last, contiguous axis of a working copy,
-    and the result is a view with the axis back in place, so the next
-    step along the same axis needs no second copy.  The spectrum passes
-    the step's band-limit check (:func:`_refuse_aliasing`) before the
-    inverse half.  ``amps`` is modified only when ``overwrite`` is set.
-    """
-    if distance_m == 0.0:
-        return amps if overwrite else amps.copy()
-    spectrum = _spectrum(amps, axis, overwrite)
-    transfer, keep = _step(grid, wavelength_m, distance_m)
-    if not keep.all():
-        _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance_m)
-    return np.moveaxis(_inverse(spectrum, transfer), -1, axis)
 
 
 def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
@@ -241,39 +207,34 @@ def arm_steps(arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> list:
     return steps
 
 
-def apply_steps_along(amps: np.ndarray, steps: list, axis: int, grid: TransverseGrid,
-                      wavelength_m: float) -> np.ndarray:
-    """Act with an arm's steps (:func:`arm_steps`), in order, along one
-    array axis; the other axes are untouched.
-
-    Each step overwrites the arm's own complex intermediate; ``amps`` is
-    left as it was.
-    """
+def apply_steps_along(amps: np.ndarray, steps: list, grid: TransverseGrid, wavelength_m: float) -> np.ndarray:
+    """Act with an arm's steps (:func:`arm_steps`), in order, on each line
+    along the last axis, so an array of rows is a batch of fields.  Each
+    step's spectrum passes its band-limit check (:func:`_refuse_aliasing`)
+    before the inverse half, and each step overwrites the arm's own
+    complex intermediate; ``amps`` is left as it was."""
     owned = False
-    shape = [1] * amps.ndim
-    shape[axis] = grid.n_points
     for distance, factor in steps:
         if distance != 0.0:
-            amps, owned = _propagate_array(amps, axis, grid, wavelength_m, distance, owned), True
+            spectrum = np.fft.fft(amps, out=amps if owned else None)
+            transfer, keep = _step(grid, wavelength_m, distance)
+            if not keep.all():
+                _refuse_aliasing(_summed_power(spectrum), keep, grid, wavelength_m, distance)
+            amps, owned = _inverse(spectrum, transfer), True
         if factor is None:
             continue
         if owned:
-            amps *= factor.reshape(shape)
+            amps *= factor
         else:
-            amps = amps * factor.reshape(shape)
+            amps = amps * factor
             owned = amps.dtype == np.complex128
     return amps
 
 
-def apply_arm_along(amps: np.ndarray, arm: ArmSpec, axis: int, grid: TransverseGrid,
-                    wavelength_m: float) -> np.ndarray:
-    """Act with every element of an arm, in order, along one array axis.
-
-    Every 1-D slice along ``axis`` is one field on ``grid``; the other
-    axes are untouched, so an array of rows is a batch of fields.
-    ``amps`` is left as it was (:func:`apply_steps_along`).
-    """
-    return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), axis, grid, wavelength_m)
+def apply_arm_along(amps: np.ndarray, arm: ArmSpec, grid: TransverseGrid, wavelength_m: float) -> np.ndarray:
+    """Act with every element of an arm, in order, on each line along the
+    last axis; ``amps`` is left as it was (:func:`apply_steps_along`)."""
+    return apply_steps_along(amps, arm_steps(arm, grid, wavelength_m), grid, wavelength_m)
 
 
 def apply_steps_transpose(lines: np.ndarray, steps: list, grid: TransverseGrid,
@@ -451,7 +412,7 @@ def apply_arm(field: Field1D, arm: ArmSpec) -> Field1D:
     forward step, so an arm followed by its :func:`reverse_arm` reproduces
     the input to machine precision (absent stops).
     """
-    amps = apply_arm_along(field.amplitudes, arm, 0, field.grid, field.wavelength_m)
+    amps = apply_arm_along(field.amplitudes, arm, field.grid, field.wavelength_m)
     return Field1D(field.grid, amps, field.wavelength_m)
 
 
@@ -469,20 +430,19 @@ def reverse_arm(arm: ArmSpec) -> ArmSpec:
     return ArmSpec(tuple(rev))
 
 
-_AXES = {"signal": 0, "idler": 1}
-
-
 def apply_arm_to_axis(joint: BiphotonAmplitude, arm: ArmSpec, axis: str) -> BiphotonAmplitude:
     """Apply an arm along one axis of a joint amplitude.
 
     Equivalent to row-wise (idler) or column-wise (signal) application of
     :func:`apply_arm`; the other axis is untouched.
     """
-    if axis not in _AXES:
+    if axis == "idler":
+        amps = apply_arm_along(joint.amplitudes, arm, joint.grid_i, joint.wavelength_i_m)
+    elif axis == "signal":
+        columns = joint.amplitudes.T
+        moved = apply_arm_along(columns, arm, joint.grid_s, joint.wavelength_s_m)
+        amps = joint.amplitudes if moved is columns else moved.T
+    else:
         raise ValueError(f"axis must be 'signal' or 'idler', got {axis!r}")
-    ax = _AXES[axis]
-    grid = joint.grid_s if ax == 0 else joint.grid_i
-    wavelength = joint.wavelength_s_m if ax == 0 else joint.wavelength_i_m
-    amps = apply_arm_along(joint.amplitudes, arm, ax, grid, wavelength)
     return BiphotonAmplitude(joint.grid_s, joint.grid_i, amps,
                              joint.wavelength_s_m, joint.wavelength_i_m)

@@ -26,8 +26,8 @@ import numpy as np
 # apply_arm and build_source are no longer called here, but perfbench/tracing.py
 # binds the names in this module for its elements.field_arm and source.build spans.
 from .elements import (ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse, _refuse_aliasing,  # noqa: F401
-                       _spectrum, _step, _summed_power, aperture_transmission, apply_arm, apply_arm_along,
-                       apply_arm_to_axis, apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
+                       _step, _summed_power, aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
+                       apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
 from .errors import PatternError, SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
 from .source import (SourceSpec, _dense_from_band, _lines_times_source, _live_band, build_source,  # noqa: F401
@@ -115,16 +115,9 @@ def _d1_weights(bench: BenchSpec, grid: TransverseGrid) -> np.ndarray:
 
 
 def _axis_profile(amps: np.ndarray, weights: np.ndarray, spacing_m: float) -> np.ndarray:
-    """Integrate |A|^2 over the signal axis (axis 0) with the given weights."""
+    """Integrate |A|^2 over the rows D1 weighs, one weight per row: the
+    coincidence profile of a scan and of each plane of the ghost sweep."""
     return np.sum(weights[:, None] * np.abs(amps) ** 2, axis=0) * spacing_m
-
-
-def _slit_rows(steps: list, grid: TransverseGrid) -> np.ndarray:
-    """The rows the signal arm, held as its ``steps`` (:func:`arm_steps`),
-    can leave nonzero: behind slit A, the few rows the slit transmits; all
-    rows without a slit or stop behind the last step."""
-    factor = steps[-1][1] if steps else None
-    return np.arange(grid.n_points) if factor is None else np.flatnonzero(factor)
 
 
 def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid,
@@ -150,16 +143,6 @@ def _rows_from_band(band: np.ndarray, steps: list, rows: np.ndarray, grid: Trans
     for t in range(width):
         at_rows += padded[:, t:t + n] * band[t]
     return at_rows
-
-
-def _signal_rows(band: np.ndarray, steps: list, rows: np.ndarray, grid: TransverseGrid, wavelength_m: float):
-    """Signal rows ``rows`` behind the signal arm's ``steps``
-    (:func:`arm_steps`), idler axis at the crystal, as K A from the
-    source's band (:func:`_rows_from_band`), after the signal head's checks
-    (:func:`_check_skewed_head`).  measure takes slit A's rows here
-    (:func:`_slit_rows`), and klyshko-check D1's cells alone."""
-    _check_skewed_head(band, steps, grid, wavelength_m)
-    return _rows_from_band(band, steps, rows, grid, wavelength_m)
 
 
 def _gram_rows(block: np.ndarray, cells: np.ndarray, n_points: int) -> np.ndarray:
@@ -273,10 +256,10 @@ def _singles_profile(source, power: np.ndarray, steps: list, grid: TransverseGri
         cells = np.flatnonzero(factor)
         amps = _gram_rows(_rows_from_band(band, steps[:run], cells, grid, wavelength_m).T, cells, grid.n_points)
     else:
-        amps = _inverse(source, transfer, overwrite=last_reader)
+        amps = _inverse(source if last_reader else source.copy(), transfer)
         if factor is not None:
             amps *= factor
-    amps = apply_steps_along(amps, steps[run:], 1, grid, wavelength_m)
+    amps = apply_steps_along(amps, steps[run:], grid, wavelength_m)
     return _summed_power(amps) * grid.spacing_m
 
 
@@ -322,21 +305,18 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
 
     ``bench`` is one :class:`BenchSpec` (one :class:`ScanResult`) or a
     sequence of benches that differ only in the idler arm (one result
-    each), which share one source band and one set of slit-A rows.  D1
+    each), which share one source band and one set of D1's rows.  D1
     stays fixed as configured.  The coincidences follow the idler arm on
-    the rows slit A can leave nonzero (:func:`_slit_rows`), taken as K A
-    from the source's band (:func:`_rows_from_band`).  The singles rate is
-    the signal-axis marginal of the state with only the idler arm applied
-    (:func:`_singles_profile`): it counts every idler photon regardless of
-    what happens in the signal arm, so signal-arm losses (slit A) cannot
-    imprint on it.  The singles too come from the band, through the
+    the rows D1 weighs, taken as K A from the source's band
+    (:func:`_conditioned_rows`), as ghost and klyshko-check take theirs.
+    The singles rate is the signal-axis marginal of the state with only
+    the idler arm applied (:func:`_singles_profile`): it counts every idler
+    photon regardless of what happens in the signal arm, so signal-arm
+    losses (slit A) cannot imprint on it.  The singles too come from the band, through the
     idler's reduced state (:func:`_reduced_state_lags`), unless a band as
     wide as the window makes the dense source's idler spectrum cheaper
-    (:func:`_band_route_pays`).  No N x N array is made but there.  Where a
-    signal step's band limit cuts on the grid, the signal head makes its
-    checks on a walk over the source's lines, brightest first, that stops
-    once they are decided (:func:`_check_skewed_head`).  Each arm's steps
-    (:func:`arm_steps`) are built once.
+    (:func:`_band_route_pays`).  No N x N array is made but there.  Each
+    arm's steps (:func:`arm_steps`) are built once.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
     first = benches[0]
@@ -344,23 +324,21 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
         raise ValueError("benches scanned together may differ only in the idler arm")
     if scan.y_min_m < -grid.extent_m or scan.y_max_m > grid.extent_m:
         raise SamplingError("scan window extends outside the grid window")
-    wavelength, idler_wavelength = first.source.lambda_signal_m, first.source.lambda_idler_m
+    idler_wavelength = first.source.lambda_idler_m
     band = _live_band(source_band(first.source, grid))
-    steps = arm_steps(first.signal_arm, grid, wavelength)
-    rows = _slit_rows(steps, grid)
-    at_d1 = _signal_rows(band, steps, rows, grid, wavelength)
+    ((_, weights, at_d1),) = _conditioned_rows(first, grid, band, (0.0,))
     idler_steps = [arm_steps(each.idler_arm, grid, idler_wavelength) for each in benches]
     if _band_route_pays(band, idler_steps, grid):
         lags = _reduced_state_lags(band)
         source, power = (band, lags), _lag_power(lags)
     else:
-        source = _spectrum(_dense_from_band(band), 1, overwrite=True)
+        dense = _dense_from_band(band)
+        source = np.fft.fft(dense, out=dense)
         power = _summed_power(source)
-    weights = _d1_weights(first, grid)[rows]
     positions = scan.positions()
     results = []
     for k, (each, each_steps) in enumerate(zip(benches, idler_steps)):
-        at_d2 = apply_steps_along(at_d1, each_steps, 1, grid, idler_wavelength)
+        at_d2 = apply_steps_along(at_d1, each_steps, grid, idler_wavelength)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
         singles_profile = _singles_profile(source, power, each_steps, grid, idler_wavelength,
                                            last_reader=k == len(benches) - 1)
@@ -375,6 +353,38 @@ def conditional_field(joint_at_detectors: BiphotonAmplitude, y1_m: float) -> Fie
     idx = joint_at_detectors.grid_s.index_of(y1_m)
     return Field1D(joint_at_detectors.grid_i, joint_at_detectors.amplitudes[idx, :].copy(),
                    joint_at_detectors.wavelength_i_m)
+
+
+def _conditioned_rows(bench: BenchSpec, grid: TransverseGrid, band: np.ndarray,
+                      slit_a_offsets_m: Sequence[float]) -> list:
+    """:func:`signal_conditioned_rows` on the source's live band ``band``,
+    which :func:`run_coincidence_scan` holds for its singles too.  A point
+    D1 moved off the grid is refused under its configured position and the offset."""
+    arms = [replace(bench.signal_arm, elements=tuple(
+        replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
+        for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
+    wavelength = bench.source.lambda_signal_m
+    arm_steps_by_offset = [arm_steps(arm, grid, wavelength) for arm in arms]
+    # An offset that moves a slit before the last step changes the head.
+    heads = {}
+    for steps in arm_steps_by_offset:
+        heads.setdefault(tuple((d, f if f is None else f.tobytes()) for d, f in steps[:-1]), steps)
+    for steps in heads.values():
+        _check_skewed_head(band, steps, grid, wavelength)
+    conditioned = []
+    for offset, arm, steps in zip(slit_a_offsets_m, arms, arm_steps_by_offset):
+        d1 = replace(bench.d1, position_m=bench.d1.position_m + offset)
+        try:
+            weights = _d1_weights(replace(bench, signal_arm=arm, d1=d1), grid)
+        except SamplingError as exc:
+            if offset == 0:
+                raise
+            raise SamplingError(f"point D1 at {bench.d1.position_m * 1e3:g} mm ([detectors] d1_position_mm), moved "
+                                f"with slit A by {offset * 1e3:g} mm ([ghost] slit_offset_mm), lies outside the "
+                                f"+-{grid.extent_m * 1e3:g} mm grid window") from exc
+        rows = np.flatnonzero(weights)
+        conditioned.append((rows, weights[rows], _rows_from_band(band, steps, rows, grid, wavelength)))
+    return conditioned
 
 
 def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
@@ -394,26 +404,7 @@ def signal_conditioned_rows(bench: BenchSpec, grid: TransverseGrid,
     lines (:func:`_check_skewed_head`).  Each offset's arm is read into its
     steps (:func:`arm_steps`) once.
     """
-    arms = [replace(bench.signal_arm, elements=tuple(
-        replace(el, center_m=el.center_m + offset) if isinstance(el, Slit) else el
-        for el in bench.signal_arm.elements)) for offset in slit_a_offsets_m]
-    wavelength = bench.source.lambda_signal_m
-    band = _live_band(source_band(bench.source, grid))
-    arm_steps_by_offset = [arm_steps(arm, grid, wavelength) for arm in arms]
-    # An offset that moves a slit before the last step changes the head.
-    heads = {}
-    for steps in arm_steps_by_offset:
-        heads.setdefault(tuple((d, f if f is None else f.tobytes()) for d, f in steps[:-1]), steps)
-    for steps in heads.values():
-        _check_skewed_head(band, steps, grid, wavelength)
-    conditioned = []
-    for offset, arm, steps in zip(slit_a_offsets_m, arms, arm_steps_by_offset):
-        weights = _d1_weights(replace(bench, signal_arm=arm,
-                                      d1=replace(bench.d1, position_m=bench.d1.position_m + offset)), grid)
-        rows = np.nonzero(weights > 0)[0]
-        at_rows = _rows_from_band(band, steps, rows, grid, wavelength)
-        conditioned.append((rows, weights[rows], at_rows))
-    return conditioned
+    return _conditioned_rows(bench, grid, _live_band(source_band(bench.source, grid)), slit_a_offsets_m)
 
 
 def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
@@ -449,9 +440,9 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, 
     back = np.zeros((positions.size, grid.n_points), dtype=np.complex128)
     back[np.arange(positions.size), [grid.index_of(position) for position in positions]] = 1.0 / grid.spacing_m
     try:
-        back = apply_arm_along(back, reverse_arm(bench.signal_arm), 1, grid, wavelength)
+        back = apply_arm_along(back, reverse_arm(bench.signal_arm), grid, wavelength)
         if backward_offset_m != 0.0:
-            back = apply_arm_along(back, ArmSpec((FreeSpace(-backward_offset_m),)), 1, grid, wavelength)
+            back = apply_arm_along(back, ArmSpec((FreeSpace(-backward_offset_m),)), grid, wavelength)
     except SamplingError as exc:
         # A one-cell delta fills the whole spectrum, so this step can alias where the 2-D route does not.
         raise SamplingError(f"advanced-wave oracle, backward step of the point source at D1 "
@@ -460,7 +451,7 @@ def klyshko_advanced_wave(bench: BenchSpec, d1_positions_m: float | np.ndarray, 
     g *= grid.spacing_m
     if idler_steps is None:
         idler_steps = arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m)
-    return apply_steps_along(g, idler_steps, 1, grid, bench.source.lambda_idler_m)
+    return apply_steps_along(g, idler_steps, grid, bench.source.lambda_idler_m)
 
 
 def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid: TransverseGrid,
@@ -470,10 +461,9 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
 
     ``d1_positions_m`` is one position (a float result) or an array (one
     deviation each).  The conditional side takes D1's rows as
-    :func:`run_coincidence_scan` takes slit A's (:func:`_signal_rows`: the
-    signal head's checks, then K A from the live band), at D1's cells
-    alone, then the idler arm on those rows.  The advanced wave
-    (:func:`klyshko_advanced_wave`) reads the source's closed-form tables
+    :func:`run_coincidence_scan` takes its own (the signal head's checks,
+    then K A from the live band), at D1's cells alone, then the idler arm
+    on those rows.  The advanced wave (:func:`klyshko_advanced_wave`) reads the source's closed-form tables
     through its own BLAS products rather than K A's diagonal sum, so a
     fault in that sum or in the live band's trim cannot cancel: the two
     sides share only the steps' transfer functions.  No N x N array is
@@ -484,10 +474,12 @@ def klyshko_deviation(bench: BenchSpec, d1_positions_m: float | np.ndarray, grid
     band = _live_band(source_band(bench.source, grid))
     cells = np.array([grid.index_of(position) for position in positions])
     wavelength = bench.source.lambda_signal_m
+    steps = arm_steps(bench.signal_arm, grid, wavelength)
+    _check_skewed_head(band, steps, grid, wavelength)
     # D1's rows, zeros where the signal arm leaves a row dark.
-    at_d1 = _signal_rows(band, arm_steps(bench.signal_arm, grid, wavelength), cells, grid, wavelength)
+    at_d1 = _rows_from_band(band, steps, cells, grid, wavelength)
     idler_steps = arm_steps(bench.idler_arm, grid, bench.source.lambda_idler_m)
-    conditionals = np.abs(apply_steps_along(at_d1, idler_steps, 1, grid, bench.source.lambda_idler_m)) ** 2
+    conditionals = np.abs(apply_steps_along(at_d1, idler_steps, grid, bench.source.lambda_idler_m)) ** 2
     advanced_waves = np.abs(klyshko_advanced_wave(bench, positions, grid, backward_offset_m,
                                                   idler_steps=idler_steps)) ** 2
     deviations = []

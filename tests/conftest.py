@@ -8,8 +8,8 @@ import ghostbench.elements
 from ghostbench import (ArmSpec, FreeSpace, ScanWindow, Slit, ThinLens, apply_arm, apply_arm_to_axis,
                         build_source, default_bench, propagate_bench, run_coincidence_scan)
 from ghostbench.config import RunConfig, to_grid
-from ghostbench.elements import (BAND_LIMIT_LOSS_TOLERANCE, _lens_phase, _propagate_array, _step,
-                                 aperture_transmission, band_limit_cycles_per_m)
+from ghostbench.elements import (BAND_LIMIT_LOSS_TOLERANCE, _lens_phase, _step, aperture_transmission,
+                                 band_limit_cycles_per_m)
 from ghostbench.errors import SamplingError
 from ghostbench.experiment import _d1_weights, _sample_profile
 
@@ -104,29 +104,28 @@ def dense_scan(bench, window, grid):
     return _sample_profile(grid, coincidence, bench.d2, y), _sample_profile(grid, singles, bench.d2, y)
 
 
-def numpy_propagate_array(amps, axis, grid, wavelength_m, distance_m):
-    """Reference free-space kernel: ``numpy.fft`` along ``axis`` in the
-    array's own layout, on one thread, every product a new array.  The
-    library's kernel must give the same bytes and the same errors."""
+def numpy_propagate_array(amps, grid, wavelength_m, distance_m):
+    """Reference free-space kernel: ``numpy.fft`` along the last axis in
+    the array's own layout, every product a new array.  The library's
+    kernel (``apply_steps_along``) must give the same bytes and the same
+    errors."""
     if distance_m == 0.0:
         return amps.copy()
     f = grid.frequencies
     f_limit = band_limit_cycles_per_m(grid, wavelength_m, distance_m)
     keep = np.abs(f) <= f_limit
-    shape = [1] * amps.ndim
-    shape[axis] = grid.n_points
-    spectrum = np.fft.fft(amps, axis=axis)
+    spectrum = np.fft.fft(amps)
     if not keep.all():
         power = np.abs(spectrum) ** 2
         total = float(np.sum(power))
-        lost = float(np.sum(power * (~keep).reshape(shape)))
+        lost = float(np.sum(power * ~keep))
         if total > 0 and lost / total > BAND_LIMIT_LOSS_TOLERANCE:
             raise SamplingError(
                 f"propagation over {distance_m} m would alias {lost / total:.1%} of the field "
                 f"energy (band limit {f_limit:.3g} cycles/m, Nyquist {grid.nyquist_cycles_per_m:.3g}); "
                 f"use a coarser grid, a smaller window, or a shorter distance")
     transfer = np.exp(-1j * np.pi * wavelength_m * distance_m * f ** 2) * keep
-    return np.fft.ifft(spectrum * transfer.reshape(shape), axis=axis)
+    return np.fft.ifft(spectrum * transfer)
 
 
 def element_factor(element, grid, wavelength_m):
@@ -151,22 +150,21 @@ def diagonal_product(elements, grid, wavelength_m):
     return product
 
 
-def reference_along(amps, arm, axis, grid, wavelength_m):
-    """An arm along one axis, element by element, each result a new array:
-    each free-space step of nonzero distance by :func:`_propagate_array`,
-    and the lenses and slits between two such steps as one product of
-    their factors, taken in element order (:func:`diagonal_product`)."""
-    shape = [1] * amps.ndim
-    shape[axis] = grid.n_points
+def reference_along(amps, arm, grid, wavelength_m):
+    """An arm along the last axis, element by element, each result a new
+    array: each free-space step of nonzero distance by
+    :func:`numpy_propagate_array`, and the lenses and slits between two
+    such steps as one product of their factors, taken in element order
+    (:func:`diagonal_product`)."""
 
     def behind(amps, run):
         product = diagonal_product(run, grid, wavelength_m)
-        return amps if product is None else amps * product.reshape(shape)
+        return amps if product is None else amps * product
 
     run = []
     for element in arm.elements:
         if isinstance(element, FreeSpace) and element.distance_m != 0.0:
-            amps, run = _propagate_array(behind(amps, run), axis, grid, wavelength_m, element.distance_m), []
+            amps, run = numpy_propagate_array(behind(amps, run), grid, wavelength_m, element.distance_m), []
         else:
             run.append(element)
     return behind(amps, run)

@@ -144,6 +144,17 @@ class TestGhost:
         assert names in err
         assert not (tmp_path / "ghost_sweep.csv").exists()
 
+    def test_point_d1_moved_off_the_grid_names_the_configured_position(self, capsys, tmp_path, outdir_config):
+        # D1 at the window's edge is on the grid; moved with slit A by the
+        # magnification offset it leaves it, and the refusal names what the
+        # config set, not the moved position.
+        code, out, err = run_cli(capsys, "ghost", outdir_config("[detectors]\nd1_mode = point\nd1_position_mm = 15\n"))
+        assert code == 3
+        assert out == ""
+        assert err == ("error: numerical: point D1 at 15 mm ([detectors] d1_position_mm), moved with slit A by "
+                       "0.5 mm ([ghost] slit_offset_mm), lies outside the +-15 mm grid window\n")
+        assert not (tmp_path / "ghost_sweep.csv").exists()
+
 
 class TestKlyshko:
     def test_pass(self, capsys, tmp_path, outdir_config):
@@ -382,9 +393,9 @@ class TestWorkCounts:
     walk from the brightest outward takes before the signal head (the
     arm's steps before slit A's) has decided its checks
     (``_check_skewed_head``): each such walk counts as one build and one
-    signal pass, on the lines counted.  klyshko-check takes D1's rows as measure takes slit A's,
-    and its advanced wave reads the source's closed-form tables, so it
-    builds no source either.  A dense pass is an arm's steps
+    signal pass, on the lines counted.  Every command takes K A at the rows
+    D1 weighs alone, and klyshko-check's advanced wave reads the source's
+    closed-form tables, so it builds no source either.  A dense pass is an arm's steps
     (``apply_arm_along``, ``apply_steps_along``) run on the lines of a
     source the command built, or any pass along an axis of the joint
     amplitude (``apply_arm_to_axis``)."""
@@ -475,6 +486,25 @@ class TestWorkCounts:
         d1 = in_slit_positions(to_bench(config), grid, 2)
         assert cells == [[grid.index_of(position) for position in d1]]
         assert len(set(cells[0])) == 2
+
+    @pytest.mark.parametrize("command", ["measure-m1", "measure-m2", "ghost"])
+    def test_measure_and_ghost_take_k_a_at_the_rows_d1_weighs(self, counted, monkeypatch, command):
+        # Slit A passes five cells and a bit of two more; the 180 um bucket,
+        # narrower than the slit, weighs three.  measure's second call takes
+        # slit B's cells for the singles, and ghost's takes slit A moved.
+        import ghostbench.experiment as experiment
+        cells, original = [], experiment._rows_from_band
+
+        def spy(band, steps, rows, *args):
+            cells.append(rows.tolist())
+            return original(band, steps, rows, *args)
+        monkeypatch.setattr(experiment, "_rows_from_band", spy)
+        counted(command)
+        config = RunConfig(n_points=128, extent_m=7.5e-3, slit_a_width_m=0.6e-3)
+        bench, grid = to_bench(config), to_grid(config)
+        assert cells[0] == np.flatnonzero(experiment._d1_weights(bench, grid)).tolist()
+        assert len(cells[0]) == 3
+        assert len(cells) == 2
 
     def test_band_limited_klyshko_check_runs_the_head_on_the_lit_lines(self, counted):
         # At 1320 points over +-15 mm the 1 m step before slit A cuts 2.9%

@@ -7,8 +7,9 @@ import scipy.fft
 from ghostbench import (ArmSpec, BiphotonAmplitude, Field1D, FreeSpace, Open,
                         SamplingError, ScanWindow, Slit, ThinLens, TransverseGrid, apply_arm,
                         build_source, default_bench, reverse_arm, run_coincidence_scan)
-from ghostbench.elements import (_inverse, _propagate_array, _refuse_aliasing, _spectrum, _step, _summed_power,
-                                 aperture_transmission, apply_arm_along, apply_steps_transpose, arm_steps)
+from ghostbench.elements import (_inverse, _refuse_aliasing, _step, _summed_power, aperture_transmission,
+                                 apply_arm_along, apply_arm_to_axis, apply_steps_along, apply_steps_transpose,
+                                 arm_steps)
 
 from conftest import (along, element_factor, gaussian_field, numpy_propagate_array, reference_along,
                       reference_transpose, through)
@@ -251,9 +252,12 @@ def _strided(amps):
 
 
 class TestKernelOracle:
-    """The free-space kernel runs along the contiguous axis, on every core
-    and in place; it gives the bytes and the errors of ``numpy.fft`` along
-    the array's own axis (:func:`conftest.numpy_propagate_array`)."""
+    """The free-space kernel (``apply_steps_along``) runs along the last
+    axis of any layout, here the lines along either axis of an array, as
+    a view; it gives the bytes and the errors of ``numpy.fft`` along the
+    last axis (:func:`conftest.numpy_propagate_array`), and the dense
+    oracle's signal axis (``apply_arm_to_axis``) gives those of
+    ``numpy.fft`` on each column."""
 
     @pytest.fixture(scope="class")
     def field(self):
@@ -267,22 +271,27 @@ class TestKernelOracle:
         return np.fft.ifft2(np.fft.fft2(raw) * np.outer(envelope, envelope))
 
     @staticmethod
-    def outcome(kernel, amps, axis, distance):
+    def outcome(kernel, *args):
         try:
-            return kernel(amps, axis, KERNEL_GRID, WAVELENGTH, distance)
+            return kernel(*args)
         except SamplingError as exc:
             return str(exc)
+
+    @staticmethod
+    def lines(amps, axis):
+        """The lines along ``axis`` of ``amps``, as the last axis of a view."""
+        return np.moveaxis(amps, axis, -1)
 
     @pytest.mark.parametrize("distance", [0.0, 0.01, -0.1, 0.5])
     @pytest.mark.parametrize("layout, axis", [
         ("C", 0), ("C", 1), ("F", 0), ("F", 1), ("strided", 0), ("strided", 1),
         ("row", 0), ("column", 0)])
     def test_same_bytes_and_errors_as_numpy_fft(self, field, layout, axis, distance):
-        amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field),
-                "row": field[3], "column": field[:, 3]}[layout]
+        amps = self.lines({"C": field, "F": np.asfortranarray(field), "strided": _strided(field),
+                           "row": field[3], "column": field[:, 3]}[layout], axis)
         before = amps.copy()
-        expected = self.outcome(numpy_propagate_array, amps, axis, distance)
-        got = self.outcome(_propagate_array, amps, axis, distance)
+        expected = self.outcome(numpy_propagate_array, amps, KERNEL_GRID, WAVELENGTH, distance)
+        got = self.outcome(apply_steps_along, amps, [(distance, None)], KERNEL_GRID, WAVELENGTH)
         assert isinstance(expected, str) == (distance == 0.5)
         if isinstance(expected, str):
             assert got == expected
@@ -291,20 +300,29 @@ class TestKernelOracle:
             assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
 
+    ARM = ArmSpec((FreeSpace(0.01), ThinLens(0.5, 1.5e-3), Slit(1e-3, 1e-4), Open(), FreeSpace(-0.1), Slit(2e-3)))
+
     @pytest.mark.parametrize("layout, axis", [("C", 0), ("C", 1), ("F", 0), ("strided", 1), ("row", 0)])
     def test_arm_overwrites_only_its_own_intermediates(self, field, layout, axis):
         # Lens and slit products and each step's forward transform overwrite
         # the arm's intermediate in place; the bytes are those of one new
         # array per step and per product of the lens and slit factors
         # between steps, and the caller's array is left as it was.
-        amps = {"C": field, "F": np.asfortranarray(field), "strided": _strided(field), "row": field[3]}[layout]
+        amps = self.lines({"C": field, "F": np.asfortranarray(field), "strided": _strided(field),
+                           "row": field[3]}[layout], axis)
         before = amps.copy()
-        arm = ArmSpec((FreeSpace(0.01), ThinLens(0.5, 1.5e-3), Slit(1e-3, 1e-4), Open(), FreeSpace(-0.1),
-                       Slit(2e-3)))
-        expected = reference_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
-        got = apply_arm_along(amps, arm, axis, KERNEL_GRID, WAVELENGTH)
+        expected = reference_along(amps, self.ARM, KERNEL_GRID, WAVELENGTH)
+        got = apply_arm_along(amps, self.ARM, KERNEL_GRID, WAVELENGTH)
         assert np.array_equal(got, expected)
         assert np.array_equal(amps, before)
+
+    def test_signal_axis_equals_numpy_fft_on_each_column(self, field):
+        joint = BiphotonAmplitude(KERNEL_GRID, KERNEL_GRID, field, WAVELENGTH, WAVELENGTH)
+        got = apply_arm_to_axis(joint, self.ARM, "signal").amplitudes
+        expected = np.stack([reference_along(column, self.ARM, KERNEL_GRID, WAVELENGTH) for column in field.T],
+                            axis=1)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(joint.amplitudes, field)
 
 
 class Mirror:
@@ -348,7 +366,7 @@ class TestArmSteps:
     def test_unknown_element_raises(self, grid):
         arm = ArmSpec((FreeSpace(0.1), Mirror()))
         with pytest.raises(TypeError, match="unknown optical element"):
-            apply_arm_along(np.ones(grid.n_points, dtype=complex), arm, 0, grid, WAVELENGTH)
+            apply_arm_along(np.ones(grid.n_points, dtype=complex), arm, grid, WAVELENGTH)
         with pytest.raises(TypeError, match="unknown optical element"):
             apply_steps_transpose(np.ones((1, grid.n_points), dtype=complex), arm_steps(arm, grid, WAVELENGTH), grid,
                                   WAVELENGTH)
@@ -365,9 +383,10 @@ class TestArmSteps:
     def test_config_arms_equal_the_element_reference(self, grid, name):
         arm, wavelength = CONFIG_ARMS[name], WAVELENGTH
         source = build_source(default_bench().source, grid).amplitudes
-        for axis in (0, 1):
-            expected = reference_along(source, arm, axis, grid, wavelength)
-            assert apply_arm_along(source, arm, axis, grid, wavelength).tobytes() == expected.tobytes()
+        # The rows, and the columns as the dense oracle's signal axis reads them.
+        for amps in (source, source.T):
+            expected = reference_along(amps, arm, grid, wavelength)
+            assert apply_arm_along(amps, arm, grid, wavelength).tobytes() == expected.tobytes()
         # Unit rows at the cells around the axis, as the backward kernels start.
         rows = np.zeros((9, grid.n_points), dtype=np.complex128)
         rows[np.arange(9), grid.n_points // 2 - 4 + np.arange(9)] = 1.0
@@ -431,19 +450,27 @@ class TestSplitTransform:
         shape = self.SHAPES[request.param]
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
+    @staticmethod
+    def step(lines):
+        # A step short enough that its band limit keeps every frequency.
+        grid = TransverseGrid(lines.shape[-1], 2e-3)
+        assert _step(grid, WAVELENGTH, 1e-6)[1].all()
+        return grid, [(1e-6, None)]
+
     def test_same_bytes_as_scipy_fft(self, lines):
-        # scipy serves here only as an independent FFT: the forward half and
-        # the inverse half with a unit transfer give its bytes.
-        assert np.array_equal(_spectrum(lines, lines.ndim - 1), scipy.fft.fft(lines))
+        # scipy serves here only as an independent FFT: a free-space step,
+        # forward half, transfer and inverse half, gives its bytes, and so
+        # does the inverse half alone with a unit transfer.
+        grid, steps = self.step(lines)
+        expected = scipy.fft.ifft(scipy.fft.fft(lines) * _step(grid, WAVELENGTH, 1e-6)[0])
+        assert np.array_equal(apply_steps_along(lines, steps, grid, WAVELENGTH), expected)
         assert np.array_equal(_inverse(lines.copy(), np.ones(lines.shape[-1])), scipy.fft.ifft(lines))
 
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_spectrum_overwrites_only_when_asked(self, lines, overwrite):
-        # Lines already contiguous along the axis are transformed without a
-        # layout copy, so only ``overwrite`` decides whether they are reused.
+    def test_steps_leave_the_callers_lines(self, lines):
+        # Lines already contiguous along the last axis are transformed into
+        # a new array, never over the caller's.
+        grid, steps = self.step(lines)
         amps = lines.copy()
-        got = _spectrum(amps, lines.ndim - 1, overwrite)
-        assert np.array_equal(got, np.fft.fft(lines))
-        assert np.shares_memory(got, amps) == overwrite
-        if not overwrite:
-            assert np.array_equal(amps, lines)
+        got = apply_steps_along(amps, steps, grid, WAVELENGTH)
+        assert not np.shares_memory(got, amps)
+        assert np.array_equal(amps, lines)

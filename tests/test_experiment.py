@@ -12,13 +12,13 @@ from ghostbench import (ArmSpec, BenchSpec, DetectorSpec, FreeSpace, Open, ScanW
 from ghostbench.analysis import PlaneSweep, ghost_image_stats, profile_first_zero, profile_fwhm
 from dataclasses import replace
 
-from ghostbench.elements import (_spectrum, _step, _summed_power, aperture_transmission, apply_arm_along,
-                                 apply_arm_to_axis, arm_steps)
+from ghostbench.elements import (_step, _summed_power, aperture_transmission, apply_arm_along, apply_arm_to_axis,
+                                 arm_steps)
 from ghostbench.errors import PatternError, SamplingError
 import ghostbench.experiment
 from ghostbench.elements import _check_skewed_head
-from ghostbench.experiment import (_band_route_pays, _lag_power, _open_singles, _reduced_state_lags, _rows_from_band,
-                                   _slit_rows, signal_conditioned_rows)
+from ghostbench.experiment import (_band_route_pays, _d1_weights, _lag_power, _open_singles, _reduced_state_lags,
+                                   _rows_from_band, signal_conditioned_rows)
 from ghostbench.source import _live_band, source_band
 
 from conftest import all_lines_head, band_limited, dense_scan
@@ -278,13 +278,43 @@ SPARSE_BENCHES = {
 
 
 class TestRowSparseEqualsDense:
-    """The scans follow the idler arm on slit A's rows only, and share one
-    source and one signal-arm pass; the dense 2-D route is the oracle."""
+    """The scans follow the idler arm on the rows D1 weighs only, and share
+    one source and one signal-arm pass; the dense 2-D route is the oracle."""
 
     @pytest.mark.parametrize("overrides", SPARSE_BENCHES.values(), ids=SPARSE_BENCHES.keys())
     def test_scan_matches_dense_route(self, grid, scan_window, overrides):
         bench = default_bench(**overrides)
         scan = run_coincidence_scan(bench, scan_window, grid)
+        coincidence, singles = dense_scan(bench, scan_window, grid)
+        assert coincidence.max() > 0
+        assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
+        assert np.max(np.abs(scan.singles_d2 - singles)) <= 1e-12 * singles.max()
+
+    # D1's rows against the rows slit A passes: a point D1, a bucket
+    # narrower than slit A, and a correlation as wide as the pump behind a
+    # 29 mm slit A, where the 180 um bucket weighs 5 of 495 rows.
+    ROW_RULE_BENCHES = {
+        "point-d1": ({"d1_mode": "point", "d1_position_m": 30e-6}, 1024, 1, 7),
+        "bucket-d1-60um": ({"d1_aperture_m": 60e-6, "d1_position_m": 0.04e-3}, 1024, 3, 7),
+        "wide-band": ({"correlation_width_m": 3e-3, "slit_a_width_m": 29e-3}, 512, 5, 495),
+    }
+
+    @pytest.mark.parametrize("overrides, n_points, d1_rows, slit_rows", ROW_RULE_BENCHES.values(),
+                             ids=ROW_RULE_BENCHES.keys())
+    def test_scan_takes_the_rows_d1_weighs(self, scan_window, monkeypatch, overrides, n_points, d1_rows,
+                                           slit_rows):
+        grid = TransverseGrid(n_points, 15e-3)
+        bench = default_bench(slit_b="open", **overrides)
+        taken, original = [], ghostbench.experiment._rows_from_band
+
+        def spy(band, steps, rows, *args):
+            taken.append(rows.size)
+            return original(band, steps, rows, *args)
+        monkeypatch.setattr(ghostbench.experiment, "_rows_from_band", spy)
+        scan = run_coincidence_scan(bench, scan_window, grid)
+        assert taken == [np.count_nonzero(_d1_weights(bench, grid))] == [d1_rows]
+        steps = arm_steps(bench.signal_arm, grid, bench.source.lambda_signal_m)
+        assert np.count_nonzero(steps[-1][1]) == slit_rows
         coincidence, singles = dense_scan(bench, scan_window, grid)
         assert coincidence.max() > 0
         assert np.max(np.abs(scan.coincidence - coincidence)) <= 1e-12 * coincidence.max()
@@ -352,14 +382,14 @@ HEAD_BENCHES = {
 
 
 class TestHeadOnRows:
-    """klyshko-check takes D1's rows as measure takes slit A's, as K A
+    """klyshko-check takes D1's rows as measure takes its own, as K A
     from the source's band, and hands the idler arm the same bytes.  The dense
     oracle pair agrees bit for bit on its own: the source is symmetric, so
-    the signal arm run on its rows, along the idler axis, gives at slit A's
-    columns the rows of the arm run along the signal axis on a transposed
-    working copy (:func:`apply_arm_to_axis`)."""
+    the signal arm run on its rows gives at D1's columns the rows of the
+    arm run along the signal axis, the last axis of the transposed
+    amplitude (:func:`apply_arm_to_axis`)."""
 
-    # A 3 mm slit A right behind the lens leaves 103 rows lit.
+    # A 3 mm slit A right behind the lens leaves 103 rows lit, of which the 180 um bucket weighs 7.
     BENCHES = [*HEAD_BENCHES.values(), {"lens_to_slit_m": 0.0, "slit_a_width_m": 3e-3}]
     IDS = [*HEAD_BENCHES, "wide-slit-at-lens"]
 
@@ -376,8 +406,8 @@ class TestHeadOnRows:
                 at_d1.append(amps.copy())
             return original(amps, steps, *args)
         monkeypatch.setattr(experiment, "apply_steps_along", spy)
-        rows = _slit_rows(arm_steps(bench.signal_arm, grid, bench.source.lambda_signal_m), grid)
-        # An edge cell, which slit A passes in part, and the middle one.
+        rows = np.flatnonzero(_d1_weights(bench, grid))
+        # An edge cell, which D1 weighs in part, and the middle one.
         d1 = [0, rows.size // 2]
         klyshko_deviation(bench, grid.positions[rows[d1]], grid)
         run_coincidence_scan(bench, scan_window, grid)
@@ -389,8 +419,8 @@ class TestHeadOnRows:
     def test_lit_rows_equal_transposed_copy_route(self, grid, overrides):
         bench = default_bench(**overrides)
         state = build_source(bench.source, grid)
-        rows = _slit_rows(arm_steps(bench.signal_arm, grid, state.wavelength_s_m), grid)
-        on_rows = apply_arm_along(state.amplitudes, bench.signal_arm, 1, grid, state.wavelength_s_m)[:, rows].T
+        rows = np.flatnonzero(_d1_weights(bench, grid))
+        on_rows = apply_arm_along(state.amplitudes, bench.signal_arm, grid, state.wavelength_s_m)[:, rows].T
         expected = apply_arm_to_axis(state, bench.signal_arm, "signal").amplitudes[rows]
         assert on_rows.shape == expected.shape and on_rows.tobytes() == expected.tobytes()
 
@@ -441,7 +471,8 @@ class TestRowsFromBand:
         bench = make()
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
         steps = arm_steps(arm, grid, wavelength)
-        rows = _slit_rows(steps, grid)
+        # Every row: D1's, which the scan takes, and the rest, dark behind slit A where there is one.
+        rows = np.arange(grid.n_points)
         got = _rows_from_band(source_band(bench.source, grid), steps, rows, grid, wavelength)
         assert near(got, dense_signal_rows(bench, grid, rows))
 
@@ -546,7 +577,7 @@ class TestSinglesFromBand:
     def test_lag_power_is_the_summed_power_of_the_idler_spectrum(self, grid, overrides):
         bench = default_bench(**overrides)
         power = _lag_power(_reduced_state_lags(source_band(bench.source, grid)))
-        assert near(power, _summed_power(_spectrum(build_source(bench.source, grid).amplitudes, 1)), 1e-13)
+        assert near(power, _summed_power(np.fft.fft(build_source(bench.source, grid).amplitudes)), 1e-13)
 
     def test_reduced_state_lags_are_the_diagonals_of_rho(self, grid):
         bench = default_bench(source_kind="separable")
@@ -615,7 +646,7 @@ class TestLiveBand:
         arm, wavelength = bench.signal_arm, bench.source.lambda_signal_m
         exact = source_band(bench.source, grid)
         steps = arm_steps(arm, grid, wavelength)
-        for rows in (_slit_rows(steps, grid), np.arange(grid.n_points // 2 - 20, grid.n_points // 2 + 20)):
+        for rows in (np.flatnonzero(_d1_weights(bench, grid)), np.arange(grid.n_points // 2 - 20, grid.n_points // 2 + 20)):
             assert same_rows(_rows_from_band(_live_band(exact.copy()), steps, rows, grid, wavelength),
                              _rows_from_band(exact, steps, rows, grid, wavelength))
 
@@ -656,7 +687,9 @@ def _aliasing_bench(signal_elements, idler_elements):
 
 
 class TestBandLimitChecksKept:
-    """Every check the dense route makes still sees the field it saw there."""
+    """Every check the dense route makes still sees the field it saw there,
+    but the coincidence idler arm's, which reads the rows D1 weighs: all
+    that slit A passes for a bucket at least as wide as the slit."""
 
     def dense_message(self, bench):
         with pytest.raises(SamplingError) as dense:
@@ -680,20 +713,24 @@ class TestBandLimitChecksKept:
         # the rows: the idler step loses 32.0% on slit A's rows, 30.8% on
         # the point D1's row alone and 67.7% on the bare source of the
         # singles.  So the coincidence idler arm must run, and fail, first,
-        # and on every row slit A passes; klyshko-check runs it on D1's row
-        # alone, and fails at the same step.
-        bench = _aliasing_bench((FreeSpace(0.2), Slit(0.6e-3)), (FreeSpace(1.0),))
-        message = self.dense_message(bench)
+        # on the rows D1 weighs: every row slit A passes for a bucket as
+        # wide as the slit, as on the dense route, and the point D1's row
+        # alone, as klyshko-check runs it, failing at the same step.
+        point = _aliasing_bench((FreeSpace(0.2), Slit(0.6e-3)), (FreeSpace(1.0),))
+        bucket = replace(point, d1=DetectorSpec("bucket", 0.6e-3))
+        message = self.dense_message(point)
         assert "32.0%" in message
         with pytest.raises(SamplingError) as singles:
-            apply_arm_to_axis(build_source(bench.source, SMALL_GRID), bench.idler_arm, "idler")
+            apply_arm_to_axis(build_source(point.source, SMALL_GRID), point.idler_arm, "idler")
         assert str(singles.value) != message
         with pytest.raises(SamplingError) as scan:
-            run_coincidence_scan(bench, SMALL_WINDOW, SMALL_GRID)
-        with pytest.raises(SamplingError) as klyshko:
-            klyshko_deviation(bench, 0.0, SMALL_GRID)
+            run_coincidence_scan(bucket, SMALL_WINDOW, SMALL_GRID)
         assert str(scan.value) == message
-        assert str(klyshko.value) == message.replace("32.0%", "30.8%")
+        with pytest.raises(SamplingError) as scan:
+            run_coincidence_scan(point, SMALL_WINDOW, SMALL_GRID)
+        with pytest.raises(SamplingError) as klyshko:
+            klyshko_deviation(point, 0.0, SMALL_GRID)
+        assert str(scan.value) == str(klyshko.value) == message.replace("32.0%", "30.8%")
 
     def test_last_signal_step_before_slit_a_aliasing_raises_as_dense(self):
         # The 1.0 m step behind the lens is inverted only at slit A's cells;

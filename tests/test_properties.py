@@ -155,7 +155,7 @@ def test_advanced_wave_equals_two_d_route(signal_elements, slit_a, idler_element
 
 def _summed_intensity_or_error(rows, arm):
     try:
-        return np.sum(np.abs(apply_arm_along(rows, arm, 1, GRID, IDLER)) ** 2, axis=0)
+        return np.sum(np.abs(apply_arm_along(rows, arm, GRID, IDLER)) ** 2, axis=0)
     except SamplingError as exc:
         return str(exc)
 
@@ -241,7 +241,7 @@ def _dense_head_losses(source, arm, grid=GRID):
                 power = np.sum(np.abs(np.fft.fft(amps, axis=1)) ** 2, axis=0)
                 losses.append((float(np.sum(power[~keep])), float(np.sum(power))))
             with mock.patch.object(conftest, "BAND_LIMIT_LOSS_TOLERANCE", np.inf):
-                amps = numpy_propagate_array(amps, 1, grid, SIGNAL, element.distance_m)
+                amps = numpy_propagate_array(amps, grid, SIGNAL, element.distance_m)
         elif isinstance(element, (ThinLens, Slit)):
             amps = amps * element_factor(element, grid, SIGNAL)
     return losses
