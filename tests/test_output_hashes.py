@@ -1,8 +1,9 @@
 """Every command prints and writes the bytes on record.
 
 Each of the six commands runs in process (``ghostbench.cli.main``) on the
-reference config and on a nondegenerate one (650 nm signal, idler at the
-exact energy-conserving wavelength), each writing to its own directory.
+reference config, on a nondegenerate one (650 nm signal, idler at the
+exact energy-conserving wavelength) and on the separable control, each
+writing to its own directory.
 Its exit code, stdout and every CSV it writes are hashed with SHA-256,
 the output directory masked as ``<output>`` first, and the hashes must
 equal those in ``output_hashes.json`` next to this file.  So any change
@@ -32,6 +33,7 @@ HASHES = Path(__file__).with_name("output_hashes.json")
 CONFIGS = {
     "reference": "",
     "nondegenerate": "[source]\nsignal_wavelength_nm = 650\nidler_wavelength_nm = 763.5162261625964\n",
+    "separable": "[source]\nkind = separable\n",
 }
 
 COMMANDS = ("measure-m1", "measure-m2", "ghost", "klyshko-check", "temporal", "validate-config")
