@@ -10,8 +10,9 @@ intensity full width ``2 * correlation_width_m``.  The sum-coordinate
 spectrum of A then reproduces the pump angular spectrum, the transverse
 analog of momentum conservation in the pair emission.
 
-A separable control source with the same per-photon coherent profiles is
-available to demonstrate which results require entanglement.
+The separable control, which shows which results require entanglement,
+is the same model balanced, pump diameter equal to correlation width
+(:func:`_tables`); every other line below serves both kinds.
 """
 
 from __future__ import annotations
@@ -76,38 +77,30 @@ def _tables(spec: SourceSpec, grid: TransverseGrid):
     ``corr[k]`` is C at y_s - y_i = (k - N + 1) dy, with c = N // 2 the zero
     cell.  Each argument is an exact multiple of the pitch, so ``corr`` is
     symmetric about its middle entry, bit for bit, and so is the source.
+
+    The separable control, the source's only branch on ``spec.kind``, is
+    the balanced double Gaussian: pump diameter = correlation width = W,
+    2 / W^2 = 1/D^2 + 1/sigma^2, so A = f(y_s) f(y_i) with f(y) =
+    exp(-y^2 (1/D^2 + 1/sigma^2)) the entangled source's slice through its
+    peak (K = 1: Mehler's kernel at mu = 0; Law & Eberly, PRL 84, 5304 (2000)).
     """
     n, c, dy = grid.n_points, grid.n_points // 2, grid.spacing_m
     k = np.arange(2 * n - 1)
-    w_pump = spec.pump_diameter_m / 2.0          # 1/e^2 intensity radius of the pump field
-    sigma_c = spec.correlation_width_m           # 1/e^2 intensity radius of the correlation
-    pump = np.exp(-(((k - 2 * c) * dy) / 2.0) ** 2 / w_pump ** 2)
-    corr = np.exp(-(((k - (n - 1)) * dy) ** 2) / sigma_c ** 2)
+    diameter, width = spec.pump_diameter_m, spec.correlation_width_m
+    if spec.kind == "separable":
+        diameter = width = np.sqrt(2.0 / (1.0 / diameter ** 2 + 1.0 / width ** 2))
+    pump = np.exp(-(((k - 2 * c) * dy) / 2.0) ** 2 / (diameter / 2.0) ** 2)
+    corr = np.exp(-(((k - (n - 1)) * dy) ** 2) / width ** 2)
     return pump, corr
 
 
-def _views(pump: np.ndarray, corr: np.ndarray, n: int):
-    """The N x N read-only Hankel view pump[i + j] and Toeplitz view
-    corr[i - j + N - 1] of two tables; nothing is copied."""
-    return sliding_window_view(pump, n), sliding_window_view(corr, n)[:, ::-1]
-
-
-def _peak_slices(spec: SourceSpec, grid: TransverseGrid):
-    """``(f, g)``: the double Gaussian's slices through its peak, the zero
-    cell (c, c), along the signal and the idler axis, read off the tables."""
-    pump, corr = _tables(spec, grid)
-    pump_ij, corr_ij = _views(pump, corr, grid.n_points)
-    c = grid.n_points // 2
-    return pump_ij[:, c] * corr_ij[:, c], pump_ij[c] * corr_ij[c]
-
-
 def _unit_tables(spec: SourceSpec, grid: TransverseGrid):
-    """``(pump, corr, h)``: :func:`_tables` of the entangled source, its
-    unit-norm factor folded into the pump table, and the largest |i - j|
-    at which it can be nonzero, where corr underflows to 0.0 (12 cells for
-    13 um at the reference pitch).  The sum of |A|^2 is taken in O(N h)
-    over the band's 2h + 1 diagonals, diagonal d as corr[N - 1 + d]^2
-    times the sum of pump^2 over its entries."""
+    """``(pump, corr, h)``: :func:`_tables`, the unit-norm factor folded
+    into the pump table, and the largest |i - j| at which the source can be
+    nonzero, where corr underflows to 0.0 (12 cells for 13 um at the
+    reference pitch, 17 for the separable control).  The sum of |A|^2 is
+    taken in O(N h) over the band's 2h + 1 diagonals, diagonal d as
+    corr[N - 1 + d]^2 times the sum of pump^2 over its entries."""
     n, dy = grid.n_points, grid.spacing_m
     pump, corr = _tables(spec, grid)
     h = int(np.max(np.abs(np.flatnonzero(corr) - (n - 1)), initial=0))
@@ -119,34 +112,22 @@ def _unit_tables(spec: SourceSpec, grid: TransverseGrid):
     return pump, corr, h
 
 
-def _unit_slices(spec: SourceSpec, grid: TransverseGrid):
-    """:func:`_peak_slices`, each normalized on its own: the two factors of
-    the separable control A = f(y_s) g(y_i), with f = g.  Each carries one
-    down-converted beam's transverse coherence width, so the control has
-    the entangled beams' divergence at the detectors and no correlation."""
-    f, g = _peak_slices(spec, grid)
-    f *= 1.0 / float(np.sqrt(np.sum(f ** 2) * grid.spacing_m))
-    g *= 1.0 / float(np.sqrt(np.sum(g ** 2) * grid.spacing_m))
-    return f, g
-
-
 def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
     """The source of either kind on one grid for both axes: its nonzero
     diagonals (:func:`source_band`) written into the real part of a zeroed
     N x N complex array, at unit joint norm.
 
-    The amplitude is exactly symmetric, A == A.T bit for bit (:func:`_tables`,
-    and f = g for the separable control, :func:`_unit_slices`): the signal
-    head runs on the source's rows, as signal-axis lines, in the band-limit
-    checks of measure, ghost and klyshko-check (``elements._check_skewed_head``),
-    and slit A's and slit B's rows read the source's band through the
-    symmetry too (``experiment._rows_from_band``).  It is exactly mirror
-    symmetric about the zero cell c = N // 2 as well, A[2c - i, 2c - j] ==
-    A[i, j] bit for bit wherever both cells lie on the grid (each table
-    argument is an exact multiple of the pitch, negated by the mirror):
-    the signal head walks line c + m for line c - m too (``elements._walk``).
-    ``test_source.py``'s ``test_exactly_symmetric`` and
-    ``test_exactly_mirror_symmetric`` guard them.  A source term that
+    The amplitude is exactly symmetric, A == A.T bit for bit (:func:`_tables`):
+    the signal head runs on the source's rows, as signal-axis lines, in the
+    band-limit checks of measure, ghost and klyshko-check
+    (``elements._check_skewed_head``), and slit A's and slit B's rows read
+    the source's band through the symmetry too (``experiment._rows_from_band``).
+    It is exactly mirror symmetric about the zero cell c = N // 2 as well,
+    A[2c - i, 2c - j] == A[i, j] bit for bit wherever both cells lie on the
+    grid (each table argument is an exact multiple of the pitch, negated by
+    the mirror): the signal head walks line c + m for line c - m too
+    (``elements._walk``).  ``test_source.py``'s ``test_exactly_symmetric``
+    and ``test_exactly_mirror_symmetric`` guard them.  A source term that
     breaks either (a pump offset or tilt, unequal grids) must first give
     the signal arm its own lines.
     """
@@ -155,28 +136,20 @@ def build_source(spec: SourceSpec, grid: TransverseGrid) -> BiphotonAmplitude:
 
 
 def _lines_times_source(spec: SourceSpec, grid: TransverseGrid, lines: np.ndarray) -> np.ndarray:
-    """``line @ A`` for each complex line of N cells, A the source of
-    either kind at unit joint norm, read off its closed-form tables: never
-    its band (:func:`source_band`) and never as an N x N array.
-
-    Entangled, A[i, j] = pump[i + j] corr[i - j + N - 1] (:func:`_unit_tables`,
-    :func:`_views`) is 0.0 for |i - j| > h; each block of
+    """``line @ A`` for each complex line of N cells, A the unit-norm source
+    read off its tables (:func:`_unit_tables`), never as its band
+    (:func:`source_band`) or an N x N array: A[i, j] = pump[i + j]
+    corr[i - j + N - 1] is 0.0 for |i - j| > h, so each block of
     ``_COLUMN_BLOCK`` columns is multiplied out over the rows within h of
-    it, and each line takes its own BLAS product with it.  Separable,
-    A = f g^T (:func:`_unit_slices`), and the result is (line . f) g.  One
-    product per line, so a line's result does not depend on the lines
+    it, from the tables' Hankel and Toeplitz views, and each line takes its
+    own BLAS product with it: a line's result does not depend on the lines
     beside it.  This is the advanced wave's reflection at the crystal
     (``experiment.klyshko_advanced_wave``).
     """
     n = grid.n_points
     out = np.empty((len(lines), n), dtype=np.complex128)
-    if spec.kind == "separable":
-        f, g = _unit_slices(spec, grid)
-        for line, row in zip(lines, out):
-            np.multiply(line @ f, g, out=row)
-        return out
     pump, corr, h = _unit_tables(spec, grid)
-    pump_ij, corr_ij = _views(pump, corr, n)
+    pump_ij, corr_ij = sliding_window_view(pump, n), sliding_window_view(corr, n)[:, ::-1]
     # One complex block, its imaginary part left 0.0, for every block of columns.
     blocks = np.zeros((min(n, _COLUMN_BLOCK + 2 * h), _COLUMN_BLOCK), dtype=np.complex128)
     for lo in range(0, n, _COLUMN_BLOCK):
@@ -207,30 +180,16 @@ def _dense_from_band(band: np.ndarray) -> np.ndarray:
 def source_band(spec: SourceSpec, grid: TransverseGrid) -> np.ndarray:
     """The source's nonzero diagonals: the real (2h + 1) x N array
     ``band[t, j] = A[j + t - h, j]``, 0 where j + t - h leaves the grid.
-
-    Off its 2h + 1 central diagonals the source is exactly 0.0 (entangled,
-    :func:`_unit_tables`; separable, h is the span of the cells where its
-    factor is nonzero), so ``band`` holds every nonzero entry of the
-    source; :func:`build_source` writes it into the dense array.
+    Off them the source is exactly 0.0 (:func:`_unit_tables`), so ``band``
+    holds its every nonzero entry; :func:`build_source` writes them out.
     """
     n = grid.n_points
-    if spec.kind == "separable":
-        f, g = _unit_slices(spec, grid)
-        lit = np.flatnonzero(f)  # never empty: the peak cell
-        h = int(lit[-1] - lit[0])
-
-        def diagonal(d, lo, hi):
-            return f[lo + d:hi + d] * g[lo:hi]
-    else:
-        pump, corr, h = _unit_tables(spec, grid)
-
-        def diagonal(d, lo, hi):  # pump[i + j] * corr[i - j + N - 1] at i = j + d
-            return pump[2 * lo + d:2 * hi + d - 1:2] * corr[n - 1 + d]
+    pump, corr, h = _unit_tables(spec, grid)
     band = np.zeros((2 * h + 1, n))
     for t in range(2 * h + 1):
-        d = t - h  # band[t] is the diagonal A[j + d, j], for lo <= j < hi
+        d = t - h  # band[t] is the diagonal A[j + d, j] = pump[2j + d] corr[N - 1 + d], for lo <= j < hi
         lo, hi = max(0, -d), n - max(0, d)
-        band[t, lo:hi] = diagonal(d, lo, hi)
+        band[t, lo:hi] = pump[2 * lo + d:2 * hi + d - 1:2] * corr[n - 1 + d]
     return band
 
 
@@ -243,7 +202,7 @@ def _live_band(band: np.ndarray) -> np.ndarray:
     The exact band's outer diagonals run down to subnormals (5e-324 at the
     reference), whose arithmetic is slow, and a dropped entry lies 134
     orders of magnitude below a rounding step of the peak: 25 diagonals
-    stay 17 at the reference, 49 stay 33 at 2048 points, 49 stay 23 for
+    stay 17 at the reference, 49 stay 33 at 2048 points, 35 stay 23 for
     the separable control."""
     floor = _FLUSH_BELOW * max(band.max(initial=0.0), -band.min(initial=0.0))
     for diagonal in band:

@@ -62,6 +62,13 @@ class TestParsing:
         with pytest.raises(ConfigError, match="steps"):
             parse_config("[scan]\nsteps = many\n")
 
+    @pytest.mark.parametrize("section, key, raw, wanted", [("grid", "n_points", "2048.0", "an integer"),
+                                                           ("temporal", "n_points", "3.5", "an integer"),
+                                                           ("grid", "extent_mm", "wide", "a number")])
+    def test_unparsable_value_names_the_type(self, section, key, raw, wanted):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: cannot parse '{re.escape(raw)}' as {wanted}$"):
+            parse_config(f"[{section}]\n{key} = {raw}\n")
+
     def test_negative_width_names_key(self):
         with pytest.raises(ConfigError, match="slit_a_width_mm"):
             parse_config("[signal_arm]\nslit_a_width_mm = -1\n")

@@ -595,7 +595,7 @@ LIVE_BENCHES = {
     "reference": (lambda: default_bench(), TransverseGrid(1024, 15e-3), 25, 17),
     "2048-points": (lambda: default_bench(), TransverseGrid(2048, 15e-3), 49, 33),
     "pump-1mm": (lambda: default_bench(pump_diameter_m=1e-3), TransverseGrid(1024, 15e-3), 25, 17),
-    "separable": (lambda: default_bench(source_kind="separable"), TransverseGrid(1024, 15e-3), 49, 23),
+    "separable": (lambda: default_bench(source_kind="separable"), TransverseGrid(1024, 15e-3), 35, 23),
     "nondegenerate": (lambda: default_bench(signal_wavelength_m=650e-9, idler_wavelength_m=763.5162261625964e-9),
                       TransverseGrid(1024, 15e-3), 25, 17),
     "point-d1": (lambda: default_bench(d1_mode="point", d1_position_m=30e-6), TransverseGrid(1024, 15e-3), 25, 17),
@@ -611,7 +611,7 @@ def same_rows(live, exact):
     bits wherever the exact rows reach 1e-120 of their peak, and within
     1e-140 of it elsewhere.  Below that they may differ: where a whole
     column of the band lies below the floor (the far tails of a 1 mm pump,
-    or of the separable control's factor) the live rows read 0."""
+    or of the separable control) the live rows read 0."""
     peak = np.abs(exact).max()
     bright = np.abs(exact) >= 1e-120 * peak
     return (live[bright].tobytes() == exact[bright].tobytes()

@@ -3,7 +3,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ghostbench import SourceSpec, TransverseGrid, build_source, schmidt_number
-from ghostbench.source import _peak_slices, _tables, source_band
+from ghostbench.source import _lines_times_source, _tables, source_band
 
 PUMP_RADIUS = 1.5e-3
 
@@ -211,19 +211,17 @@ class TestBuildBytes:
         spec = SourceSpec(kind=kind, **spec_args)
         grid = TransverseGrid(n_points, extent_m)
         dy = grid.spacing_m
-        if kind == "entangled":
-            # The norm is summed over the band's nonzero diagonals
-            # (:func:`band_norm2`) and folded into the pump table.
-            pump, corr = _tables(spec, grid)
-            expected = table_source(pump * (1.0 / float(np.sqrt(band_norm2(pump, corr) * dy * dy))), corr)
-        else:
-            amps = table_source(*_tables(spec, grid))
-            peak_s, peak_i = np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape)
-            f, g = amps[:, peak_i], amps[peak_s, :]
-            # Each factor is normalized on its own, which keeps f = g bit for bit.
-            f = f * (1.0 / float(np.sqrt(np.sum(f ** 2) * dy)))
-            g = g * (1.0 / float(np.sqrt(np.sum(g ** 2) * dy)))
-            expected = np.outer(f, g)
+        entangled = spec
+        if kind == "separable":
+            # The balanced double Gaussian whose peak slices are the
+            # control's factors: pump diameter = correlation width = W,
+            # 2 / W^2 = 1/D^2 + 1/sigma^2.
+            w = np.sqrt(2.0 / (1.0 / spec.pump_diameter_m ** 2 + 1.0 / spec.correlation_width_m ** 2))
+            entangled = SourceSpec(**{**spec_args, "pump_diameter_m": w, "correlation_width_m": w})
+        # The norm is summed over the band's nonzero diagonals
+        # (:func:`band_norm2`) and folded into the pump table.
+        pump, corr = _tables(entangled, grid)
+        expected = table_source(pump * (1.0 / float(np.sqrt(band_norm2(pump, corr) * dy * dy))), corr)
         built = build_source(spec, grid).amplitudes
         assert built.dtype == np.complex128 and built.flags.c_contiguous
         assert built.tobytes() == expected.astype(np.complex128).tobytes()
@@ -237,21 +235,6 @@ class TestBuildBytes:
         full = np.einsum("ij,ij->", sliding_window_view(pump ** 2, n_points),
                          sliding_window_view(corr ** 2, n_points)[:, ::-1])
         assert band_norm2(pump, corr) == pytest.approx(full, rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
-    def test_separable_factors_are_the_slices_through_the_peak(self, spec_args, n_points, extent_m):
-        # The separable build takes its factors at the zero cell, in O(N),
-        # without forming the N x N double Gaussian; that cell is its argmax,
-        # in the table definition and in the closed form alike.
-        spec = SourceSpec(kind="separable", **spec_args)
-        grid = TransverseGrid(n_points, extent_m)
-        c = n_points // 2
-        f, g = _peak_slices(spec, grid)
-        for amps in (table_source(*_tables(spec, grid)), double_gaussian(spec, grid)):
-            assert np.unravel_index(int(np.argmax(np.abs(amps))), amps.shape) == (c, c)
-            # At the zero cell one coordinate is exactly 0, so both give the same slices.
-            assert f.tobytes() == amps[:, c].tobytes()
-            assert g.tobytes() == amps[c, :].tobytes()
 
     @pytest.mark.parametrize("spec_args, n_points, extent_m", BYTE_BENCHES)
     def test_equals_closed_form_at_the_grid_points(self, spec_args, n_points, extent_m):
@@ -327,11 +310,41 @@ class TestSourceBand:
         assert not np.any(built.imag)
         assert from_band(band, n_points).tobytes() == built.real.tobytes()
 
-    @pytest.mark.parametrize("name, half", [("entangled", 12), ("wide-correlation", 128)])
+    @pytest.mark.parametrize("name, half", [("entangled", 12), ("separable", 17), ("wide-correlation", 128)])
     def test_band_half_width(self, name, half):
         # 13 um correlation at the 29.3 um reference pitch underflows to 0.0
-        # beyond 12 cells; as wide as the pump, it fills the whole matrix.
+        # beyond 12 cells, the separable control's 18.4 um beyond 17; as wide
+        # as the pump, it fills the whole matrix.
         spec_args, n_points, extent_m = BAND_BENCHES[name]
         band = source_band(SourceSpec(**spec_args), TransverseGrid(n_points, extent_m))
         assert band.shape[0] == 2 * half + 1
         assert np.any(band[0]) and np.any(band[-1])
+
+
+# No point count is a multiple of the 256-column block; with a correlation
+# as wide as the pump every entry of A is felt across the block edge.
+LINE_BENCHES = [({}, 700, 15e-3), ({"pump_diameter_m": 1e-3, "correlation_width_m": 100e-6}, 300, 2e-3),
+                ({"pump_diameter_m": 1e-3, "correlation_width_m": 1e-3}, 700, 2e-3)]
+
+
+class TestLinesTimesSource:
+    """The advanced wave's reflection at the crystal reads the source off
+    its tables, a block of columns at a time, and never builds it."""
+
+    @pytest.mark.parametrize("kind", ["entangled", "separable"])
+    @pytest.mark.parametrize("spec_args, n_points, extent_m", LINE_BENCHES)
+    def test_equals_lines_times_the_built_source(self, kind, spec_args, n_points, extent_m):
+        spec = SourceSpec(kind=kind, **spec_args)
+        grid = TransverseGrid(n_points, extent_m)
+        rng = np.random.default_rng(7)
+        # Deltas at the first, middle and last cell, as the advanced wave
+        # starts from, and two random complex lines.
+        lines = np.zeros((5, n_points), dtype=np.complex128)
+        lines[[0, 1, 2], [0, n_points // 2, n_points - 1]] = 1.0
+        lines[3:] = rng.standard_normal((2, n_points)) + 1j * rng.standard_normal((2, n_points))
+        expected = lines @ build_source(spec, grid).amplitudes
+        got = _lines_times_source(spec, grid, lines)
+        for line, want in zip(got, expected):
+            assert np.max(np.abs(line - want)) <= 1e-14 * np.abs(want).max()
+        # One product per line: a line alone gives the bits it gives in the batch.
+        assert _lines_times_source(spec, grid, lines[3:4]).tobytes() == got[3:4].tobytes()
