@@ -106,8 +106,8 @@ def _convert(section: str, key: str, raw: str, tag: str):
             return text
         value = float(text)
     except ValueError:
-        kind = "an integer" if tag == "int" else "a number"
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {kind}") from None
+        wanted = "an integer" if tag == "int" else "a number"
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {wanted}") from None
     if not math.isfinite(value):
         raise ConfigError(f"[{section}] {key}: must be a finite number, got {raw!r}")
     return value * _SCALES.get(tag, 1.0)
