@@ -2,8 +2,9 @@
 
 Each of the six commands runs in process (``ghostbench.cli.main``) on the
 reference config, on a nondegenerate one (650 nm signal, idler at the
-exact energy-conserving wavelength) and on the separable control, each
-writing to its own directory.
+exact energy-conserving wavelength), on the separable control and on a
+wide band (512 points, a 3 mm correlation, a 29 mm slit A), each writing
+to its own directory.
 Its exit code, stdout and every CSV it writes are hashed with SHA-256,
 the output directory masked as ``<output>`` first, and the hashes must
 equal those in ``output_hashes.json`` next to this file.  So any change
@@ -34,6 +35,7 @@ CONFIGS = {
     "reference": "",
     "nondegenerate": "[source]\nsignal_wavelength_nm = 650\nidler_wavelength_nm = 763.5162261625964\n",
     "separable": "[source]\nkind = separable\n",
+    "wide-band": "[grid]\nn_points = 512\n[source]\ncorrelation_width_um = 3000\n[signal_arm]\nslit_a_width_mm = 29\n",
 }
 
 COMMANDS = ("measure-m1", "measure-m2", "ghost", "klyshko-check", "temporal", "validate-config")
