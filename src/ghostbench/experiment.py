@@ -25,20 +25,12 @@ import numpy as np
 
 # apply_arm and build_source are no longer called here, but perfbench/tracing.py
 # binds the names in this module for its elements.field_arm and source.build spans.
-from .elements import (ArmSpec, FreeSpace, Slit, _check_skewed_head, _inverse, _refuse_aliasing,  # noqa: F401
-                       _step, _summed_power, aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
+from .elements import (ArmSpec, FreeSpace, Slit, _check_skewed_head, _refuse_aliasing, _step,  # noqa: F401
+                       _summed_power, aperture_transmission, apply_arm, apply_arm_along, apply_arm_to_axis,
                        apply_steps_along, apply_steps_transpose, arm_steps, reverse_arm)
 from .errors import PatternError, SamplingError
 from .grid import BiphotonAmplitude, Field1D, TransverseGrid
-from .source import (SourceSpec, _dense_from_band, _lines_times_source, _live_band, build_source,  # noqa: F401
-                     source_band)
-
-# The D2 singles take the band route (:func:`_reduced_state_lags`, and
-# slit B's rows from the source's band) while its cost estimate,
-# N (2h + 1 + R)^2 for a band of 2h + 1 diagonals and R cells open behind
-# slit B, is at most this many times the dense route's N^2 log2 N; beyond
-# it they take the dense source's idler spectrum.
-_BAND_ROUTE_COST = 6.0
+from .source import SourceSpec, _lines_times_source, _live_band, build_source, source_band  # noqa: F401
 
 @dataclass(frozen=True)
 class DetectorSpec:
@@ -191,12 +183,15 @@ def _open_singles(lags: np.ndarray, transfer: np.ndarray) -> np.ndarray:
     term, so the lags e > 0 count twice, by their real part.  One batched
     FFT of the lags and one of the w_e.  This is the intensity of a
     partially coherent field from its cross-spectral density (Mandel &
-    Wolf, *Optical Coherence and Quantum Optics*, ch. 4-5)."""
+    Wolf, *Optical Coherence and Quantum Optics*, ch. 4-5).  An intensity
+    is nonnegative, but the FFTs' rounding leaves noise of either sign, a
+    few parts in 1e16 of the peak, in the dark tails; the result is
+    clamped at 0.0 there."""
     count, n = lags.shape
     u = np.fft.ifft(transfer)
     kernels = np.fft.fft(u * u[(np.arange(n) - np.arange(count)[:, None]) % n].conj())
     kernels[1:] *= 2.0
-    return np.fft.ifft(np.einsum("ef,ef->f", kernels, np.fft.fft(lags))).real
+    return np.maximum(np.fft.ifft(np.einsum("ef,ef->f", kernels, np.fft.fft(lags))).real, 0.0)
 
 
 def _idler_run(steps: list) -> int:
@@ -205,38 +200,20 @@ def _idler_run(steps: list) -> int:
     return next((k + 1 for k, (_, factor) in enumerate(steps) if factor is not None), len(steps))
 
 
-def _band_route_pays(band: np.ndarray, idler_steps: list, grid: TransverseGrid) -> bool:
-    """Whether the singles of the idler arms held as ``idler_steps`` (one
-    :func:`arm_steps` each) take the band route: its cost estimate
-    N (2h + 1 + R)^2, R the cells left open by the factor that ends each
-    arm's spectral pass (:func:`_idler_run`), summed, against the dense
-    route's N^2 log2 N (``_BAND_ROUTE_COST``)."""
-    cells = 0
-    for steps in idler_steps:
-        run = _idler_run(steps)
-        if run and steps[run - 1][1] is not None:
-            cells += np.count_nonzero(steps[run - 1][1])
-    n = grid.n_points
-    return (band.shape[0] + cells) ** 2 <= _BAND_ROUTE_COST * n * np.log2(n)
-
-
-def _singles_profile(source, power: np.ndarray, steps: list, grid: TransverseGrid, wavelength_m: float,
-                     last_reader: bool) -> np.ndarray:
+def _singles_profile(band: np.ndarray, lags: np.ndarray, power: np.ndarray, steps: list, grid: TransverseGrid,
+                     wavelength_m: float) -> np.ndarray:
     """D2 singles profile: sum over the signal axis of |A|^2 with the idler
     arm, held as its ``steps`` (:func:`arm_steps`), applied to the source.
 
     The arm's steps up to the first that has a factor are one spectral
     pass (:func:`_idler_run`); each step is checked on ``power``, the
     summed power of the source's idler spectrum, inside the bands of the
-    steps before it (|transfer| = 1 on a kept band).  ``source`` is, on the
-    band route, the pair of the source's band and its reduced state's lags
-    (:func:`_reduced_state_lags`): without a factor the profile is
-    :func:`_open_singles`; with one (slit B), the N x R block at the R
-    cells it leaves open is the transpose of slit B's rows taken from the
-    band (:func:`_rows_from_band`, A is symmetric), replaced by its
-    :func:`_gram_rows`, which finish the arm.  On the dense route
-    (:func:`_band_route_pays`) ``source`` is the source's idler spectrum,
-    inverted whole, and overwritten only when ``last_reader`` is set.
+    steps before it (|transfer| = 1 on a kept band).  Without a factor
+    the profile is :func:`_open_singles` of ``lags``, the source's
+    reduced state (:func:`_reduced_state_lags`); with one (slit B), the
+    N x R block at the R cells it leaves open is the transpose of slit B's
+    rows taken from ``band``, the source's live band (:func:`_rows_from_band`,
+    A is symmetric), replaced by its :func:`_gram_rows`, which finish the arm.
     """
     run = _idler_run(steps)
     transfer = np.ones(grid.n_points, dtype=np.complex128)
@@ -249,16 +226,10 @@ def _singles_profile(source, power: np.ndarray, steps: list, grid: TransverseGri
             transfer *= step
             kept &= keep
     factor = steps[run - 1][1] if run else None
-    if isinstance(source, tuple):
-        band, lags = source
-        if factor is None:
-            return _open_singles(lags, transfer) * grid.spacing_m
-        cells = np.flatnonzero(factor)
-        amps = _gram_rows(_rows_from_band(band, steps[:run], cells, grid, wavelength_m).T, cells, grid.n_points)
-    else:
-        amps = _inverse(source if last_reader else source.copy(), transfer)
-        if factor is not None:
-            amps *= factor
+    if factor is None:
+        return _open_singles(lags, transfer) * grid.spacing_m
+    cells = np.flatnonzero(factor)
+    amps = _gram_rows(_rows_from_band(band, steps[:run], cells, grid, wavelength_m).T, cells, grid.n_points)
     amps = apply_steps_along(amps, steps[run:], grid, wavelength_m)
     return _summed_power(amps) * grid.spacing_m
 
@@ -312,11 +283,10 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     The singles rate is the signal-axis marginal of the state with only
     the idler arm applied (:func:`_singles_profile`): it counts every idler
     photon regardless of what happens in the signal arm, so signal-arm
-    losses (slit A) cannot imprint on it.  The singles too come from the band, through the
-    idler's reduced state (:func:`_reduced_state_lags`), unless a band as
-    wide as the window makes the dense source's idler spectrum cheaper
-    (:func:`_band_route_pays`).  No N x N array is made but there.  Each
-    arm's steps (:func:`arm_steps`) are built once.
+    losses (slit A) cannot imprint on it.  The singles too come from the
+    band, through the idler's reduced state (:func:`_reduced_state_lags`)
+    and its power (:func:`_lag_power`), however wide the band.  No N x N
+    array is made.  Each arm's steps (:func:`arm_steps`) are built once.
     """
     benches = [bench] if isinstance(bench, BenchSpec) else list(bench)
     first = benches[0]
@@ -328,20 +298,14 @@ def run_coincidence_scan(bench: BenchSpec | Sequence[BenchSpec], scan: ScanWindo
     band = _live_band(source_band(first.source, grid))
     ((_, weights, at_d1),) = _conditioned_rows(first, grid, band, (0.0,))
     idler_steps = [arm_steps(each.idler_arm, grid, idler_wavelength) for each in benches]
-    if _band_route_pays(band, idler_steps, grid):
-        lags = _reduced_state_lags(band)
-        source, power = (band, lags), _lag_power(lags)
-    else:
-        dense = _dense_from_band(band)
-        source = np.fft.fft(dense, out=dense)
-        power = _summed_power(source)
+    lags = _reduced_state_lags(band)
+    power = _lag_power(lags)
     positions = scan.positions()
     results = []
-    for k, (each, each_steps) in enumerate(zip(benches, idler_steps)):
+    for each, each_steps in zip(benches, idler_steps):
         at_d2 = apply_steps_along(at_d1, each_steps, grid, idler_wavelength)
         coincidence_profile = _axis_profile(at_d2, weights, grid.spacing_m)
-        singles_profile = _singles_profile(source, power, each_steps, grid, idler_wavelength,
-                                           last_reader=k == len(benches) - 1)
+        singles_profile = _singles_profile(band, lags, power, each_steps, grid, idler_wavelength)
         coincidence = _sample_profile(grid, coincidence_profile, each.d2, positions)
         singles = _sample_profile(grid, singles_profile, each.d2, positions)
         results.append(ScanResult(positions, coincidence, singles, each))

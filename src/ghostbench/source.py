@@ -198,7 +198,7 @@ def _live_band(band: np.ndarray) -> np.ndarray:
     ``_FLUSH_BELOW`` of its peak set to 0.0, in place, one diagonal at a
     time, returned as its central slice without the outer diagonal pairs
     left all zero.  Every band pass of measure, ghost and klyshko-check's
-    K A side reads it (K A, rho's lags, the signal head's walk, the route rule).
+    K A side reads it (K A, rho's lags, the signal head's walk).
     The exact band's outer diagonals run down to subnormals (5e-324 at the
     reference), whose arithmetic is slow, and a dropped entry lies 134
     orders of magnitude below a rounding step of the peak: 25 diagonals

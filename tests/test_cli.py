@@ -89,6 +89,14 @@ class TestMeasure:
         assert "sinc_fit_width_mm" not in out
         assert float(summary_value(out, "fwhm_mm")) > 0
 
+    def test_unpropagated_idler_exits_0(self, capsys, outdir_config):
+        # With no idler distance the open singles are the source's marginal
+        # itself, whose dark tails carry rounding noise of either sign.
+        cfg = outdir_config("[idler_arm]\ncrystal_to_screen_mm = 0\nscreen_to_d2_mm = 0\n"
+                            "[scan]\ny_min_mm = -12\ny_max_mm = 12\n")
+        code, _, err = run_cli(capsys, "measure-m2", cfg)
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("command", ["measure-m1", "measure-m2"])
     def test_dark_slit_a_exit_3(self, capsys, tmp_path, outdir_config, command):
         # Slit A outside the +-15 mm window passes no light, so D2 sees no coincidences.
@@ -403,6 +411,7 @@ class TestWorkCounts:
     @pytest.fixture()
     def counted(self, monkeypatch, outdir_config, head_walks):
         import ghostbench.experiment as experiment
+        import ghostbench.source as source
         calls, sources = [], []
 
         def counting(original, name=None):
@@ -424,7 +433,12 @@ class TestWorkCounts:
             return wrapper
 
         monkeypatch.setattr(experiment, "build_source", counting(experiment.build_source, "build"))
-        monkeypatch.setattr(experiment, "_dense_from_band", counting(experiment._dense_from_band, "build"))
+        # build_source writes its N x N array through this, as does any
+        # module that binds the name.
+        writer = source._dense_from_band
+        for module in [module for name, module in sys.modules.items() if name.startswith("ghostbench")]:
+            if getattr(module, "_dense_from_band", None) is writer:
+                monkeypatch.setattr(module, "_dense_from_band", counting(writer, "build"))
         monkeypatch.setattr(experiment, "apply_arm_along", signal_pass(experiment.apply_arm_along))
         monkeypatch.setattr(experiment, "apply_steps_along", signal_pass(experiment.apply_steps_along))
         monkeypatch.setattr(experiment, "apply_arm_to_axis", counting(experiment.apply_arm_to_axis))
@@ -450,6 +464,12 @@ class TestWorkCounts:
         # follow the idler arm on slit A's rows, and every scan's singles
         # come from the one reduced state of the source's band.
         assert counted(command) == {"build": 0, "signal": 0, "idler": 0}
+
+    @pytest.mark.parametrize("command", ["measure-m1", "measure-m2"])
+    def test_measure_on_a_wide_band(self, counted, command):
+        # A 3 mm correlation makes the source's band as wide as the grid,
+        # all 255 diagonals live, and the singles come from it too.
+        assert counted(command, "[source]\ncorrelation_width_um = 3000\n") == {"build": 0, "signal": 0, "idler": 0}
 
     def test_ghost(self, counted):
         assert counted("ghost") == {"build": 0, "signal": 0, "idler": 0}
